@@ -69,7 +69,6 @@ def analyze_hybrid(
     registry=None,
     tracer=None,
     profiler=None,
-    graph_backend: str = "object",
 ) -> HybridResult:
     """Try LC' with a linear node budget; fall back to the cubic
     standard algorithm if the budget trips.
@@ -94,7 +93,6 @@ def analyze_hybrid(
             registry=registry,
             tracer=tracer,
             profiler=profiler,
-            graph_backend=graph_backend,
         )
         return HybridResult("subtransitive", result, registry=registry)
     except (AnalysisBudgetExceeded, TypeInferenceError) as error:

@@ -43,8 +43,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 from repro._util import ensure_recursion_limit
 from repro.errors import AnalysisBudgetExceeded
 from repro.obs.metrics import MetricsRegistry
-from repro.graph import make_graph
-from repro.graph.digraph import Digraph
+from repro.graph.csr import CSRDigraph
 from repro.lang.ast import (
     App,
     Assign,
@@ -80,6 +79,13 @@ from repro.core.nodes import (
 #: nodes per syntax node before concluding the program is not
 #: bounded-type. Typed programs observed in practice use ~2-3x.
 DEFAULT_BUDGET_FACTOR = 64
+
+
+def default_node_budget(size: int) -> int:
+    """The node budget LC' runs under by default for a program of
+    ``size`` syntax nodes (:data:`DEFAULT_BUDGET_FACTOR` per node, with
+    a floor of 16 nodes' worth for tiny programs)."""
+    return DEFAULT_BUDGET_FACTOR * max(size, 16)
 
 
 #: The named LC' rules, in presentation order (build rules first).
@@ -185,7 +191,7 @@ class SubtransitiveGraph:
         self,
         program: Program,
         factory: NodeFactory,
-        graph: Digraph,
+        graph: CSRDigraph,
         stats: LCStatistics,
         close_edges: FrozenSet[Tuple[Node, Node]] = frozenset(),
     ):
@@ -240,7 +246,6 @@ class LCEngine:
         registry: Optional[MetricsRegistry] = None,
         tracer=None,
         profiler=None,
-        graph_backend: str = "object",
     ):
         if congruence is not None and congruence.requires_types:
             if inference is None:
@@ -249,16 +254,13 @@ class LCEngine:
                     "information; pass inference=infer_types(program)"
                 )
         if node_budget is None:
-            node_budget = DEFAULT_BUDGET_FACTOR * max(program.size, 16)
+            node_budget = default_node_budget(program.size)
         self.program = program
         self.factory = NodeFactory(
             program, congruence, inference, node_budget, max_depth,
             tracer=tracer,
         )
-        #: Which graph representation backs this run: ``"object"``
-        #: (the adjacency-set golden twin) or ``"csr"`` (flat arrays).
-        self.graph_backend = graph_backend
-        self.graph = make_graph(graph_backend)
+        self.graph = CSRDigraph()
         self.stats = LCStatistics(registry)
         #: Optional :class:`repro.obs.trace.Tracer`; ``None`` (the
         #: default) is the no-op mode — every emission site guards on
@@ -353,8 +355,8 @@ class LCEngine:
             self.graph.edge_count - self.stats.build_edges
         )
         # Compact the mutable adjacency before the read-heavy query/
-        # lint/flow phases (no-op on the object backend; later
-        # incremental mutation invalidates and rebuilds lazily).
+        # lint/flow phases (later incremental mutation invalidates the
+        # arrays; the next freeze rebuilds them).
         self.graph.freeze()
         self._export_gauges()
         if tracer is not None:
@@ -736,7 +738,6 @@ def build_subtransitive_graph(
     registry: Optional[MetricsRegistry] = None,
     tracer=None,
     profiler=None,
-    graph_backend: str = "object",
 ) -> SubtransitiveGraph:
     """Run LC' on ``program`` and return the subtransitive graph.
 
@@ -745,9 +746,7 @@ def build_subtransitive_graph(
     ``make_congruence('exact')`` to force the exact node grammar.
     Type inference is attempted once up front to derive the Section 4
     type-template depth bound; untypeable programs run uncapped under
-    the node budget alone. ``graph_backend`` selects the graph
-    representation (``"object"`` | ``"csr"``); the analysis result is
-    identical either way.
+    the node budget alone.
 
     Raises :class:`AnalysisBudgetExceeded` if the program does not
     appear to be bounded-type (use :mod:`repro.core.hybrid` to fall
@@ -780,6 +779,5 @@ def build_subtransitive_graph(
         registry=registry,
         tracer=tracer,
         profiler=profiler,
-        graph_backend=graph_backend,
     )
     return engine.run()

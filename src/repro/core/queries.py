@@ -13,7 +13,9 @@ The paper's Algorithms 1 and 2 (Section 4)::
         3. Output the labels of abstractions among them.   [O(n)]
 
 plus "an O(n^2) algorithm for computing all label sets by repeatedly
-applying Algorithm 2 to all program sub-expressions".
+applying Algorithm 2 to all program sub-expressions";
+:meth:`SubtransitiveCFA.all_label_sets` gets it in one pass instead
+(per-SCC label bitsets over a condensation), within the same bound.
 
 :class:`SubtransitiveCFA` implements the :class:`~repro.cfa.base.
 CFAResult` interface on top of these, so the test suite can compare it
@@ -23,28 +25,27 @@ applications can run on it directly.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.cfa.base import CFAResult, FlowKey, ValueToken, labels_of_tokens
+from repro.cfa.base import CFAResult, FlowKey, ValueToken
 from repro.errors import QueryError
-from repro.graph.csr import CSRDigraph
-from repro.graph.reachability import reachable_from
-from repro.lang.ast import App, Con, Expr, Lam, Program, Record, Ref, Var
+from repro.graph.tarjan import scc_ids
+from repro.lang.ast import Con, Expr, Lam, Program, Record, Ref
 
 from repro.core.lc import SubtransitiveGraph
-from repro.core.nodes import Context, Node
+from repro.core.nodes import EXPR, Context, Node
 
 
 class SubtransitiveCFA(CFAResult):
     """Query layer over a :class:`SubtransitiveGraph`.
 
-    Queries are demand-driven graph reachability — nothing is
+    Single queries are demand-driven graph reachability — nothing is
     precomputed, matching the paper's "we only explore the parts ...
-    that are actually needed". ``contexts`` (polyvariant runs only)
-    lists the instantiation contexts each binder was analysed under;
-    monovariant queries of a polyvariant result take the union over
-    contexts, which is the precision-relevant projection.
+    that are actually needed"; :meth:`all_label_sets` answers every
+    occurrence at once in one sweep. ``contexts`` (polyvariant runs
+    only) lists the instantiation contexts each binder was analysed
+    under; monovariant queries of a polyvariant result take the union
+    over contexts, which is the precision-relevant projection.
     """
 
     def __init__(self, sub: SubtransitiveGraph):
@@ -57,9 +58,9 @@ class SubtransitiveCFA(CFAResult):
         registry = sub.stats.registry
         self._c_queries = registry.counter("queries.count")
         self._c_visited = registry.counter("queries.visited_nodes")
-        # CSR fast-path cache: ``(id, tokens)`` per token-bearing
-        # graph node, invalidated when the graph grows (incremental
-        # updates); see :meth:`_csr_token_entries`.
+        # ``(id, tokens)`` per token-bearing graph node, invalidated
+        # when the graph grows (incremental updates); see
+        # :meth:`_token_index`.
         self._token_entries: Optional[List] = None
         self._token_entries_nodes = -1
         self._label_entries: Optional[List] = None
@@ -106,12 +107,6 @@ class SubtransitiveCFA(CFAResult):
         # context); consumers dedup via sets or BFS marks.
         return self.factory.occurrences(kind, ident)
 
-    def _reachable(self, starts: Iterable[Node]) -> Set[Node]:
-        reached = reachable_from(self.graph, starts)
-        self._c_queries.inc()
-        self._c_visited.inc(len(reached))
-        return reached
-
     @staticmethod
     def _tokens_in(nodes: Iterable[Node]) -> Set[ValueToken]:
         tokens: Set[ValueToken] = set()
@@ -129,8 +124,8 @@ class SubtransitiveCFA(CFAResult):
                         tokens.add(expr)
         return tokens
 
-    def _csr_token_entries(self) -> List:
-        """``(id, (token, ...))`` for every token-bearing node the CSR
+    def _token_index(self) -> List:
+        """``(id, (token, ...))`` for every token-bearing node the
         graph contains, in id order. Rebuilt whenever the graph grew
         (an incremental update may intern new value nodes)."""
         graph = self.graph
@@ -157,9 +152,9 @@ class SubtransitiveCFA(CFAResult):
             self._token_entries_nodes = graph.node_count
         return self._token_entries
 
-    def _csr_label_entries(self) -> List:
+    def _label_index(self) -> List:
         """``(id, (label, ...))`` for every abstraction-bearing node —
-        the label-set projection of :meth:`_csr_token_entries`, so
+        the label-set projection of :meth:`_token_index`, so
         ``labels_of``/``may_call`` skip token materialisation."""
         graph = self.graph
         if (
@@ -185,7 +180,7 @@ class SubtransitiveCFA(CFAResult):
             self._label_entries_nodes = graph.node_count
         return self._label_entries
 
-    def _labels_at_csr(self, starts: List[Node]) -> FrozenSet[str]:
+    def _labels_at(self, starts: List[Node]) -> FrozenSet[str]:
         """Algorithm 2 restricted to labels: byte-mark reachability,
         then one pass over the label index. Counter accounting matches
         the token path exactly (one label-set materialisation, one
@@ -197,7 +192,7 @@ class SubtransitiveCFA(CFAResult):
         self._c_queries.inc()
         self._c_visited.inc(len(order) + len(extras))
         labels: Set[str] = set()
-        for idx, entry in self._csr_label_entries():
+        for idx, entry in self._label_index():
             if seen[idx]:
                 labels.update(entry)
         if extras:
@@ -208,7 +203,7 @@ class SubtransitiveCFA(CFAResult):
             )
         return frozenset(labels)
 
-    def _tokens_at_csr(self, starts: List[Node]) -> Set[ValueToken]:
+    def _tokens_at(self, starts: List[Node]) -> Set[ValueToken]:
         """Algorithm 2 on the flat arrays: byte-mark reachability,
         then one pass over the precomputed token index — no node-set
         materialisation."""
@@ -218,7 +213,7 @@ class SubtransitiveCFA(CFAResult):
         self._c_queries.inc()
         self._c_visited.inc(len(order) + len(extras))
         tokens: Set[ValueToken] = set()
-        for idx, entry in self._csr_token_entries():
+        for idx, entry in self._token_index():
             if seen[idx]:
                 tokens.update(entry)
         if extras:
@@ -229,88 +224,111 @@ class SubtransitiveCFA(CFAResult):
 
     def tokens_at(self, key: FlowKey) -> Set[ValueToken]:
         self._c_label_sets.inc()
-        if isinstance(self.graph, CSRDigraph):
-            return self._tokens_at_csr(self._start_nodes(key))
-        return self._tokens_in(self._reachable(self._start_nodes(key)))
+        return self._tokens_at(self._start_nodes(key))
 
     def labels_of(self, expr: Expr) -> FrozenSet[str]:
         self._check(expr)
-        if isinstance(self.graph, CSRDigraph):
-            return self._labels_at_csr(self._start_nodes(expr.nid))
-        return labels_of_tokens(self.tokens_at(expr.nid))
+        return self._labels_at(self._start_nodes(expr.nid))
 
     def labels_of_var(self, name: str) -> FrozenSet[str]:
-        if isinstance(self.graph, CSRDigraph):
-            return self._labels_at_csr(self._start_nodes(name))
-        return labels_of_tokens(self.tokens_at(name))
+        return self._labels_at(self._start_nodes(name))
 
     def is_label_in(self, label: str, expr: Expr) -> bool:
         """Algorithm 1: early-exit reachability to the abstraction."""
         self._check(expr)
         target = self.program.abstraction(label)
-        target_nodes = set(self._context_nodes("expr", target.nid))
+        target_nodes = set(self._context_nodes(EXPR, target.nid))
         if not target_nodes:
             return False
-        if isinstance(self.graph, CSRDigraph):
-            found, visited = self.graph.reaches_any(
-                self._start_nodes(expr.nid), target_nodes
-            )
-            self._c_queries.inc()
-            self._c_visited.inc(visited)
-            return found
-        seen: Set[Node] = set()
-        queue = deque(self._start_nodes(expr.nid))
-        seen.update(queue)
-        try:
-            while queue:
-                node = queue.popleft()
-                if node in target_nodes:
-                    return True
-                for succ in self.graph.successors(node):
-                    if succ not in seen:
-                        seen.add(succ)
-                        queue.append(succ)
-            return False
-        finally:
-            self._c_queries.inc()
-            self._c_visited.inc(len(seen))
+        found, visited = self.graph.reaches_any(
+            self._start_nodes(expr.nid), target_nodes
+        )
+        self._c_queries.inc()
+        self._c_visited.inc(visited)
+        return found
 
     def expressions_with_label(self, label: str) -> List[Expr]:
         """The paper's third query, via *reverse* reachability from
         the abstraction — O(n), not O(n^2)."""
         target = self.program.abstraction(label)
-        starts = list(self._context_nodes("expr", target.nid))
-        backwards = reachable_from(
-            self.graph, starts, follow=self.graph.predecessors
-        )
+        starts = list(self._context_nodes(EXPR, target.nid))
+        backwards = self.graph.reachable_set(starts, reverse=True)
         self._c_queries.inc()
         self._c_visited.inc(len(backwards))
         nids: Set[int] = set()
         for node in backwards:
-            if node.kind == "expr" and node.expr is not None:
+            if node.kind == EXPR and node.expr is not None:
                 nids.add(node.expr.nid)
-            elif node.kind == "expr":
+            elif node.kind == EXPR:
                 nids.update(e.nid for e in node.absorbed)
         return [self.program.node(nid) for nid in sorted(nids)]
 
     def all_label_sets(self) -> Dict[int, FrozenSet[str]]:
-        """All label sets in O(n * |labels|): one reverse reachability
-        per abstraction (the output alone is quadratic, so this is
-        optimal up to constants)."""
-        sets: Dict[int, Set[str]] = {
-            node.nid: set() for node in self.program.nodes
-        }
-        for lam in self.program.abstractions:
-            for expr in self.expressions_with_label(lam.label):
-                sets[expr.nid].add(lam.label)
-        return {nid: frozenset(ls) for nid, ls in sets.items()}
+        """L(e) for every occurrence in one sweep over the frozen
+        arrays, equal to :meth:`labels_of` per expression and to
+        :meth:`expressions_with_label` per label: a reverse BFS from
+        the abstraction occurrences marks the region that reaches one;
+        Tarjan condenses it (reverse topological order); each SCC's
+        label set is an int with one bit per abstraction, OR-ed from
+        its own abstractions and its successor SCCs; each expression
+        ORs its occurrence nodes (none: the empty set). O(region nodes
+        + edges) word operations plus the output; creates no factory
+        node; counts as one traversal of the region.
+        """
+        program = self.program
+        occurrences = self.factory.occurrences
+        graph = self.graph.freeze()
+        ids = graph._interner._ids
+        # Abstraction bits per graph id, and per node the graph never
+        # saw (such a node reaches only itself).
+        own: Dict[int, int] = {}
+        stray: Dict[Node, int] = {}
+        for bit, lam in enumerate(program.abstractions):
+            mask = 1 << bit
+            for node in occurrences(EXPR, lam.nid):
+                idx = ids.get(node)
+                if idx is None:
+                    stray[node] = stray.get(node, 0) | mask
+                else:
+                    own[idx] = own.get(idx, 0) | mask
+        seen, region = graph._reached_ids(list(own), reverse=True)
+        offsets, targets, _, _ = graph._csr()
+        bits_of = [0] * graph.node_count
+        for component in scc_ids(offsets, targets, region, seen):
+            bits = 0
+            for v in component:
+                bits |= own.get(v, 0)
+                for w in targets[offsets[v] : offsets[v + 1]]:
+                    bits |= bits_of[w]
+            for v in component:
+                bits_of[v] = bits
+        self._c_queries.inc()
+        self._c_visited.inc(len(region) + len(stray))
+
+        labels = [lam.label for lam in program.abstractions]
+        decoded: Dict[int, FrozenSet[str]] = {0: frozenset()}
+        table: Dict[int, FrozenSet[str]] = {}
+        for expr in program.nodes:
+            bits = 0
+            for node in occurrences(EXPR, expr.nid):
+                idx = ids.get(node)
+                bits |= stray.get(node, 0) if idx is None else bits_of[idx]
+            found = decoded.get(bits)
+            if found is None:
+                found = decoded[bits] = _labels_in(bits, labels)
+            table[expr.nid] = found
+        return table
 
     # -- extra reachability queries -------------------------------------------
 
     def reachable_nodes(self, expr: Expr, context: Context = ()) -> Set[Node]:
         """All graph nodes reachable from an occurrence (diagnostics)."""
         self._check(expr)
-        return self._reachable([self.factory.expr_node(expr, context)])
+        start = self.factory.expr_node(expr, context)
+        reached = self.graph.reachable_set([start])
+        self._c_queries.inc()
+        self._c_visited.inc(len(reached))
+        return reached
 
     def records_of(self, expr: Expr) -> Set[Record]:
         """Record creation sites that may flow to ``expr``."""
@@ -334,6 +352,17 @@ class SubtransitiveCFA(CFAResult):
         return self.sub.stats
 
 
+def _labels_in(bits: int, labels: List[str]) -> FrozenSet[str]:
+    """The labels whose bit (position in ``labels``) is set in
+    ``bits``, one step per set bit."""
+    found = []
+    while bits:
+        lowest = bits & -bits
+        found.append(labels[lowest.bit_length() - 1])
+        bits ^= lowest
+    return frozenset(found)
+
+
 def analyze_subtransitive(
     program: Program,
     congruence=None,
@@ -343,14 +372,11 @@ def analyze_subtransitive(
     registry=None,
     tracer=None,
     profiler=None,
-    graph_backend: str = "object",
 ) -> SubtransitiveCFA:
     """Convenience: run LC' and wrap the result in the query layer.
 
     ``registry``/``tracer``/``profiler`` (see :mod:`repro.obs`)
-    instrument the run; all default to off. ``graph_backend`` picks
-    the graph representation (``"object"`` adjacency sets or the
-    ``"csr"`` flat-array core); results are identical either way.
+    instrument the run; all default to off.
     """
     from repro.core.lc import build_subtransitive_graph
 
@@ -363,6 +389,5 @@ def analyze_subtransitive(
         registry=registry,
         tracer=tracer,
         profiler=profiler,
-        graph_backend=graph_backend,
     )
     return SubtransitiveCFA(sub)

@@ -41,15 +41,19 @@ a full replay of the definition history, tagging the reason
     *later* definitions (the warm graph's node identities would no
     longer match a cold parse of the rendered program).
 ``node-budget``
-    The delta application exceeded the node budget; a replay starts
-    from a fresh factory without retired garbage.
+    The delta application exceeded the node budget (LC''s default
+    budget for the live program's size, so garbage from retired
+    definitions can trip it); a replay starts from a fresh factory
+    without retired garbage.
 ``internal-error``
     Any unexpected failure while mutating the warm graph; replay
     re-establishes a consistent state.
 
 Either way the result is **byte-identical** to a cold analysis of
 :meth:`render_source` — the equivalence suite enforces this per
-operation, on both graph backends.
+operation. A definition that takes even the replay over budget is
+rejected: the project keeps its previous program, exactly as a cold
+analysis of the would-be program would exceed the same budget.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AnalysisBudgetExceeded, ScopeError
-from repro.core.lc import LCEngine, SubtransitiveGraph
+from repro.core.lc import LCEngine, SubtransitiveGraph, default_node_budget
 from repro.obs.events import emit_event, span as _span
 from repro.core.nodes import (
     CONTRAVARIANT_HEADS,
@@ -85,11 +89,12 @@ from repro.lang.rename import _Renamer
 #: The delta engine's fallback taxonomy (see module docstring).
 FALLBACK_REASONS = ("rename-shift", "node-budget", "internal-error")
 
-#: Engine limits for daemon sessions: fixed (not per-program) so the
-#: warm graph's node identities are stable across edits. The depth cap
-#: bounds the demand cascade on untypeable flows exactly as the cold
-#: reference configuration does.
-DAEMON_NODE_BUDGET = 1_000_000
+#: The daemon's operator depth cap: fixed (not per-program) so the
+#: warm graph's node identities are stable across edits. It bounds the
+#: demand cascade on untypeable flows exactly as the cold reference
+#: configuration does. The node budget follows the live program's
+#: size (:func:`~repro.core.lc.default_node_budget`), warm and cold
+#: alike, so an untypeable definition trips it in milliseconds.
 DAEMON_MAX_DEPTH = 24
 
 EdgePair = Tuple[Node, Node]
@@ -227,15 +232,7 @@ class DefEntry:
 class ProjectAnalysis:
     """A warm, incrementally-maintained LC' analysis of one project."""
 
-    def __init__(
-        self,
-        graph_backend: str = "object",
-        node_budget: int = DAEMON_NODE_BUDGET,
-        max_depth: int = DAEMON_MAX_DEPTH,
-    ) -> None:
-        self.graph_backend = graph_backend
-        self.node_budget = node_budget
-        self.max_depth = max_depth
+    def __init__(self) -> None:
         self.defs: List[DefEntry] = []
         #: Monotonic graph version; bumps on every applied mutation.
         self.version = 0
@@ -251,11 +248,7 @@ class ProjectAnalysis:
         self.terminal = Lit(None)
         self.program = Program(self.terminal, rename=False)
         self.engine = LCEngine(
-            self.program,
-            congruence=None,
-            node_budget=self.node_budget,
-            max_depth=self.max_depth,
-            graph_backend=self.graph_backend,
+            self.program, congruence=None, max_depth=DAEMON_MAX_DEPTH
         )
         #: Insertion-ordered recorded closure edges (the warm twin of
         #: a cold run's ``close_edge_set``).
@@ -381,7 +374,8 @@ class ProjectAnalysis:
         re-key the factory's expression interning to the new nids.
 
         Auto labels are cleared first so allocation replays the cold
-        parse's preorder walk (same labels, same nids, same tables)."""
+        parse's preorder walk (same labels, same nids, same tables).
+        The node budget follows the new program's size."""
         for entry in self.defs:
             for lam in entry.auto_lams:
                 lam.label = None
@@ -391,6 +385,7 @@ class ProjectAnalysis:
         self.program = program
         self.engine.program = program
         self.engine.factory.program = program
+        self.engine.factory.node_budget = default_node_budget(program.size)
 
     def _rekey(self, program: Program) -> None:
         """Re-key factory interning from old nids to ``program``'s.
@@ -1112,22 +1107,13 @@ class ProjectAnalysis:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def cold_cfa(
-        source: str,
-        graph_backend: str = "object",
-        node_budget: int = DAEMON_NODE_BUDGET,
-        max_depth: int = DAEMON_MAX_DEPTH,
-    ) -> SubtransitiveCFA:
+    def cold_cfa(source: str) -> SubtransitiveCFA:
         """The cold reference: parse + build + close from scratch with
-        the daemon's engine configuration."""
+        the daemon's engine configuration (default node budget for the
+        program's size, no congruence, the daemon's depth cap)."""
         from repro.lang.parser import parse
 
-        program = parse(source)
         engine = LCEngine(
-            program,
-            congruence=None,
-            node_budget=node_budget,
-            max_depth=max_depth,
-            graph_backend=graph_backend,
+            parse(source), congruence=None, max_depth=DAEMON_MAX_DEPTH
         )
         return SubtransitiveCFA(engine.run())

@@ -61,7 +61,6 @@ class DaemonServer:
         socket_path: Optional[str] = None,
         host: Optional[str] = None,
         port: Optional[int] = None,
-        graph_backend: str = "object",
         capacity: int = DEFAULT_CAPACITY,
         registry: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
@@ -76,9 +75,7 @@ class DaemonServer:
         self.port = port
         self.registry = registry if registry is not None else MetricsRegistry()
         self.projects = ProjectRegistry(
-            capacity=capacity,
-            graph_backend=graph_backend,
-            registry=self.registry,
+            capacity=capacity, registry=self.registry
         )
         self.events = events if events is not None else EventLog()
         self.slow_threshold_s = slow_threshold_s
@@ -464,7 +461,6 @@ async def run_daemon(
     socket_path: Optional[str] = None,
     port: Optional[int] = None,
     host: Optional[str] = None,
-    graph_backend: str = "object",
     capacity: int = DEFAULT_CAPACITY,
     events_path: Optional[str] = None,
     slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
@@ -475,7 +471,6 @@ async def run_daemon(
         socket_path=socket_path,
         host=host,
         port=port,
-        graph_backend=graph_backend,
         capacity=capacity,
         events=events,
         slow_threshold_s=slow_threshold_s,

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.lc import SubtransitiveGraph
 from repro.core.nodes import Node
-from repro.lang.ast import App, Lam, Program
+from repro.lang.ast import Lam, Program
 from repro.lang.printer import pretty
 
 
@@ -150,12 +150,16 @@ def result_to_dict(cfa) -> Dict[str, object]:
       text) the callable labels;
     * ``label_flows``: per label, the nids of occurrences it may reach.
 
-    Every collection is deterministically ordered (sorted callee
-    labels, sorted occurrence nids) so that serialising with sorted
+    Both sections come from one :meth:`~repro.cfa.base.CFAResult.
+    all_label_sets` table: a site's callees are the label set of its
+    operator, and a label flows to every occurrence whose set holds
+    it. Every collection is deterministically ordered (sorted callee
+    labels, ascending occurrence nids) so that serialising with sorted
     keys is byte-stable across runs and processes — the property the
     content-addressed result cache relies on.
     """
     program: Program = cfa.program
+    table = cfa.all_label_sets()
     labels: Dict[str, str] = {
         lam.label: pretty(lam, show_labels=False)
         for lam in program.abstractions
@@ -164,14 +168,14 @@ def result_to_dict(cfa) -> Dict[str, object]:
     for site in program.applications:
         call_graph[str(site.nid)] = {
             "source": pretty(site, show_labels=False),
-            "callees": sorted(cfa.may_call(site)),
+            "callees": sorted(table[site.fn.nid]),
         }
-    label_flows = {
-        lam.label: sorted(
-            expr.nid for expr in cfa.expressions_with_label(lam.label)
-        )
-        for lam in program.abstractions
+    label_flows: Dict[str, List[int]] = {
+        lam.label: [] for lam in program.abstractions
     }
+    for expr in program.nodes:
+        for label in table[expr.nid]:
+            label_flows[label].append(expr.nid)
     return {
         "schema": RESULT_SCHEMA,
         "engine": _engine_section(cfa),

@@ -342,7 +342,7 @@ def _flat_plan(analysis, ctx, seed_map) -> Optional[str]:
     must run on the generic worklist. Eligibility is strict: boolean
     mark semantics (default transfer, or-join, set finish), a declared
     graph direction, all-``True`` seeds, and — for the BFS directions
-    — a CSR graph to run the bitset sweep on."""
+    — a graph to run the bitset sweep on."""
     cls = type(analysis)
     if cls.transfer is not FlowAnalysis.transfer:
         return None
@@ -357,8 +357,7 @@ def _flat_plan(analysis, ctx, seed_map) -> Optional[str]:
         return None
     if direction == "seeds-only":
         return direction
-    graph = ctx.graph
-    if graph is None or getattr(graph, "backend", None) != "csr":
+    if ctx.graph is None:
         return None
     return direction
 

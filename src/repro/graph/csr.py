@@ -1,10 +1,9 @@
-"""A flat-array graph backend: interned ids + CSR adjacency.
+"""The analysis graph: interned ids + CSR adjacency.
 
-The object :class:`~repro.graph.digraph.Digraph` keeps one Python
-``set`` per node and direction, which is flexible but pays hashing and
-pointer-chasing costs on every sweep. This module trades that for the
-classic compressed-sparse-row layout the paper's linear-time bound
-assumes is cheap:
+Every LC' engine builds this graph, and the query layer, the flow
+framework and the incremental daemon read it. It uses the classic
+compressed-sparse-row layout the paper's linear-time bound assumes is
+cheap:
 
 * an :class:`Interner` maps hashable nodes to dense integer ids;
 * during the mutable *build* phase adjacency is one append-only list
@@ -15,21 +14,22 @@ assumes is cheap:
   reachability primitives run byte-per-node visited marks
   (``bytearray``) and an int worklist instead of node sets;
 * any later mutation invalidates the compact form, which is rebuilt
-  lazily on the next frozen-path query — the freeze/rebuild lifecycle
-  that lets the read-heavy close/query/lint/flow phases run on arrays
-  while incremental updates stay possible.
+  on the next :meth:`~CSRDigraph.freeze` or frozen-path query — the
+  freeze/rebuild lifecycle that lets the read-heavy close/query/lint/
+  flow phases run on arrays while incremental updates stay possible.
 
-The class is API-compatible with :class:`Digraph` (nodes stay
-arbitrary hashables; ``successors``/``predecessors`` return immutable
-set-like views), so every existing consumer — the LC' engine, the
-flow framework, the lint passes, Tarjan — runs on either backend
-unchanged, and the two can be compared edge-for-edge.
+Nodes stay arbitrary hashables and ``successors``/``predecessors``
+return immutable set-like views, the read API it shares with the
+generic :class:`~repro.graph.digraph.Digraph`, so node-level
+consumers (the closure rules, the lint passes, the sanitizer) and the
+generic graph algorithms run on it unchanged.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Set as AbstractSet
+from itertools import accumulate, chain
 from typing import (
     Dict,
     Hashable,
@@ -123,11 +123,8 @@ _EMPTY_ROW: List[int] = []
 class CSRDigraph:
     """A directed graph over hashable nodes with a flat-array core.
 
-    Drop-in compatible with :class:`~repro.graph.digraph.Digraph`;
-    see the module docstring for the build/freeze lifecycle.
+    See the module docstring for the build/freeze lifecycle.
     """
-
-    backend = "csr"
 
     def __init__(self) -> None:
         self._interner = Interner()
@@ -457,12 +454,5 @@ def _compact(adjacency: List[List[int]]) -> Tuple[array, array]:
     """One direction's CSR pair: ``offsets`` (n+1 entries) and the
     concatenated ``targets``."""
     offsets = array("l", [0])
-    targets = array("i")
-    append_offset = offsets.append
-    extend_targets = targets.extend
-    total = 0
-    for row in adjacency:
-        extend_targets(row)
-        total += len(row)
-        append_offset(total)
-    return offsets, targets
+    offsets.extend(accumulate(map(len, adjacency)))
+    return offsets, array("i", chain.from_iterable(adjacency))

@@ -1,9 +1,13 @@
-"""A compact directed graph over hashable nodes.
+"""A generic directed graph over hashable nodes.
 
-Successor and predecessor sets are both maintained because the
-subtransitive engine's demand-driven closure rules need O(degree)
-sweeps over *incoming* edges, and the CFA-consuming applications
-(Sections 8-9) propagate annotations against edge direction.
+One adjacency set per node and direction. The LC' engines build the
+flat-array :class:`~repro.graph.csr.CSRDigraph` instead; this class
+is the small general-purpose graph behind the transitive closure
+(:mod:`repro.graph.closure`), the SCC condensation
+(:mod:`repro.graph.tarjan`) and the dynamic-transitive-closure
+baseline (:mod:`repro.cfa.dtc`). Both classes share one read API
+(``successors``/``predecessors`` views, ``nodes``/``edges``, degree
+and edge tests), so the generic algorithms run on either.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ class _SetView(AbstractSet):
 
 class Digraph:
     """A directed graph with O(1) amortised edge insertion and dedup."""
-
-    backend = "object"
 
     def __init__(self) -> None:
         self._succ: Dict[Node, Set[Node]] = {}
@@ -132,13 +134,8 @@ class Digraph:
 
     def freeze(self) -> "Digraph":
         """API parity with :meth:`repro.graph.csr.CSRDigraph.freeze`;
-        the object backend has no compact form, so this is a no-op."""
+        adjacency sets have no compact form, so this is a no-op."""
         return self
-
-    @property
-    def frozen(self) -> bool:
-        """API parity with the CSR backend (always current)."""
-        return True
 
     def has_edge(self, src: Node, dst: Node) -> bool:
         return dst in self._succ.get(src, _EMPTY)

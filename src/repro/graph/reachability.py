@@ -1,17 +1,16 @@
-"""Reachability on either graph backend.
+"""Reachability on either graph class.
 
 These are the O(V + E) primitives behind the paper's Algorithms 1
 and 2 ("Apply LC' to P; use graph reachability ..."). They accept
-both the object :class:`~repro.graph.digraph.Digraph` and the
-flat-array :class:`~repro.graph.csr.CSRDigraph`:
+both the flat-array :class:`~repro.graph.csr.CSRDigraph` and the
+generic :class:`~repro.graph.digraph.Digraph`:
 
 * with the default successor/predecessor step on a CSR graph, the
   traversal dispatches to the frozen-array walk (byte marks + int
-  worklist) — the hot path of the query phase;
+  worklist);
 * any *custom* ``follow`` callable (the polyvariant summariser's
   dom/ran extension, for instance) runs the generic BFS, which only
-  ever calls ``follow`` — so it works identically on both backends
-  and never forces a fallback to the object graph.
+  ever calls ``follow`` — so it works identically on both classes.
 
 Sources are always included in the result, whether or not the graph
 contains them — an occurrence's node can be absent from the graph
@@ -61,8 +60,6 @@ def reachable_from(
 
 def reachable_to(graph: Digraph, targets: Iterable[Node]) -> Set[Node]:
     """All nodes that can reach some node in ``targets`` (inclusive)."""
-    if isinstance(graph, CSRDigraph):
-        return graph.reachable_set(targets, reverse=True)
     return reachable_from(graph, targets, follow=graph.predecessors)
 
 

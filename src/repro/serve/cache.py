@@ -49,17 +49,10 @@ KEY_NAMESPACE = "repro.serve/1"
 #: the envelope carries, so they are part of the result's identity.
 DEFAULT_OPTIONS: Dict[str, object] = {
     "algorithm": "hybrid",
-    "graph_backend": "object",
     "lint": False,
     "sanitize": False,
     "audit": False,
 }
-
-#: Options that cannot change the result envelope — the CSR graph
-#: core is result-identical to the object backend by construction —
-#: and are therefore excluded from the cache key, so requests that
-#: differ only in backend share one cache entry.
-RESULT_NEUTRAL_OPTIONS = ("graph_backend",)
 
 
 def engine_version() -> str:
@@ -107,8 +100,6 @@ def cache_key(
 ) -> str:
     """The content address of one analysis request (SHA-256 hex)."""
     keyed_options = canonical_options(options)
-    for neutral in RESULT_NEUTRAL_OPTIONS:
-        keyed_options.pop(neutral, None)
     payload = {
         "namespace": KEY_NAMESPACE,
         "engine_version": version if version is not None else engine_version(),

@@ -205,16 +205,6 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     analyze_kwargs = {}
     if profiler is not None and options["algorithm"] in _PROFILED_ALGORITHMS:
         analyze_kwargs["profiler"] = profiler
-    backend = options.get("graph_backend")
-    if (
-        backend
-        and backend != "object"
-        and options["algorithm"] in _PROFILED_ALGORITHMS
-    ):
-        # Backend choice never changes the envelope (the CSR core is
-        # result-identical by construction), so cached results remain
-        # valid across backends.
-        analyze_kwargs["graph_backend"] = backend
     try:
         with stage("job.analyze"):
             analysis = repro.analyze(

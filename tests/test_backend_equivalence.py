@@ -1,96 +1,153 @@
-"""Golden-twin equivalence: the CSR graph backend must be *result-
-identical* to the object backend, byte for byte.
+"""Envelope equivalence: the CLI's output stays byte-identical, and the
+one-pass all-label-sets sweep agrees with the per-query algorithms.
 
-The acceptance bar for the flat-array core is not "agrees on labels"
-but "the canonical ``repro.result/1`` envelope is byte-identical" —
-same call graph, same label flows, same engine section — on every
-shipped example and on randomly generated well-typed programs, for
-every engine that builds a subtransitive graph.
+* ``tests/golden/`` holds ``repro analyze --json`` of every example
+  under every algorithm the CLI accepts, and ``repro lint --format
+  json`` of every example (wall-clock ``pass_seconds`` dropped), as
+  committed before the object graph backend was removed. Each is
+  regenerated and byte-compared.
+* :meth:`~repro.core.queries.SubtransitiveCFA.all_label_sets` must
+  equal Algorithm 2 (``labels_of``) for every expression and the
+  reverse traversal (``expressions_with_label``) for every label, on
+  every kind of graph the engines build, and must not grow the graph.
 """
 
+import json
 import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import cli
+from repro.core.polyvariant import analyze_polyvariant
+from repro.core.queries import analyze_subtransitive
+from repro.daemon import ProjectAnalysis
 from repro.errors import AnalysisBudgetExceeded
-from repro.export import result_fingerprint, result_to_dict
+from repro.export import result_to_dict
 from repro.workloads.generators import random_typed_program
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
-EXAMPLE_SOURCES = sorted(EXAMPLES_DIR.glob("*.lam"))
+from tests.test_daemon_equivalence import drive, ops
 
-#: Engines that accept ``graph_backend`` (they build an LC' graph).
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
+EXAMPLE_SOURCES = sorted((ROOT / "examples").glob("*.lam"))
+
+#: Every ``repro analyze --algorithm`` choice, plus ``repro lint``.
+MODES = (
+    "subtransitive",
+    "standard",
+    "dtc",
+    "equality",
+    "hybrid",
+    "polyvariant",
+    "lint",
+)
+
+#: Engines that build an LC' graph (and so answer with the sweep).
 GRAPH_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
 
 seeds = st.integers(min_value=0, max_value=1_000_000)
-
-
-def envelopes(program, algorithm):
-    """Envelope documents for both backends; a backend-neutral budget
-    abort (polyvariant on unbounded-type programs) must hit both
-    backends identically and yields ``(None, None)``."""
-    outcomes = []
-    for backend in ("object", "csr"):
-        try:
-            result = repro.analyze(
-                program, algorithm=algorithm, graph_backend=backend
-            )
-            outcomes.append(result_to_dict(result))
-        except AnalysisBudgetExceeded as error:
-            outcomes.append(("budget", str(error)))
-    object_doc, csr_doc = outcomes
-    if isinstance(object_doc, tuple) or isinstance(csr_doc, tuple):
-        assert object_doc == csr_doc
-        return None, None
-    return object_doc, csr_doc
 
 
 class TestExampleEnvelopes:
     @pytest.mark.parametrize(
         "path", EXAMPLE_SOURCES, ids=lambda p: p.name
     )
-    @pytest.mark.parametrize("algorithm", GRAPH_ALGORITHMS)
-    def test_examples_byte_identical(self, path, algorithm):
-        program = repro.parse(path.read_text())
-        object_doc, csr_doc = envelopes(program, algorithm)
-        if object_doc is None:
-            return  # symmetric budget abort, asserted in envelopes()
-        assert object_doc == csr_doc
-        assert result_fingerprint(object_doc) == result_fingerprint(
-            csr_doc
-        )
+    @pytest.mark.parametrize("algorithm", MODES)
+    def test_examples_byte_identical(
+        self, path, algorithm, capsys, monkeypatch
+    ):
+        # Run from the root so the recorded paths are relative.
+        monkeypatch.chdir(ROOT)
+        relative = f"examples/{path.name}"
+        if algorithm == "lint":
+            cli.main(["lint", relative, "--format", "json"])
+        else:
+            cli.main(["analyze", relative, "--json", "--algorithm", algorithm])
+        out, err = capsys.readouterr()
+        if algorithm == "lint":
+            document = json.loads(out)
+            for entry in document["files"]:
+                entry.pop("pass_seconds", None)
+            out = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        golden = GOLDEN_DIR / f"{path.stem}.{algorithm}.json"
+        assert out + err == golden.read_text()
 
     def test_examples_present(self):
         # The glob above going empty would silently skip the suite.
         assert EXAMPLE_SOURCES
+        assert len(list(GOLDEN_DIR.glob("*.json"))) == len(
+            EXAMPLE_SOURCES
+        ) * len(MODES)
+
+
+def assert_sweep_matches_queries(cfa):
+    """``all_label_sets`` against Algorithms 1-2, and its contract:
+    no factory node, no edge, one entry per expression."""
+    size = (cfa.factory.node_count, cfa.graph.edge_count)
+    table = cfa.all_label_sets()
+    assert (cfa.factory.node_count, cfa.graph.edge_count) == size
+    program = cfa.program
+    assert list(table) == [expr.nid for expr in program.nodes]
+    for lam in program.abstractions:
+        flows = cfa.expressions_with_label(lam.label)
+        assert [expr.nid for expr in flows] == [
+            nid for nid, labels in table.items() if lam.label in labels
+        ], lam.label
+    for expr in program.nodes:
+        assert table[expr.nid] == cfa.labels_of(expr), expr.nid
 
 
 class TestGeneratedEnvelopes:
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds)
     def test_random_programs_byte_identical(self, seed):
+        """The envelope built from the sweep equals the one built from
+        one traversal per call site and per label."""
         program = random_typed_program(seed, fuel=20, use_datatypes=True)
         for algorithm in GRAPH_ALGORITHMS:
-            object_doc, csr_doc = envelopes(program, algorithm)
-            if object_doc is None:
-                continue  # symmetric budget abort
-            assert object_doc == csr_doc, (seed, algorithm)
+            try:
+                result = repro.analyze(program, algorithm=algorithm)
+            except AnalysisBudgetExceeded:
+                continue  # polyvariant on unbounded-type programs
+            document = result_to_dict(result)
+            for site in program.applications:
+                callees = document["call_graph"][str(site.nid)]["callees"]
+                assert callees == sorted(result.may_call(site)), seed
+            for lam in program.abstractions:
+                flows = result.expressions_with_label(lam.label)
+                assert document["label_flows"][lam.label] == [
+                    expr.nid for expr in flows
+                ], (seed, algorithm)
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds)
-    def test_query_surface_agrees(self, seed):
-        """Pointwise query agreement beyond the envelope: labels_of
-        over every expression, both label-set directions."""
-        program = random_typed_program(seed, fuel=20, use_datatypes=False)
-        object_result = repro.analyze(program, graph_backend="object")
-        csr_result = repro.analyze(program, graph_backend="csr")
-        for node in program.nodes:
-            assert object_result.labels_of(node) == csr_result.labels_of(
-                node
-            ), (seed, node.nid)
-        for lam in program.abstractions:
-            assert object_result.is_label_in(
-                lam.label, program.nodes[0]
-            ) == csr_result.is_label_in(lam.label, program.nodes[0])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        kind=st.sampled_from(
+            ["typed", "datatypes", "polyvariant", "daemon"]
+        ),
+        sequence=ops,
+    )
+    def test_query_surface_agrees(self, seed, kind, sequence):
+        """The sweep equals the per-query reference on random typed
+        programs, datatype programs (congruence class nodes),
+        polyvariant results (several contexts per occurrence) and warm
+        daemon graphs after random edits (retired nodes and edges)."""
+        if kind == "daemon":
+            pa = ProjectAnalysis()
+            for _ in drive(pa, sequence):
+                pass
+            cfa = pa.cfa()
+        else:
+            program = random_typed_program(
+                seed, fuel=20, use_datatypes=kind == "datatypes"
+            )
+            try:
+                if kind == "polyvariant":
+                    cfa = analyze_polyvariant(program)
+                else:
+                    cfa = analyze_subtransitive(program)
+            except AnalysisBudgetExceeded:
+                return
+        assert_sweep_matches_queries(cfa)

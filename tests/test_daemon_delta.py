@@ -24,14 +24,11 @@ from repro.serve.worker import _lint_section
 
 
 def cold_envelope(pa):
-    cfa = ProjectAnalysis.cold_cfa(
-        pa.render_source(), graph_backend=pa.graph_backend
-    )
-    return result_to_dict(cfa)
+    return result_to_dict(ProjectAnalysis.cold_cfa(pa.render_source()))
 
 
 def replay_of(pa):
-    fresh = ProjectAnalysis(graph_backend=pa.graph_backend)
+    fresh = ProjectAnalysis()
     for entry in pa.defs:
         fresh.define(entry.name, entry.source)
     return fresh
@@ -60,9 +57,7 @@ def check_exact(pa):
     assert json.dumps(pa.lint(), sort_keys=True) == json.dumps(
         fresh.lint(), sort_keys=True
     )
-    cold_cfa = ProjectAnalysis.cold_cfa(
-        pa.render_source(), graph_backend=pa.graph_backend
-    )
+    cold_cfa = ProjectAnalysis.cold_cfa(pa.render_source())
     cold_lint = _lint_section(cold_cfa.program, cold_cfa)
     assert json.dumps(
         strip_positions(pa.lint()), sort_keys=True
@@ -71,26 +66,28 @@ def check_exact(pa):
 
 @pytest.fixture(params=["object", "csr"])
 def backend(request):
+    """Both ids run the one (CSR) graph; they name the graph backends
+    these tests used to be repeated on."""
     return request.param
 
 
 class TestDefineAppend:
     def test_single_definition(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         report = pa.define("id", "fn x => x")
         assert report["delta"] is True
         assert report["version"] == 1
         check_exact(pa)
 
     def test_chained_definitions(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id (fn[l1] y => y)")
         check_exact(pa)
         assert pa.query_name("use") == {"name": "use", "labels": ["l1"]}
 
     def test_letrec_definition(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("loop", "fn[loop] x => loop x")
         assert pa.defs[0].recursive
         check_exact(pa)
@@ -98,7 +95,7 @@ class TestDefineAppend:
 
 class TestRedefine:
     def test_redefine_leaf(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn p => p")
         pa.define("b", "a a")
         report = pa.define("b", "a (a a)")
@@ -107,7 +104,7 @@ class TestRedefine:
         check_exact(pa)
 
     def test_redefine_middle_with_self_application(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id id")
         report = pa.define("id", "fn z => z z")
@@ -116,7 +113,7 @@ class TestRedefine:
         check_exact(pa)
 
     def test_letrec_to_let_flip(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("f", "fn[f0] x => f x")
         assert pa.defs[0].recursive
         report = pa.define("f", "fn[f1] x => x")
@@ -127,7 +124,7 @@ class TestRedefine:
     def test_same_shape_redefine_splices_without_reindex(self, backend):
         # Equal node counts take the in-place splice fast path; the
         # result must still be cold-exact on every surface.
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn[a0] p => p")
         pa.define("b", "a (fn[b0] q => q)")
         program_before = pa.program
@@ -143,7 +140,7 @@ class TestRedefine:
         # Duplicating another definition's label is a genuine error;
         # the splice guard must route it to the re-indexing path,
         # which rejects it atomically.
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn[dup] p => p")
         pa.define("b", "fn[b0] q => q")
         with pytest.raises(ScopeError, match="dup"):
@@ -151,7 +148,7 @@ class TestRedefine:
         check_exact(pa)
 
     def test_version_bumps_on_every_mutation(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn x => x")
         pa.define("a", "fn y => y")
         pa.define("b", "a")
@@ -161,7 +158,7 @@ class TestRedefine:
 
 class TestUndefine:
     def test_undefine_retracts_everything(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id id")
         report = pa.undefine("use")
@@ -171,7 +168,7 @@ class TestUndefine:
         check_exact(pa)
 
     def test_undefine_referenced_is_rejected_pre_mutation(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn x => x")
         pa.define("b", "a a")
         version = pa.version
@@ -181,12 +178,12 @@ class TestUndefine:
         check_exact(pa)
 
     def test_undefine_unknown_is_rejected(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         with pytest.raises(ScopeError, match="unknown"):
             pa.undefine("ghost")
 
     def test_define_after_undefine_is_fresh(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("f", "fn[f0] x => x")
         pa.undefine("f")
         pa.define("f", "fn[f1] y => y")
@@ -196,7 +193,7 @@ class TestUndefine:
 
 class TestFallbacks:
     def test_rename_shift_falls_back_exactly(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("a", "fn t => t")
         pa.define("b", "fn t => a t")
         # Redefining `a` to bind `t` twice shifts the fresh name the
@@ -215,13 +212,13 @@ class TestFallbacks:
         }
 
     def test_fallback_counters_start_zeroed(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         assert pa.fallbacks == {reason: 0 for reason in FALLBACK_REASONS}
 
 
 class TestRenderedSource:
     def test_rendering_parses_back_to_the_same_program(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("id", "fn x => x")
         pa.define("use", "id (fn[l1] y => y)")
         source = pa.render_source()
@@ -230,14 +227,14 @@ class TestRenderedSource:
         check_exact(pa)
 
     def test_recursive_definitions_render_as_letrec(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("loop", "fn[loop] x => loop x")
         assert "letrec loop =" in pa.render_source()
 
 
 class TestQueries:
     def test_query_label(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         pa.define("id", "fn[idl] x => x")
         pa.define("use", "id id")
         result = pa.query_label("idl")
@@ -245,6 +242,6 @@ class TestQueries:
         assert result["nids"]
 
     def test_query_unknown_name_raises(self, backend):
-        pa = ProjectAnalysis(graph_backend=backend)
+        pa = ProjectAnalysis()
         with pytest.raises(ScopeError):
             pa.query_name("ghost")

@@ -5,7 +5,7 @@ The tentpole contract of the live-telemetry PR (docs/DAEMON.md): a
 verb, the registry, the delta engine and the fused flow scheduler,
 and ``repro obs req`` can reassemble the whole story afterwards —
 connected (opens with ``request``, closes with ``response``) and
-time-ordered, on both graph backends.
+time-ordered.
 """
 
 import asyncio
@@ -22,9 +22,10 @@ from repro.obs.live import render_prometheus, render_request
 
 @pytest.fixture(params=["object", "csr"])
 def endpoint(request, tmp_path):
-    """A live daemon on a temp Unix socket, one per graph backend,
-    with the event sink on and the slow-capture threshold at zero
-    (every request is "slow", so span profiles are always taken)."""
+    """A live daemon on a temp Unix socket with the event sink on and
+    the slow-capture threshold at zero (every request is "slow", so
+    span profiles are always taken). Both ids run the one (CSR) graph;
+    they name the graph backends these tests used to be repeated on."""
     path = str(tmp_path / "repro.sock")
     events_path = str(tmp_path / "events.jsonl")
     loop = asyncio.new_event_loop()
@@ -36,7 +37,6 @@ def endpoint(request, tmp_path):
         asyncio.set_event_loop(loop)
         box["server"] = DaemonServer(
             socket_path=path,
-            graph_backend=request.param,
             events=EventLog(sink_path=events_path),
             slow_threshold_s=0.0,
         )

@@ -255,9 +255,9 @@ class TestUnionFind:
                 assert uf.same(comp[0], x)
 
 
-# -- backend twins ---------------------------------------------------------
+# -- the two graph classes --------------------------------------------------
 
-from repro.graph import CSRDigraph, GRAPH_BACKENDS, Interner, make_graph
+from repro.graph import CSRDigraph, Interner
 
 BACKENDS = [Digraph, CSRDigraph]
 
@@ -268,19 +268,9 @@ def build_backend(make, edges):
     return g
 
 
-class TestMakeGraph:
-    def test_backends_by_flag_value(self):
-        assert isinstance(make_graph("object"), Digraph)
-        assert isinstance(make_graph("csr"), CSRDigraph)
-        assert set(GRAPH_BACKENDS) == {"object", "csr"}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_graph("adjacency-matrix")
-
-
 class TestBackendContract:
-    """Behaviours the object graph and its CSR twin must share."""
+    """Behaviours the generic graph and the CSR graph share (one read
+    API, so the generic algorithms run on either)."""
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_neighbour_views_equal_sets(self, make):

@@ -2,10 +2,9 @@
 
 The declarative twins of every ported lint pass (L001-L005,
 F001-F004) and the called-once app must agree with the retained
-hand-written implementations on the whole example corpus, on both
-graph backends — identical findings (the full serialised envelope,
-wall-clock and impl provenance normalised away) and identical
-classifications.
+hand-written implementations on the whole example corpus — identical
+findings (the full serialised envelope, wall-clock and impl provenance
+normalised away) and identical classifications.
 """
 
 import glob
@@ -27,6 +26,8 @@ EXAMPLE_FILES = sorted(
 )
 EXAMPLE_IDS = [os.path.basename(path) for path in EXAMPLE_FILES]
 
+#: Both ids run the one (CSR) graph; they name the graph backends the
+#: twins used to be compared on.
 BACKENDS = ["object", "csr"]
 
 
@@ -56,18 +57,14 @@ def normalised(result):
 class TestLintTwins:
     def test_envelopes_identical(self, path, backend):
         program = load(path)
-        sub = build_subtransitive_graph(
-            program, graph_backend=backend
-        )
+        sub = build_subtransitive_graph(program)
         hand = run_lints(program, sub, impl="hand")
         rules = run_lints(program, sub, impl="rules")
         assert normalised(hand) == normalised(rules)
 
     def test_called_once_identical(self, path, backend):
         program = load(path)
-        sub = build_subtransitive_graph(
-            program, graph_backend=backend
-        )
+        sub = build_subtransitive_graph(program)
         hand = called_once(program, sub=sub)
         rules = rules_called_once(program, sub=sub)
         assert hand.once_labels == rules.once_labels

@@ -73,11 +73,12 @@ class TestCacheKey:
         with pytest.raises(ValueError, match="unknown analysis option"):
             cache_key(SOURCE, {"algorithmn": "hybrid"})
 
-    def test_graph_backend_is_result_neutral(self):
-        # Both backends produce identical envelopes, so requests that
-        # differ only in backend must share one cache entry.
-        assert cache_key(SOURCE, {"graph_backend": "csr"}) == cache_key(
-            SOURCE, {"graph_backend": "object"}
+    def test_key_recipe_is_pinned(self):
+        # On-disk caches written by earlier builds of one engine
+        # version must stay warm: the recipe (namespace, options,
+        # normalised source) may only change with a namespace bump.
+        assert cache_key(SOURCE, version="1.1.0") == (
+            "7082744276346b92e1ff224057bb238ea7c979ac3521cc978a002a21de57ebe6"
         )
 
     def test_lint_key_folds_in_the_rule_fingerprint(self):

@@ -182,23 +182,6 @@ class TestSessionLint:
         registry = session.engine.stats.registry
         assert registry.counter("lint.session.cache_hits").value == 1
 
-    def test_graph_backend_threads_through_to_session_lints(self):
-        # Regression: the session used to pin the object backend; a
-        # csr session must build csr graphs and re-lint on them with
-        # verdicts identical to the object backend's.
-        results = {}
-        for backend in ("object", "csr"):
-            session = AnalysisSession(graph_backend=backend)
-            assert session.engine.graph_backend == backend
-            session.define("g", "fn[g] y => y")
-            session.lint()
-            session.define("use", "g 1")
-            result = session.lint()
-            results[backend] = sorted(
-                (f.rule, f.nid, f.message) for f in result.findings
-            )
-        assert results["object"] == results["csr"]
-
     def test_incremental_path_taken_and_timed(self):
         session = AnalysisSession()
         session.define("a", "fn[a] x => x")
