@@ -53,7 +53,7 @@ def run_report(sizes=SIZES, k=3):
             for site in sites:
                 cfa.may_call(site)
 
-        exact_time = time_call(run_exact, repeat=1)
+        exact_time = time_call(run_exact, repeat=3)
 
         once_box = {}
 

@@ -37,7 +37,7 @@ def run_report(sizes=(8, 16, 32, 64)):
         def run():
             box["r"] = analyze_hybrid(program)
 
-        seconds = time_call(run, repeat=1)
+        seconds = time_call(run, repeat=3)
         ok = box["r"].may_call(
             program.nontrivial_applications()[0]
         ) == frozenset(f"b{i}" for i in range(1, n + 1))
@@ -57,7 +57,7 @@ def run_report(sizes=(8, 16, 32, 64)):
     def run_untyped():
         box["r"] = analyze_hybrid(program)
 
-    seconds = time_call(run_untyped, repeat=1)
+    seconds = time_call(run_untyped, repeat=3)
     ok = box["r"].labels_of(program.root) == frozenset({"outer"})
     table.add_row("Y-combinator", box["r"].engine, seconds, ok)
     rows.append(

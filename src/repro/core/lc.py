@@ -354,10 +354,6 @@ class LCEngine:
         self.stats.close_edges = (
             self.graph.edge_count - self.stats.build_edges
         )
-        # Compact the mutable adjacency before the read-heavy query/
-        # lint/flow phases (later incremental mutation invalidates the
-        # arrays; the next freeze rebuilds them).
-        self.graph.freeze()
         self._export_gauges()
         if tracer is not None:
             tracer.emit(

@@ -196,12 +196,18 @@ class NodeFactory:
         self.max_depth = max_depth if max_depth is not None else 64
         #: Count of operator creations suppressed by the depth cap.
         self.depth_truncations = 0
+        #: Variable, operator and congruence-class keys — none of them
+        #: mentions an expression's nid.
         self._intern: Dict[tuple, Node] = {}
+        #: ``(nid, context) -> node``: every expression occurrence, in
+        #: a table of its own so a re-index (the daemon's) re-keys it
+        #: without touching :attr:`_intern`.
+        self._exprs: Dict[Tuple[int, Context], Node] = {}
         #: ``(kind, ident) -> [node, ...]``: the resolved node of every
-        #: interned occurrence key, across contexts (one entry per
-        #: distinct context; under a congruence several contexts may
-        #: resolve to the same class node). Queries use this instead
-        #: of scanning the intern table.
+        #: occurrence key, across contexts (one entry per distinct
+        #: context; under a congruence several contexts may resolve to
+        #: the same class node). Queries use this instead of scanning
+        #: the tables.
         self._occurrences: Dict[tuple, List[Node]] = {}
         #: ``type(expr) -> [node, ...]``: the node each expression
         #: occurrence resolved to, keyed by the expression's concrete
@@ -224,7 +230,7 @@ class NodeFactory:
 
     # -- creation ----------------------------------------------------------
 
-    def _new_node(self, key: tuple, kind: str) -> Node:
+    def _new_node(self, kind: str) -> Node:
         if (
             self.node_budget is not None
             and len(self.nodes) >= self.node_budget
@@ -242,7 +248,6 @@ class NodeFactory:
             )
         node = Node(len(self.nodes), kind)
         self.nodes.append(node)
-        self._intern[key] = node
         return node
 
     @property
@@ -267,8 +272,7 @@ class NodeFactory:
 
     def expr_node(self, expr: Expr, context: Context = ()) -> Node:
         """The node of an expression occurrence (under ``context``)."""
-        key = (EXPR, expr.nid, context)
-        node = self._intern.get(key)
+        node = self._exprs.get((expr.nid, context))
         if node is not None:
             return node
         ty = self.type_of_expr(expr)
@@ -277,16 +281,13 @@ class NodeFactory:
             if canon is not None:
                 node = self._class_node(canon, ty)
                 node.absorbed.append(expr)
-                self._intern[key] = node
-                self._record_occurrence(EXPR, expr.nid, node)
-                self._record_bearing(expr, node)
+                self.record_expr(expr, context, node)
                 return node
-        node = self._new_node(key, EXPR)
+        node = self._new_node(EXPR)
         node.expr = expr
         node.ty = ty
         node.context = context
-        self._record_occurrence(EXPR, expr.nid, node)
-        self._record_bearing(expr, node)
+        self.record_expr(expr, context, node)
         return node
 
     def var_node(self, name: str, context: Context = ()) -> Node:
@@ -303,7 +304,8 @@ class NodeFactory:
                 self._intern[key] = node
                 self._record_occurrence(VAR, name, node)
                 return node
-        node = self._new_node(key, VAR)
+        node = self._new_node(VAR)
+        self._intern[key] = node
         node.name = name
         node.ty = ty
         node.context = context
@@ -319,12 +321,13 @@ class NodeFactory:
         else:
             bucket.append(node)
 
-    def _record_bearing(self, expr: Expr, node: Node) -> None:
-        bucket = self._bearing.get(type(expr))
-        if bucket is None:
-            self._bearing[type(expr)] = [node]
-        else:
-            bucket.append(node)
+    def record_expr(self, expr: Expr, context: Context, node: Node) -> None:
+        """Enter ``node`` as the occurrence of ``expr`` under
+        ``context``: the expression table, its occurrence bucket and
+        the bearing index."""
+        self._exprs[(expr.nid, context)] = node
+        self._record_occurrence(EXPR, expr.nid, node)
+        self._bearing.setdefault(type(expr), []).append(node)
 
     def nodes_bearing(self, expr_type) -> List[Node]:
         """Nodes whose expression — their own or a congruence-absorbed
@@ -354,7 +357,7 @@ class NodeFactory:
         """The node of an expression occurrence *if it was built* —
         never creates. Read-only consumers (lint passes, sanitizer)
         use this so probing a graph cannot grow it."""
-        return self._intern.get((EXPR, expr.nid, context))
+        return self._exprs.get((expr.nid, context))
 
     def peek_var(self, name: str, context: Context = ()) -> Optional[Node]:
         """The node of a variable if it was built — never creates."""
@@ -363,7 +366,8 @@ class NodeFactory:
     def _class_node(self, canon_key: tuple, ty: Optional[Type]) -> Node:
         node = self._intern.get(canon_key)
         if node is None:
-            node = self._new_node(canon_key, EXPR)
+            node = self._new_node(EXPR)
+            self._intern[canon_key] = node
             node.ty = ty
         return node
 
@@ -427,7 +431,8 @@ class NodeFactory:
         ty: Optional[Type],
         depth: int,
     ) -> Node:
-        node = self._new_node(key, OP)
+        node = self._new_node(OP)
+        self._intern[key] = node
         node.opkey = opkey
         node.inner = inner
         node.base = inner.base

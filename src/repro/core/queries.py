@@ -264,9 +264,9 @@ class SubtransitiveCFA(CFAResult):
         return [self.program.node(nid) for nid in sorted(nids)]
 
     def all_label_sets(self) -> Dict[int, FrozenSet[str]]:
-        """L(e) for every occurrence in one sweep over the frozen
-        arrays, equal to :meth:`labels_of` per expression and to
-        :meth:`expressions_with_label` per label: a reverse BFS from
+        """L(e) for every occurrence in one sweep over the graph's
+        adjacency rows, equal to :meth:`labels_of` per expression and
+        to :meth:`expressions_with_label` per label: a reverse BFS from
         the abstraction occurrences marks the region that reaches one;
         Tarjan condenses it (reverse topological order); each SCC's
         label set is an int with one bit per abstraction, OR-ed from
@@ -277,7 +277,7 @@ class SubtransitiveCFA(CFAResult):
         """
         program = self.program
         occurrences = self.factory.occurrences
-        graph = self.graph.freeze()
+        graph = self.graph
         ids = graph._interner._ids
         # Abstraction bits per graph id, and per node the graph never
         # saw (such a node reaches only itself).
@@ -292,13 +292,13 @@ class SubtransitiveCFA(CFAResult):
                 else:
                     own[idx] = own.get(idx, 0) | mask
         seen, region = graph._reached_ids(list(own), reverse=True)
-        offsets, targets, _, _ = graph._csr()
+        rows = graph._succ
         bits_of = [0] * graph.node_count
-        for component in scc_ids(offsets, targets, region, seen):
+        for component in scc_ids(rows, region, seen):
             bits = 0
             for v in component:
                 bits |= own.get(v, 0)
-                for w in targets[offsets[v] : offsets[v + 1]]:
+                for w in rows[v]:
                     bits |= bits_of[w]
             for v in component:
                 bits_of[v] = bits

@@ -371,7 +371,7 @@ class ProjectAnalysis:
 
     def _reindex(self) -> None:
         """Re-run :class:`Program` indexing over the current chain and
-        re-key the factory's expression interning to the new nids.
+        re-key the factory's expression table to the new nids.
 
         Auto labels are cleared first so allocation replays the cold
         parse's preorder walk (same labels, same nids, same tables).
@@ -388,42 +388,26 @@ class ProjectAnalysis:
         self.engine.factory.node_budget = default_node_budget(program.size)
 
     def _rekey(self, program: Program) -> None:
-        """Re-key factory interning from old nids to ``program``'s.
+        """Re-key the factory's expression table to ``program``'s nids.
 
-        Expression nodes are interned by nid; a re-index moves every
-        nid, and drops retired occurrences entirely (so a query can
-        never resurrect a replaced definition's nodes). Variable and
-        operator keys are nid-independent and survive as-is."""
+        Expression occurrences are keyed by nid; a re-index moves every
+        nid, and retired occurrences are dropped entirely (so a query
+        can never resurrect a replaced definition's nodes). Only the
+        expression table is walked, and it holds the live occurrences
+        alone, so this costs O(live program) however long the session;
+        variable, operator and class keys are nid-independent and
+        stay where they are."""
         factory = self.engine.factory
-        live = {id(node): node.nid for node in program.nodes}
-        new_intern = {}
-        for key, node in factory._intern.items():
-            if key[0] == EXPR:
-                nid = live.get(id(node.expr))
-                if nid is None:
-                    continue  # retired occurrence
-                new_intern[(EXPR, nid, key[2])] = node
-            else:
-                new_intern[key] = node
-        factory._intern = new_intern
-        occurrences = {}
-        for key, bucket in factory._occurrences.items():
-            if key[0] != EXPR:
-                occurrences[key] = bucket
-        for key, node in new_intern.items():
-            if key[0] == EXPR:
-                occurrences.setdefault((EXPR, key[1]), []).append(node)
-        factory._occurrences = occurrences
-        for cls, bucket in list(factory._bearing.items()):
-            kept = [
-                node
-                for node in bucket
-                if node.expr is not None and id(node.expr) in live
-            ]
-            if kept:
-                factory._bearing[cls] = kept
-            else:
-                del factory._bearing[cls]
+        old = factory._exprs
+        for nid, _ in old:
+            factory._occurrences.pop((EXPR, nid), None)
+        factory._exprs = {}
+        factory._bearing = {}
+        live = program.nodes
+        for (_, context), node in old.items():
+            expr = node.expr
+            if expr.nid < len(live) and live[expr.nid] is expr:
+                factory.record_expr(expr, context, node)
 
     def _splice_same_shape(
         self,
@@ -446,9 +430,10 @@ class ProjectAnalysis:
         replacement has the same node count, every nid outside that
         range — and therefore every interned node, occurrence bucket
         and recorded closure edge elsewhere — is untouched by a cold
-        re-parse too. The full re-index costs O(program) per edit and
-        dominates warm latency (benchmarks/bench_daemon.py); this
-        path makes same-shape edits O(subtree).
+        re-parse too. This path skips the :class:`Program` re-index
+        (benchmarks/bench_daemon.py); what is left is O(subtree) plus
+        one pass over the live abstraction, application, expression
+        and bearing tables.
 
         Guards (any miss falls back to the exact slow path): no
         let/letrec flip, no auto labels on either side (their preorder
@@ -528,28 +513,19 @@ class ProjectAnalysis:
     def _drop_retired(
         self, old_nodes: List[Expr], nid_start: int
     ) -> None:
-        """Purge the factory's interning/occurrence/bearing records of
-        a retired subtree (the targeted version of what :meth:`_rekey`
-        does globally after a full re-index): the replacement reuses
-        the same nids, so stale entries would resurrect old nodes."""
+        """Purge the factory's records of a retired subtree (the
+        targeted version of what :meth:`_rekey` does after a full
+        re-index): the replacement reuses the same nids, so stale
+        entries would resurrect old nodes. The expression table holds
+        live occurrences only, so every entry in the subtree's nid
+        range is a retired one."""
         factory = self.engine.factory
         retired = {id(node) for node in old_nodes}
-        dead_keys = [
-            key
-            for key, node in factory._intern.items()
-            if key[0] == EXPR and id(node.expr) in retired
-        ]
-        for key in dead_keys:
-            del factory._intern[key]
-        for nid in range(nid_start, nid_start + len(old_nodes)):
-            bucket = factory._occurrences.get((EXPR, nid))
-            if not bucket:
-                continue
-            kept = [n for n in bucket if id(n.expr) not in retired]
-            if kept:
-                factory._occurrences[(EXPR, nid)] = kept
-            else:
-                del factory._occurrences[(EXPR, nid)]
+        end = nid_start + len(old_nodes)
+        for key in [k for k in factory._exprs if nid_start <= k[0] < end]:
+            del factory._exprs[key]
+        for nid in range(nid_start, end):
+            factory._occurrences.pop((EXPR, nid), None)
         for cls, bucket in list(factory._bearing.items()):
             kept = [
                 node

@@ -1,22 +1,23 @@
-"""The analysis graph: interned ids + CSR adjacency.
+"""The analysis graph: interned ids + int adjacency rows.
 
 Every LC' engine builds this graph, and the query layer, the flow
-framework and the incremental daemon read it. It uses the classic
-compressed-sparse-row layout the paper's linear-time bound assumes is
-cheap:
+framework and the incremental daemon read it. It keeps the flat,
+id-indexed adjacency the paper's linear-time bound assumes is cheap:
 
 * an :class:`Interner` maps hashable nodes to dense integer ids;
-* during the mutable *build* phase adjacency is one append-only list
-  of int ids per node and direction, with edge dedup through a set of
-  packed ``(src << 32) | dst`` ints — no per-edge tuple allocation;
-* :meth:`CSRDigraph.freeze` compacts both directions into
-  ``array('i')`` offset/target pairs (the CSR proper), over which the
-  reachability primitives run byte-per-node visited marks
-  (``bytearray``) and an int worklist instead of node sets;
-* any later mutation invalidates the compact form, which is rebuilt
-  on the next :meth:`~CSRDigraph.freeze` or frozen-path query — the
-  freeze/rebuild lifecycle that lets the read-heavy close/query/lint/
-  flow phases run on arrays while incremental updates stay possible.
+* adjacency is one list of int ids per node and direction (the row of
+  id ``v`` is ``_succ[v]``/``_pred[v]``), with edge dedup through a
+  set of packed ``(src << 32) | dst`` ints — no per-edge tuple
+  allocation;
+* the reachability primitives walk those live rows with byte-per-node
+  visited marks (``bytearray``) and an int worklist instead of node
+  sets.
+
+Readers and writers share the one adjacency: there is no compacted
+copy, so a read right after an incremental mutation pays for the
+region it traverses, not for rebuilding the whole adjacency.
+:meth:`CSRDigraph.freeze` is a no-op kept for API parity with
+:class:`~repro.graph.digraph.Digraph`.
 
 Nodes stay arbitrary hashables and ``successors``/``predecessors``
 return immutable set-like views, the read API it shares with the
@@ -27,9 +28,7 @@ generic graph algorithms run on it unchanged.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Set as AbstractSet
-from itertools import accumulate, chain
 from typing import (
     Dict,
     Hashable,
@@ -52,7 +51,7 @@ class Interner:
 
     Ids are allocated in first-seen order and never reused, so they
     double as indexes into :attr:`values` and into every per-node
-    array a :class:`CSRDigraph` maintains.
+    row a :class:`CSRDigraph` maintains.
     """
 
     __slots__ = ("_ids", "values")
@@ -123,19 +122,17 @@ _EMPTY_ROW: List[int] = []
 class CSRDigraph:
     """A directed graph over hashable nodes with a flat-array core.
 
-    See the module docstring for the build/freeze lifecycle.
+    See the module docstring for the id-indexed adjacency rows.
     """
 
     def __init__(self) -> None:
         self._interner = Interner()
-        #: Append-only per-id adjacency (dedup via ``_edges``).
+        #: Per-id adjacency rows (dedup via ``_edges``).
         self._succ: List[List[int]] = []
         self._pred: List[List[int]] = []
         #: Packed ``(src << _SHIFT) | dst`` ints, one per edge.
         self._edges: set = set()
         self._edge_count = 0
-        #: ``(soff, stgt, poff, ptgt)`` arrays, or None when stale.
-        self._frozen: Optional[Tuple[array, array, array, array]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -144,7 +141,6 @@ class CSRDigraph:
         if idx == len(self._succ):
             self._succ.append([])
             self._pred.append([])
-            self._frozen = None
         return idx
 
     def add_node(self, node: Node) -> None:
@@ -180,7 +176,6 @@ class CSRDigraph:
         succ[s].append(d)
         self._pred[d].append(s)
         self._edge_count += 1
-        self._frozen = None
         return True
 
     def add_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
@@ -211,36 +206,13 @@ class CSRDigraph:
         self._succ[s].remove(d)
         self._pred[d].remove(s)
         self._edge_count -= 1
-        self._frozen = None
         return True
 
-    # -- freeze/rebuild ----------------------------------------------------
-
     def freeze(self) -> "CSRDigraph":
-        """Compact the adjacency into CSR arrays (idempotent).
-
-        Called by the LC' engine once the close phase reaches its
-        fixpoint; any later :meth:`add_edge`/:meth:`add_node` marks
-        the compact form stale and the next frozen-path query rebuilds
-        it, so incremental updates never see stale arrays.
-        """
-        self._csr()
+        """No-op kept for API parity with
+        :meth:`repro.graph.digraph.Digraph.freeze`: readers walk the
+        live adjacency rows, so there is no compact form to build."""
         return self
-
-    @property
-    def frozen(self) -> bool:
-        """Whether the compact CSR form is current."""
-        return self._frozen is not None
-
-    def _csr(self) -> Tuple[array, array, array, array]:
-        frozen = self._frozen
-        if frozen is None:
-            frozen = (
-                *_compact(self._succ),
-                *_compact(self._pred),
-            )
-            self._frozen = frozen
-        return frozen
 
     # -- inspection --------------------------------------------------------
 
@@ -324,7 +296,7 @@ class CSRDigraph:
         """Split ``sources`` into interned ids and *extras* — source
         nodes the graph has never seen. Reachability includes its
         sources by contract, so extras are reached (trivially, by
-        themselves) even though no array position exists for them."""
+        themselves) even though no adjacency row exists for them."""
         ids = self._interner._ids
         start_ids: List[int] = []
         extras: List[Node] = []
@@ -340,15 +312,11 @@ class CSRDigraph:
         self, start_ids: List[int], reverse: bool = False
     ) -> Tuple[bytearray, List[int]]:
         """``(seen, order)`` for the ids reachable from ``start_ids``
-        (inclusive): byte marks over the frozen CSR arrays and the int
-        worklist itself (every reached id, in visit order) — no node
-        objects, no hashing."""
-        soff, stgt, poff, ptgt = self._csr()
-        if reverse:
-            off, tgt = poff, ptgt
-        else:
-            off, tgt = soff, stgt
-        seen = bytearray(len(self._succ))
+        (inclusive): byte marks over the live adjacency rows and the
+        int worklist itself (every reached id, in visit order) — no
+        node objects, no hashing."""
+        rows = self._pred if reverse else self._succ
+        seen = bytearray(len(rows))
         order: List[int] = []
         append = order.append
         for s in start_ids:
@@ -359,7 +327,7 @@ class CSRDigraph:
         # appending to it visits the appended tail (CPython semantics),
         # which is exactly a BFS frontier without a cursor.
         for v in order:
-            for w in tgt[off[v]:off[v + 1]]:
+            for w in rows[v]:
                 if not seen[w]:
                     seen[w] = 1
                     append(w)
@@ -388,13 +356,13 @@ class CSRDigraph:
         d = ids.get(dst)
         if d is None:
             return False
-        soff, stgt, _, _ = self._csr()
-        seen = bytearray(len(self._succ))
+        rows = self._succ
+        seen = bytearray(len(rows))
         seen[s] = 1
         order = [s]
         append = order.append
         for v in order:
-            for w in stgt[soff[v]:soff[v + 1]]:
+            for w in rows[v]:
                 if w == d:
                     return True
                 if not seen[w]:
@@ -423,8 +391,8 @@ class CSRDigraph:
             strays = set(stray_targets)
             if any(extra in strays for extra in extras):
                 return True, len(extras)
-        soff, stgt, _, _ = self._csr()
-        seen = bytearray(len(self._succ))
+        rows = self._succ
+        seen = bytearray(len(rows))
         order: List[int] = []
         append = order.append
         for s in start_ids:
@@ -436,23 +404,14 @@ class CSRDigraph:
             visited += 1
             if v in target_ids:
                 return True, visited + len(extras)
-            for w in stgt[soff[v]:soff[v + 1]]:
+            for w in rows[v]:
                 if not seen[w]:
                     seen[w] = 1
                     append(w)
         return False, len(order) + len(extras)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "frozen" if self.frozen else "mutable"
         return (
             f"<CSRDigraph nodes={self.node_count} "
-            f"edges={self.edge_count} {state}>"
+            f"edges={self.edge_count}>"
         )
-
-
-def _compact(adjacency: List[List[int]]) -> Tuple[array, array]:
-    """One direction's CSR pair: ``offsets`` (n+1 entries) and the
-    concatenated ``targets``."""
-    offsets = array("l", [0])
-    offsets.extend(accumulate(map(len, adjacency)))
-    return offsets, array("i", chain.from_iterable(adjacency))

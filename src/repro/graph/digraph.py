@@ -133,8 +133,8 @@ class Digraph:
         return _EMPTY if members is None else _SetView(members)
 
     def freeze(self) -> "Digraph":
-        """API parity with :meth:`repro.graph.csr.CSRDigraph.freeze`;
-        adjacency sets have no compact form, so this is a no-op."""
+        """No-op, as :meth:`repro.graph.csr.CSRDigraph.freeze` is:
+        readers walk the live adjacency, there is no compact form."""
         return self
 
     def has_edge(self, src: Node, dst: Node) -> bool:

@@ -6,7 +6,7 @@ both the flat-array :class:`~repro.graph.csr.CSRDigraph` and the
 generic :class:`~repro.graph.digraph.Digraph`:
 
 * with the default successor/predecessor step on a CSR graph, the
-  traversal dispatches to the frozen-array walk (byte marks + int
+  traversal dispatches to the int-row walk (byte marks + int
   worklist);
 * any *custom* ``follow`` callable (the polyvariant summariser's
   dom/ran extension, for instance) runs the generic BFS, which only

@@ -1,8 +1,8 @@
 """Tarjan's strongly-connected-components algorithm (iterative).
 
-One implementation over dense int ids and a CSR adjacency pair
-(:func:`scc_ids`) condenses a region of the frozen
-:class:`~repro.graph.csr.CSRDigraph` arrays for the all-label-sets
+One implementation over dense int ids and per-id adjacency rows
+(:func:`scc_ids`) condenses a region of the live
+:class:`~repro.graph.csr.CSRDigraph` rows for the all-label-sets
 sweep, and any graph's nodes once numbered
 (:func:`strongly_connected_components`, behind the transitive closure
 and the condensation). It is iterative so million-node graphs do not
@@ -17,20 +17,19 @@ from repro.graph.digraph import Digraph, Node
 
 
 def scc_ids(
-    offsets: Sequence[int],
-    targets: Sequence[int],
+    rows: Sequence[Sequence[int]],
     roots: Iterable[int],
     member: bytearray,
 ) -> List[List[int]]:
     """SCCs of the subgraph induced by ``member``, in reverse
     topological order (every component after those it reaches).
 
-    The successors of id ``v`` are ``targets[offsets[v]:offsets[v+1]]``;
-    ``member[v]`` is non-zero for the ids in the subgraph (edges
-    leaving it are ignored). The search starts from each unvisited
-    member id of ``roots`` in order.
+    The successors of id ``v`` are ``rows[v]``; ``member[v]`` is
+    non-zero for the ids in the subgraph (edges leaving it are
+    ignored). The search starts from each unvisited member id of
+    ``roots`` in order.
     """
-    n = len(offsets) - 1
+    n = len(rows)
     index = [0] * n  # DFS number (1-based); 0 = unvisited
     low = [0] * n
     done = bytearray(n)  # assigned to a finished component
@@ -47,7 +46,7 @@ def scc_ids(
         push(root)
         # One frame per open node: the node and the iterator over its
         # remaining successors, resumed after each child returns.
-        work = [(root, iter(targets[offsets[root] : offsets[root + 1]]))]
+        work = [(root, iter(rows[root]))]
         while work:
             v, successors = work[-1]
             for w in successors:
@@ -57,9 +56,7 @@ def scc_ids(
                     counter += 1
                     index[w] = low[w] = counter
                     push(w)
-                    work.append(
-                        (w, iter(targets[offsets[w] : offsets[w + 1]]))
-                    )
+                    work.append((w, iter(rows[w])))
                     break
                 if not done[w] and index[w] < low[v]:
                     low[v] = index[w]
@@ -86,17 +83,11 @@ def strongly_connected_components(graph: Digraph) -> List[List[Node]]:
     """SCCs of ``graph`` in reverse topological order (Tarjan)."""
     nodes = list(graph.nodes())
     ids = {node: idx for idx, node in enumerate(nodes)}
-    offsets = [0]
-    targets: List[int] = []
-    for node in nodes:
-        targets.extend(ids[succ] for succ in graph.successors(node))
-        offsets.append(len(targets))
+    rows = [[ids[succ] for succ in graph.successors(node)] for node in nodes]
     everything = bytearray(b"\x01") * len(nodes)
     return [
         [nodes[idx] for idx in component]
-        for component in scc_ids(
-            offsets, targets, range(len(nodes)), everything
-        )
+        for component in scc_ids(rows, range(len(nodes)), everything)
     ]
 
 

@@ -14,11 +14,16 @@ modulo-positions against the true cold run.
 """
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from repro.core.nodes import EXPR
 from repro.daemon import FALLBACK_REASONS, ProjectAnalysis
 from repro.errors import ScopeError
+from repro.lang.ast import App, Lam, Let, Letrec, Lit, Var
+from repro.workloads.cubic import make_cubic_source
 from repro.export import result_to_dict
 from repro.serve.worker import _lint_section
 
@@ -245,3 +250,59 @@ class TestQueries:
         pa = ProjectAnalysis()
         with pytest.raises(ScopeError):
             pa.query_name("ghost")
+
+
+def check_live_tables(pa):
+    """The factory indexes the live program and nothing else: one
+    expression-table entry per live occurrence, and every occurrence
+    bucket and bearing node resolves to the live expression."""
+    factory = pa.engine.factory
+    program = pa.program
+    assert len(factory._exprs) == program.size
+    assert set(factory._exprs) == {(e.nid, ()) for e in program.nodes}
+    for expr in program.nodes:
+        for node in factory.occurrences(EXPR, expr.nid):
+            assert node.expr is program.node(expr.nid)
+    for cls in (App, Lam, Let, Letrec, Lit, Var):
+        for node in factory.nodes_bearing(cls):
+            assert node.expr is program.node(node.expr.nid)
+
+
+class TestLiveContract:
+    """A long seeded session stays O(live program): re-keying keeps
+    exactly the live occurrences, whichever delta path a mutation
+    takes, and the warm envelope stays cold-exact."""
+
+    def test_seeded_session_keeps_only_live_occurrences(self):
+        n = 6
+        rng = random.Random(14)
+        pa = ProjectAnalysis()
+        for line in make_cubic_source(n).splitlines()[:-1]:
+            pa.define(*line[len("let "):-len(" in")].split(" = ", 1))
+        scratch = []
+        paths = Counter()
+        for step in range(220):
+            kind = rng.choice(["splice", "dred", "append", "undefine"])
+            i = rng.randint(1, n)
+            j = rng.randint(1, i)
+            if kind == "undefine" and not scratch:
+                kind = "append"
+            if kind == "splice":
+                report = pa.define(f"x{i}", f"b{j} (fs f{i})")
+            elif kind == "dred":
+                source = rng.choice(
+                    [f"b{i} (fs (fs f{j}))", f"bs (b{i} (fs f{j}))"]
+                )
+                report = pa.define(f"x{i}", source)
+            elif kind == "append":
+                scratch.append(f"z{step}")
+                report = pa.define(scratch[-1], f"fs f{i}")
+            else:
+                report = pa.undefine(scratch.pop())
+            assert report["delta"] is True
+            paths[(report["op"], report["mode"])] += 1
+            check_live_tables(pa)
+            warm = json.dumps(pa.envelope(), sort_keys=True)
+            assert warm == json.dumps(cold_envelope(pa), sort_keys=True)
+        # splice, DRed (define and undefine) and append, 20+ each
+        assert len(paths) == 4 and min(paths.values()) >= 20, paths

@@ -360,32 +360,40 @@ class TestReachesGhostNodes:
 
 
 class TestCSRDigraph:
-    """The flat-array backend's own lifecycle: freeze, invalidation on
-    mutation, lazy rebuild."""
+    """The flat-array graph's own contract: readers walk the live
+    adjacency rows, so ``freeze()`` is a no-op and every read sees
+    every mutation before it."""
 
     def test_freeze_is_idempotent(self):
-        g = build_backend(CSRDigraph, [(1, 2), (2, 3)])
-        assert not g.frozen
-        g.freeze()
-        assert g.frozen
-        first = g._csr()
-        g.freeze()
-        assert g._csr() is first
+        g = build_backend(CSRDigraph, [(1, 2), (2, 3), (3, 1), (3, 4)])
+
+        def answers():
+            edges = list(g.edges())
+            return reachable_from(g, [1]), reachable_to(g, [4]), edges
+
+        before = answers()
+        assert g.freeze() is g
+        assert g.freeze() is g
+        assert answers() == before
 
     def test_mutation_invalidates_frozen_form(self):
         g = build_backend(CSRDigraph, [(1, 2)])
         g.freeze()
+        assert reachable_from(g, [1]) == {1, 2}
         g.add_edge(2, 3)
-        assert not g.frozen
-        # The next frozen-path query rebuilds and sees the new edge.
         assert reachable_from(g, [1]) == {1, 2, 3}
-        assert g.frozen
+        assert reaches(g, 1, 3)
+        g.remove_edge(1, 2)
+        assert reachable_from(g, [1]) == {1}
+        assert reachable_to(g, [3]) == {2, 3}
+        assert not reaches(g, 1, 3)
 
     def test_duplicate_edge_keeps_frozen_form(self):
         g = build_backend(CSRDigraph, [(1, 2)])
         g.freeze()
         assert g.add_edge(1, 2) is False
-        assert g.frozen
+        assert g.edge_count == 1
+        assert list(g.edges()) == [(1, 2)]
 
     def test_add_node_after_freeze(self):
         g = build_backend(CSRDigraph, [(1, 2)])
