@@ -3,7 +3,7 @@
 Usage (also available as ``python -m repro``)::
 
     repro analyze  prog.ml [more.ml ... | dir/] [--algorithm subtransitive]
-                   [--json] [--metrics out.json] [--trace out.jsonl]
+                   [--json] [--metrics out.json] [--events out.jsonl]
                    [--sanitize] [--audit]
     repro batch    dir/ [more ...] [--jobs N] [--timeout S]
                    [--cache-dir PATH] [--lint] [--sanitize] [--audit]
@@ -11,7 +11,7 @@ Usage (also available as ``python -m repro``)::
     repro lint     prog.ml [more.ml ... | dir/] [--format json|text]
                    [--severity info|warning|error] [--rules L001,T001]
                    [--impl hand|rules] [--explain]
-                   [--sanitize] [--metrics out.json] [--trace out.jsonl]
+                   [--sanitize] [--metrics out.json] [--events out.jsonl]
     repro query    prog.ml --label inc [--expr NID]
     repro effects  prog.ml [--impl hand|rules]
     repro klimited prog.ml -k 2 [--impl hand|rules]
@@ -75,8 +75,8 @@ from repro.lint.findings import SCHEMA as LINT_SCHEMA
 from repro.lint.sanitize import sanitize
 from repro.lint.findings import SEVERITIES
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
-    Tracer,
     collect_metrics,
     metrics_to_json,
     validate_metrics,
@@ -105,33 +105,31 @@ def _expand_cli_inputs(paths: List[str]) -> List[str]:
     return expand_inputs(paths, allow_missing=True, stdin_token="-")
 
 
-#: Algorithms whose drivers accept ``registry``/``tracer`` plumbing
+#: Algorithms whose drivers accept ``registry``/``events`` plumbing
 #: and whose results carry LC' statistics for the metrics document.
 _INSTRUMENTED_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
 
 
 # -- shared output sinks ------------------------------------------------------
 #
-# The --metrics/--trace plumbing is identical across subcommands; a
+# The --metrics/--events plumbing is identical across subcommands; a
 # single pair of helpers keeps the validate/write/announce sequence
 # (and its failure surface) in one place.
 
 
-def _make_tracer(args) -> Optional[Tracer]:
-    """A tracer bound to ``--trace PATH``, or None when not asked."""
-    path = getattr(args, "trace", None)
-    return Tracer(sink=path) if path else None
+def _open_events(args) -> Optional[EventLog]:
+    """An event log streaming this run's engine events whole (never
+    rotated) to ``--events PATH``, or None when not asked."""
+    path = getattr(args, "events", None)
+    return EventLog(sink_path=path, sink_bytes=None) if path else None
 
 
-def _finish_tracer(tracer: Optional[Tracer], path: Optional[str]) -> None:
-    """Flush/close a tracer and announce the sink on stderr."""
-    if tracer is None:
+def _close_events(log: Optional[EventLog], path: Optional[str]) -> None:
+    """Write out and close an event log and announce it on stderr."""
+    if log is None:
         return
-    tracer.close()
-    print(
-        f"wrote trace to {path} ({tracer.event_count} events)",
-        file=sys.stderr,
-    )
+    log.close()
+    print(f"wrote trace to {path} ({log.emitted} events)", file=sys.stderr)
 
 
 def _write_metrics(path: str, document) -> None:
@@ -142,24 +140,11 @@ def _write_metrics(path: str, document) -> None:
     print(f"wrote metrics to {path}", file=sys.stderr)
 
 
-def _sub_of(result):
-    """The SubtransitiveGraph inside any analysis result, or None."""
-    from repro.core.hybrid import HybridResult
-    from repro.core.lc import SubtransitiveGraph
-    from repro.core.queries import SubtransitiveCFA
-
-    if isinstance(result, HybridResult):
-        result = result.result
-    if isinstance(result, SubtransitiveCFA):
-        return result.sub
-    if isinstance(result, SubtransitiveGraph):
-        return result
-    return None
-
-
 def _sanitize_result(result, path: str) -> int:
     """Run the graph sanitizer against an analysis result; returns
     the exit status contribution (0 clean, 1 otherwise)."""
+    from repro.serve.worker import _sub_of
+
     sub = _sub_of(result)
     if sub is None:
         print(
@@ -209,9 +194,9 @@ def _cmd_analyze_many(args, paths: List[str]) -> int:
     """Sequential multi-file analyze via the batch runner."""
     from repro.serve import BatchRunner
 
-    if args.metrics or args.trace:
+    if args.metrics or args.events:
         print(
-            "error: --metrics/--trace require exactly one input file",
+            "error: --metrics/--events require exactly one input file",
             file=sys.stderr,
         )
         return 1
@@ -269,19 +254,19 @@ def _cmd_analyze(args) -> int:
         return _cmd_analyze_many(args, paths)
     args.file = paths[0]
     program = _read_program(args.file)
-    tracer = None
+    events = None
     kwargs = {}
-    if args.metrics or args.trace:
+    if args.metrics or args.events:
         if args.algorithm not in _INSTRUMENTED_ALGORITHMS:
             print(
-                "error: --metrics/--trace require one of: "
+                "error: --metrics/--events require one of: "
                 + ", ".join(_INSTRUMENTED_ALGORITHMS),
                 file=sys.stderr,
             )
             return 1
-        tracer = _make_tracer(args)
-        if tracer is not None:
-            kwargs["tracer"] = tracer
+        events = _open_events(args)
+        if events is not None:
+            kwargs["events"] = events
     status = 0
     try:
         cfa = repro.analyze(program, algorithm=args.algorithm, **kwargs)
@@ -322,7 +307,7 @@ def _cmd_analyze(args) -> int:
             # query section reflects the work this invocation did.
             _write_metrics(args.metrics, collect_metrics(cfa))
     finally:
-        _finish_tracer(tracer, args.trace)
+        _close_events(events, args.events)
     return status
 
 
@@ -463,9 +448,9 @@ def _cmd_lint(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.trace and len(args.files) != 1:
+    if args.events and len(args.files) != 1:
         print(
-            "error: --trace requires exactly one input file",
+            "error: --events requires exactly one input file",
             file=sys.stderr,
         )
         return 2
@@ -514,24 +499,26 @@ def _cmd_lint(args) -> int:
     fallback_reasons = []
     totals = {"findings": 0, "by_rule": {}}
     for path in args.files:
-        tracer = _make_tracer(args)
+        events = _open_events(args)
         try:
             try:
                 program = _read_program(path)
                 registry = MetricsRegistry()
                 if args.algorithm == "subtransitive":
                     analysis = build_subtransitive_graph(
-                        program, registry=registry, tracer=tracer
+                        program, registry=registry, events=events
                     )
                 else:
                     analysis = analyze_hybrid(
-                        program, registry=registry, tracer=tracer
+                        program, registry=registry, events=events
                     )
                 result = run_lints(
-                    program, analysis, registry=registry, tracer=tracer,
+                    program, analysis, registry=registry, events=events,
                     impl=args.impl, explain=args.explain,
                 )
                 if args.sanitize:
+                    from repro.serve.worker import _sub_of
+
                     sub = _sub_of(analysis)
                     if sub is None:
                         print(
@@ -568,7 +555,7 @@ def _cmd_lint(args) -> int:
                         args.metrics, collect_metrics(analysis)
                     )
             finally:
-                _finish_tracer(tracer, args.trace)
+                _close_events(events, args.events)
         except BrokenPipeError:
             raise
         except (ReproError, OSError) as error:
@@ -818,18 +805,36 @@ def _parse_overrides(pairs, flag: str):
     return overrides
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _load_json(path: str, validate):
+    """One JSON document, checked by ``validate``; a malformed file is
+    a :class:`ReproError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        validate(document)
+    except ValueError as error:
+        raise ReproError(f"{path}: {error}") from None
+    return document
+
+
+def _load_events(path: str):
+    """The records of one events file; a malformed file is a
+    :class:`ReproError` naming it and the line."""
+    from repro.obs import read_event_log
+
+    try:
+        return read_event_log(path)
+    except ValueError as error:
+        raise ReproError(f"{path}: {error}") from None
 
 
 def _cmd_obs_diff(args) -> int:
     from repro.obs import diff_documents, diff_exit_code, render_diff
-    from repro.obs.baseline import validate_diff
+    from repro.obs.baseline import extract_metrics, validate_diff
 
     report = diff_documents(
-        _load_json(args.baseline),
-        _load_json(args.current),
+        _load_json(args.baseline, extract_metrics),
+        _load_json(args.current, extract_metrics),
         thresholds=_parse_overrides(args.threshold, "--threshold"),
         noise_floors=_parse_overrides(args.noise_floor, "--noise-floor"),
     )
@@ -869,7 +874,6 @@ def _cmd_obs_flame(args) -> int:
 
 
 def _cmd_obs_top(args) -> int:
-    from repro.obs import read_events
     from repro.obs.tracetools import provenance_check, render_top
 
     if args.live:
@@ -879,8 +883,10 @@ def _cmd_obs_top(args) -> int:
             "pass a trace/event-log file, or --live with a daemon "
             "endpoint (--socket/--port)"
         )
-    events = read_events(args.trace)
-    metrics = _load_json(args.metrics) if args.metrics else None
+    events = _load_events(args.trace)
+    metrics = (
+        _load_json(args.metrics, validate_metrics) if args.metrics else None
+    )
     print(render_top(events, metrics=metrics, limit=args.limit))
     if metrics is not None:
         return 0 if provenance_check(events, metrics)["ok"] else 1
@@ -909,10 +915,9 @@ def _obs_top_live(args) -> int:
 
 
 def _cmd_obs_waterfall(args) -> int:
-    from repro.obs import read_events
     from repro.obs.tracetools import render_waterfall
 
-    print(render_waterfall(read_events(args.trace), limit=args.limit))
+    print(render_waterfall(_load_events(args.trace), limit=args.limit))
     return 0
 
 
@@ -927,7 +932,6 @@ def _optional_endpoint(args) -> Optional[dict]:
 
 
 def _cmd_obs_tail(args) -> int:
-    from repro.obs import read_event_log
     from repro.obs.live import filter_events
 
     endpoint = _optional_endpoint(args)
@@ -938,7 +942,7 @@ def _cmd_obs_tail(args) -> int:
         )
     if args.source is not None:
         events = filter_events(
-            read_event_log(args.source),
+            _load_events(args.source),
             grep=args.grep,
             request_id=args.request,
         )
@@ -968,7 +972,7 @@ def _cmd_obs_tail(args) -> int:
 
 
 def _cmd_obs_req(args) -> int:
-    from repro.obs import read_event_log, render_request, request_chain
+    from repro.obs import render_request, request_chain
 
     endpoint = _optional_endpoint(args)
     if (args.events is None) == (endpoint is None):
@@ -977,7 +981,7 @@ def _cmd_obs_req(args) -> int:
             "(--socket/--port), not both"
         )
     if args.events is not None:
-        events = read_event_log(args.events)
+        events = _load_events(args.events)
     else:
         from repro.daemon import DaemonClient
 
@@ -1124,6 +1128,19 @@ def _cmd_client(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1180,9 +1197,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(single input only)",
     )
     p.add_argument(
-        "--trace",
+        "--events",
         metavar="PATH",
-        help="write a JSONL engine-event trace to PATH "
+        help="write the engine's repro.events/1 trace to PATH as JSONL "
         "(single input only)",
     )
     add_sanitize(p)
@@ -1201,7 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="worker processes (default: 1 = sequential, in-process)",
@@ -1223,7 +1240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cache-size",
-        type=int,
+        type=_positive_int,
         default=512,
         metavar="N",
         help="in-memory LRU capacity (default: %(default)s entries)",
@@ -1299,9 +1316,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(single input file only)",
     )
     p.add_argument(
-        "--trace",
+        "--events",
         metavar="PATH",
-        help="write a JSONL engine-event trace to PATH "
+        help="write the engine's repro.events/1 trace to PATH as JSONL "
         "(single input file only)",
     )
     add_sanitize(p)
@@ -1508,8 +1525,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "trace",
         nargs="?",
-        help="trace.jsonl written by --trace, or an event-log file "
-        "(omit with --live)",
+        help="events file written by analyze/lint --events or by the "
+        "daemon (omit with --live)",
     )
     q.add_argument(
         "--metrics",
@@ -1547,7 +1564,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="demand-sweep waterfall from a trace.jsonl stream "
         "(request waterfall for event-log streams)",
     )
-    q.add_argument("trace", help="trace.jsonl written by --trace")
+    q.add_argument(
+        "trace", help="events file written by analyze/lint --events"
+    )
     q.add_argument("--limit", type=int, default=20, metavar="N")
     q.set_defaults(run=_cmd_obs_waterfall)
 
@@ -1614,7 +1633,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_endpoint(p)
     p.add_argument(
         "--capacity",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help="warm project graphs kept resident (LRU; default 8)",

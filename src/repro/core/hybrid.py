@@ -67,7 +67,7 @@ def analyze_hybrid(
     budget_factor: int = HYBRID_BUDGET_FACTOR,
     node_budget: Optional[int] = None,
     registry=None,
-    tracer=None,
+    events=None,
     profiler=None,
 ) -> HybridResult:
     """Try LC' with a linear node budget; fall back to the cubic
@@ -75,10 +75,10 @@ def analyze_hybrid(
 
     Always terminates: LC' either reaches a fixpoint within budget
     (and is exact — Propositions 1-2 hold regardless of typing) or the
-    standard algorithm provides the answer. ``registry``/``tracer``/
+    standard algorithm provides the answer. ``registry``/``events``/
     ``profiler`` (see :mod:`repro.obs`) instrument the LC' attempt; a
     fallback is recorded on the registry (``hybrid.fallbacks``) and
-    the tracer, so metrics consumers can see the abandoned attempt's
+    the event log, so metrics consumers can see the abandoned attempt's
     budget burn — and the profiler keeps the abandoned attempt's spans
     (the engine's try/finally span sites stay balanced across the
     budget trip), so a flamegraph shows the burn next to the
@@ -91,7 +91,7 @@ def analyze_hybrid(
             program,
             node_budget=node_budget,
             registry=registry,
-            tracer=tracer,
+            events=events,
             profiler=profiler,
         )
         return HybridResult("subtransitive", result, registry=registry)
@@ -107,8 +107,8 @@ def analyze_hybrid(
         if registry is not None:
             registry.counter("hybrid.fallbacks").inc()
             registry.counter(f"hybrid.fallback.{reason}").inc()
-        if tracer is not None:
-            tracer.emit("budget", resource="hybrid", action="fallback",
+        if events is not None:
+            events.emit("budget", resource="hybrid", action="fallback",
                         reason=reason)
         if profiler is not None:
             profiler.push("hybrid.fallback")

@@ -244,7 +244,7 @@ class LCEngine:
         instance_budget: int = 10_000,
         max_depth: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        tracer=None,
+        events=None,
         profiler=None,
     ):
         if congruence is not None and congruence.requires_types:
@@ -258,16 +258,16 @@ class LCEngine:
         self.program = program
         self.factory = NodeFactory(
             program, congruence, inference, node_budget, max_depth,
-            tracer=tracer,
+            events=events,
         )
         self.graph = CSRDigraph()
         self.stats = LCStatistics(registry)
-        #: Optional :class:`repro.obs.trace.Tracer`; ``None`` (the
+        #: Optional :class:`repro.obs.events.EventLog`; ``None`` (the
         #: default) is the no-op mode — every emission site guards on
         #: it, so uninstrumented runs pay one pointer test.
-        self.tracer = tracer
+        self.events = events
         #: Optional :class:`repro.obs.profile.SpanProfiler`; same
-        #: opt-in contract as the tracer (one ``is not None`` test per
+        #: opt-in contract as ``events`` (one ``is not None`` test per
         #: span site). Span sites are coarse — phases, demand sweeps,
         #: rule-family loops — never per rule firing.
         self.profiler = profiler
@@ -292,7 +292,7 @@ class LCEngine:
         #: before duplicate detection). The incremental daemon uses it
         #: to reference-count build-edge emissions per definition so a
         #: retraction knows when a physical edge loses its last
-        #: justification. Same opt-in contract as ``tracer``.
+        #: justification. Same opt-in contract as ``events``.
         self.edge_recorder = None
         #: Names of let/letrec bindings analysed polyvariantly
         #: (Section 7); empty/None for the monovariant analysis.
@@ -312,11 +312,11 @@ class LCEngine:
         """Build + close; returns the finished graph."""
         ensure_recursion_limit()
         registry = self.stats.registry
-        tracer = self.tracer
+        events = self.events
         profiler = self.profiler
         build_timer = registry.timer("phase.build")
-        if tracer is not None:
-            tracer.emit("phase", phase="build", action="start")
+        if events is not None:
+            events.emit("phase", phase="build", action="start")
         if profiler is not None:
             profiler.push("phase.build")
         try:
@@ -328,8 +328,8 @@ class LCEngine:
         self.stats.build_seconds = build_timer.last_seconds
         self.stats.build_nodes = self.factory.node_count
         self.stats.build_edges = self.graph.edge_count
-        if tracer is not None:
-            tracer.emit(
+        if events is not None:
+            events.emit(
                 "phase",
                 phase="build",
                 action="end",
@@ -337,8 +337,8 @@ class LCEngine:
                 edges=self.stats.build_edges,
             )
         close_timer = registry.timer("phase.close")
-        if tracer is not None:
-            tracer.emit("phase", phase="close", action="start")
+        if events is not None:
+            events.emit("phase", phase="close", action="start")
         if profiler is not None:
             profiler.push("phase.close")
         try:
@@ -355,8 +355,8 @@ class LCEngine:
             self.graph.edge_count - self.stats.build_edges
         )
         self._export_gauges()
-        if tracer is not None:
-            tracer.emit(
+        if events is not None:
+            events.emit(
                 "phase",
                 phase="close",
                 action="end",
@@ -435,8 +435,8 @@ class LCEngine:
             self._c_abs1.value += 1
             self._edge(mkop(("ran",), lam_node), make(node.body, ctx))
             self._c_abs2.value += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.events is not None:
+                self.events.emit(
                     "rule", rule="ABS", site=node.nid, phase="build"
                 )
         elif isinstance(node, App):
@@ -445,8 +445,8 @@ class LCEngine:
             self._c_app1.value += 1
             self._edge(make(node, ctx), mkop(("ran",), fn_node))
             self._c_app2.value += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.events is not None:
+                self.events.emit(
                     "rule", rule="APP", site=node.nid, phase="build"
                 )
         elif isinstance(node, (Let, Letrec)):
@@ -552,8 +552,8 @@ class LCEngine:
             self.pending.append((src, dst))
             if close:
                 self.close_edge_set.append((src, dst))
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.events is not None:
+                self.events.emit(
                     "edge",
                     src=src.describe(),
                     dst=dst.describe(),
@@ -619,8 +619,8 @@ class LCEngine:
         over the premise edges that arrived earlier."""
         node.demanded = True
         self.stats.demanded_nodes += 1
-        if self.tracer is not None:
-            self.tracer.emit("demand", node=node.describe())
+        if self.events is not None:
+            self.events.emit("demand", node=node.describe())
         profiler = self.profiler
         if profiler is not None:
             profiler.push("sweep")
@@ -638,8 +638,8 @@ class LCEngine:
         contra = self._c_close_contra
         mkop = self.factory.op_node
         profiler = self.profiler
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self.events is not None:
+            self.events.emit(
                 "sweep", node=node.describe(), inner=inner.describe()
             )
         head = opkey[0]
@@ -732,7 +732,7 @@ def build_subtransitive_graph(
     node_budget: Optional[int] = None,
     polyvariant_lets: Optional[frozenset] = None,
     registry: Optional[MetricsRegistry] = None,
-    tracer=None,
+    events=None,
     profiler=None,
 ) -> SubtransitiveGraph:
     """Run LC' on ``program`` and return the subtransitive graph.
@@ -773,7 +773,7 @@ def build_subtransitive_graph(
         if inference is not None
         else None,
         registry=registry,
-        tracer=tracer,
+        events=events,
         profiler=profiler,
     )
     return engine.run()

@@ -178,15 +178,15 @@ class NodeFactory:
         inference: Optional[InferenceResult] = None,
         node_budget: Optional[int] = None,
         max_depth: Optional[int] = None,
-        tracer=None,
+        events=None,
     ):
         self.program = program
         self.congruence = congruence
         self.inference = inference
         self.node_budget = node_budget
-        #: Optional :class:`repro.obs.trace.Tracer` for budget events;
+        #: Optional :class:`repro.obs.events.EventLog` for budget events;
         #: ``None`` keeps node creation on the uninstrumented path.
-        self.tracer = tracer
+        self.events = events
         #: Operator towers deeper than this are never materialised.
         #: Section 4 bounds the nodes that need considering by the
         #: positions of the program's type trees; flows in a typed
@@ -235,8 +235,8 @@ class NodeFactory:
             self.node_budget is not None
             and len(self.nodes) >= self.node_budget
         ):
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.events is not None:
+                self.events.emit(
                     "budget",
                     resource="node",
                     used=len(self.nodes),
@@ -394,8 +394,8 @@ class NodeFactory:
         new_depth = 1 if opkey[0] == "con" else inner.depth + 1
         if new_depth > self.max_depth:
             self.depth_truncations += 1
-            if self.tracer is not None:
-                self.tracer.emit(
+            if self.events is not None:
+                self.events.emit(
                     "budget",
                     resource="depth",
                     depth=new_depth,

@@ -95,7 +95,7 @@ def analyze_polyvariant(
     instance_budget: int = 10_000,
     node_budget: Optional[int] = None,
     registry=None,
-    tracer=None,
+    events=None,
     profiler=None,
 ) -> SubtransitiveCFA:
     """Polyvariant subtransitive CFA.
@@ -115,7 +115,7 @@ def analyze_polyvariant(
         polyvariant_lets=binders,
         instance_budget=instance_budget,
         registry=registry,
-        tracer=tracer,
+        events=events,
         profiler=profiler,
     )
     return SubtransitiveCFA(engine.run())

@@ -370,12 +370,12 @@ def analyze_subtransitive(
     node_budget: Optional[int] = None,
     polyvariant_lets: Optional[frozenset] = None,
     registry=None,
-    tracer=None,
+    events=None,
     profiler=None,
 ) -> SubtransitiveCFA:
     """Convenience: run LC' and wrap the result in the query layer.
 
-    ``registry``/``tracer``/``profiler`` (see :mod:`repro.obs`)
+    ``registry``/``events``/``profiler`` (see :mod:`repro.obs`)
     instrument the run; all default to off.
     """
     from repro.core.lc import build_subtransitive_graph
@@ -387,7 +387,7 @@ def analyze_subtransitive(
         node_budget=node_budget,
         polyvariant_lets=polyvariant_lets,
         registry=registry,
-        tracer=tracer,
+        events=events,
         profiler=profiler,
     )
     return SubtransitiveCFA(sub)

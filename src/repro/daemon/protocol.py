@@ -63,7 +63,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.serve.protocol import jsonl_dumps, jsonl_loads, make_checkers
+from repro._util import make_checkers
+from repro.serve.protocol import jsonl_dumps, jsonl_loads
 
 #: Schema tag carried by every daemon record.
 SCHEMA = "repro.daemon/1"

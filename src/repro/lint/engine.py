@@ -66,7 +66,7 @@ def run_lints(
     passes: Optional[Iterable] = None,
     registry=None,
     scope: Optional[Set[int]] = None,
-    tracer=None,
+    events=None,
     profiler=None,
     impl: str = "hand",
     explain: bool = False,
@@ -75,7 +75,7 @@ def run_lints(
 
     ``result`` is an existing analysis to reuse (see module docstring);
     ``scope`` restricts incremental passes to a set of nids;
-    ``registry``/``tracer``/``profiler`` instrument the run
+    ``registry``/``events``/``profiler`` instrument the run
     (defaulting to the graph's own registry so one metrics document
     covers everything; the profiler records one ``lint.<code>`` span
     per pass with the shared flow sweep's ``flow.fused`` span nested
@@ -128,7 +128,7 @@ def run_lints(
         from repro.core.lc import build_subtransitive_graph
 
         sub = build_subtransitive_graph(
-            program, registry=registry, tracer=tracer,
+            program, registry=registry, events=events,
             profiler=profiler,
         )
     if engine == "standard":
@@ -164,8 +164,8 @@ def run_lints(
         registry.counter(f"lint.findings.{lint_pass.code}").inc(
             len(found)
         )
-        if tracer is not None:
-            tracer.emit(
+        if events is not None:
+            events.emit(
                 "lint",
                 rule=lint_pass.code,
                 findings=len(found),

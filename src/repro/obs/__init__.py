@@ -8,34 +8,34 @@ single home for that accounting:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges and monotonic-clock timers; one registry per engine run;
-* :mod:`repro.obs.trace` — :class:`Tracer`, a structured event
-  recorder (rule firings, demand sweeps, budget consumption) with a
-  bounded ring buffer and an optional JSONL sink; opt-in, ``None`` by
-  default so the hot path pays one pointer test;
 * :mod:`repro.obs.export` — the versioned JSON metrics document
   (:data:`SCHEMA`), :func:`collect_metrics` to produce it from any
   analysis result, and :func:`validate_metrics`, the structural
   validator that freezes the contract;
 * :mod:`repro.obs.profile` — :class:`SpanProfiler`, a hierarchical
   span profiler (phase → rule family → flow pass) with folded-stack
-  flamegraph export; opt-in exactly like the tracer;
+  flamegraph export; opt-in exactly like the engine's event log;
 * :mod:`repro.obs.baseline` — the ``repro.obs-diff/1`` regression
   report: diff two metrics documents against per-metric thresholds
   and noise floors, with an exit-code verdict for CI gates;
-* :mod:`repro.obs.tracetools` — offline analytics over ``trace.jsonl``
-  streams (hotspot tables, demand-sweep waterfall, edge-provenance
+* :mod:`repro.obs.events` — the ``repro.events/1`` event log, the one
+  structured event recorder: ring-buffered :class:`EventLog` with a
+  JSONL sink, fed by the LC' engine (rule firings, demand sweeps,
+  budget consumption; opt-in, ``events=None`` by default so the hot
+  path pays one pointer test) and by the service layers through the
+  contextvars-based request binding; plus :func:`read_event_log`,
+  the one reader of event files, and the telemetry-envelope
+  validators;
+* :mod:`repro.obs.tracetools` — offline analytics over engine event
+  traces (hotspot tables, demand-sweep waterfall, edge-provenance
   cross-checks against the metrics accounting);
-* :mod:`repro.obs.events` — the ``repro.events/1`` request-correlated
-  event log: ring-buffered :class:`EventLog` with rotating JSONL
-  sink, the contextvars-based request binding every layer emits
-  through, and the telemetry-envelope validators;
 * :mod:`repro.obs.live` — live rendering over event logs and
   ``telemetry`` scrapes (Prometheus text exposition, request-chain
   reassembly for ``repro obs req``, the refreshing ``obs top --live``
   table).
 
 See ``docs/OBSERVABILITY.md`` for the schema reference and CLI usage
-(``repro analyze --metrics out.json --trace out.jsonl``,
+(``repro analyze --metrics out.json --events out.jsonl``,
 ``repro obs diff|flame|top|waterfall``).
 """
 
@@ -48,6 +48,7 @@ from repro.obs.baseline import (
     validate_diff,
 )
 from repro.obs.events import (
+    EVENT_KINDS,
     EVENTS_SCHEMA,
     EventLog,
     RequestContext,
@@ -74,12 +75,10 @@ from repro.obs.live import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
 from repro.obs.profile import Span, SpanProfiler, validate_folded
-from repro.obs.trace import EVENT_KINDS, NULL_TRACER, NullTracer, Tracer
 from repro.obs.tracetools import (
     demand_waterfall,
     node_hotspots,
     provenance_check,
-    read_events,
     rule_hotspots,
 )
 
@@ -92,14 +91,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "RequestContext",
     "SCHEMA",
     "Span",
     "SpanProfiler",
     "Timer",
-    "Tracer",
     "bind_request",
     "collect_metrics",
     "current_request",
@@ -113,7 +109,6 @@ __all__ = [
     "node_hotspots",
     "provenance_check",
     "read_event_log",
-    "read_events",
     "render_diff",
     "render_live_top",
     "render_prometheus",

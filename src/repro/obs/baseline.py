@@ -45,6 +45,8 @@ import platform
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from repro._util import make_checkers
+
 #: Schema tag carried by every diff report.
 DIFF_SCHEMA = "repro.obs-diff/1"
 
@@ -369,13 +371,7 @@ def render_diff(report, limit: Optional[int] = None) -> str:
 # -- validation ----------------------------------------------------------------
 
 
-def _fail(path: str, message: str) -> None:
-    raise ValueError(f"invalid diff report at {path}: {message}")
-
-
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
+_expect = make_checkers("diff report")[1]
 
 
 def validate_diff(report) -> Dict[str, object]:

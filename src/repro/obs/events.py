@@ -1,14 +1,19 @@
-"""Request-scoped structured event log — the ``repro.events/1`` layer.
+"""The structured event log — the ``repro.events/1`` layer.
 
-Every daemon verb, batch job and CLI invocation mints a
-``request_id``; this module is how that id is threaded through the
-stack *without* widening every signature between the socket and the
-fused sweep:
+One record type serves two producers. The LC' engine emits
+per-rule events (rule firings, inserted edges, demand transitions,
+sweeps, budget trips) when a driver is handed ``events=EventLog(...)``;
+that is the ordered accounting ``repro obs top``/``waterfall``
+cross-check against Tables 1-2's counters. The service layers emit
+request-correlated events: every daemon verb, batch job and CLI
+invocation mints a ``request_id``, and this module is how that id is
+threaded through the stack *without* widening every signature
+between the socket and the fused sweep:
 
 * :class:`EventLog` — a ring-buffered (bounded, oldest-dropped)
-  in-memory log with an optional bounded rotating JSONL file sink and
-  listener hooks (the daemon's ``subscribe`` verb streams through
-  one);
+  in-memory log with an optional JSONL file sink (rotating, or whole
+  for one run's trace) and listener hooks (the daemon's
+  ``subscribe`` verb streams through one);
 * :func:`bind_request` — a context manager that binds a
   :class:`RequestContext` (request id, event log, span profiler,
   tally dict) into a :mod:`contextvars` variable for the dynamic
@@ -30,9 +35,11 @@ Emission discipline (the <1% overhead budget of E21): layers emit
 totals, one per delta-engine mutation with its outcome, one per verb
 — never one event per worklist step.
 
-The event record shape is frozen by :func:`validate_event`; the
-``telemetry`` scrape envelope by :func:`validate_telemetry`. Breaking
-changes must bump :data:`EVENTS_SCHEMA`.
+The event record shape is frozen by :func:`validate_event`, and
+:func:`read_event_log` is the one reader every JSONL consumer uses;
+the ``telemetry`` scrape envelope is frozen by
+:func:`validate_telemetry`. Breaking changes must bump
+:data:`EVENTS_SCHEMA`.
 """
 
 from __future__ import annotations
@@ -46,13 +53,17 @@ import uuid
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional
 
+from repro._util import make_checkers
+
 #: Schema tag for event records and the ``telemetry`` scrape envelope.
 EVENTS_SCHEMA = "repro.events/1"
 
-#: Event kinds emitted by the instrumented layers. The validator
-#: accepts any non-empty kind (forward compatibility, mirroring how
-#: repro.metrics/1 accepts unknown counter names); this tuple is what
-#: the current code emits and what obs.tracetools renders.
+#: Event kinds emitted by the instrumented code: the service layers'
+#: first, then the LC' engine's (opt-in, via ``events=`` on the
+#: drivers). The validator accepts any non-empty kind (forward
+#: compatibility, mirroring how repro.metrics/1 accepts unknown
+#: counter names); this tuple is what the current code emits and what
+#: obs.tracetools renders.
 EVENT_KINDS = (
     "request",  # server/CLI accepted a verb or command
     "response",  # ...and finished it (status + seconds + tallies)
@@ -63,6 +74,15 @@ EVENT_KINDS = (
     "job",  # one batch job (status + cache tier + seconds)
     "slow_request",  # request over threshold; carries folded spans
     "subscribe",  # a live tail attached/detached
+    "phase",  # LC' build/close phase entered or left
+    "rule",  # one application of a named LC' build rule
+    "edge",  # an edge actually inserted into the graph
+    "demand",  # a node's first incoming edge made it demanded
+    "sweep",  # a demand sweep over pre-demand premise edges
+    "budget",  # budget consumption / truncation / hybrid fallback
+    "query",  # a reachability query answered
+    "session",  # incremental session define/query boundaries
+    "lint",  # one lint pass (findings + seconds)
 )
 
 #: Default in-memory ring capacity (events, not bytes).
@@ -73,36 +93,53 @@ DEFAULT_CAPACITY = 4096
 #: bounded by ~2x this).
 DEFAULT_SINK_BYTES = 8 * 1024 * 1024
 
+#: Queued records that make a whole-run sink (``sink_bytes=None``)
+#: write out before its log is closed, so a long run streams to disk
+#: in bounded memory.
+SINK_PENDING_LIMIT = 1024
+
 
 def new_request_id() -> str:
     """A fresh, process-unique request id (16 hex chars)."""
     return uuid.uuid4().hex[:16]
 
 
-class _RotatingSink:
-    """Append JSONL event records to ``path``, rotating at
-    ``max_bytes``.
+class _FileSink:
+    """Append JSONL event records to ``path``.
 
-    Rotation renames ``path`` to ``path.1`` (clobbering the previous
-    ``.1``), so total disk usage is bounded without ever blocking on
+    With ``max_bytes`` the file rotates once it passes that size:
+    ``path`` is renamed to ``path.1`` (clobbering the previous ``.1``),
+    so total disk usage is bounded without ever blocking on
     compression or fsync — this sits on the daemon's request path.
+    With ``max_bytes=None`` the file is one run's whole stream: it is
+    truncated on open and never rotated, so its ``seq`` runs 0..N-1
+    (the CLI's ``--events`` trace, which ``repro obs top --metrics``
+    checks for completeness).
 
     ``write`` only queues the event dict; serialisation and the
     actual file write happen in :meth:`flush` (the daemon calls it
-    once per request). That keeps the engine-side emission cost to a
-    list append — the <1% overhead budget (E21) has no room for a
-    ``json.dumps`` per event on the hot path.
+    once per request). That keeps the emission cost to a list
+    append — the <1% overhead budget (E21) has no room for a
+    ``json.dumps`` per event on the hot path. Nothing flushes a
+    whole-run sink before close, so it also writes out whenever
+    :data:`SINK_PENDING_LIMIT` records are queued.
     """
 
-    def __init__(self, path: str, max_bytes: int = DEFAULT_SINK_BYTES):
+    def __init__(
+        self, path: str, max_bytes: Optional[int] = DEFAULT_SINK_BYTES
+    ):
         self.path = path
         self.max_bytes = max_bytes
-        self._handle = open(path, "a", encoding="utf-8")
+        self._handle = open(
+            path, "w" if max_bytes is None else "a", encoding="utf-8"
+        )
         self._size = self._handle.tell()
         self._pending: List[Dict[str, object]] = []
 
     def write(self, event: Dict[str, object]) -> None:
         self._pending.append(event)
+        if self.max_bytes is None and len(self._pending) >= SINK_PENDING_LIMIT:
+            self.flush()
 
     def flush(self) -> None:
         if not self._pending:
@@ -113,7 +150,11 @@ class _RotatingSink:
                 json.dumps(event, sort_keys=True, separators=(",", ":"))
                 + "\n"
             )
-            if self._size + len(line) > self.max_bytes and self._size > 0:
+            if (
+                self.max_bytes is not None
+                and self._size + len(line) > self.max_bytes
+                and self._size > 0
+            ):
                 self._handle.close()
                 os.replace(self.path, self.path + ".1")
                 self._handle = open(self.path, "a", encoding="utf-8")
@@ -133,24 +174,26 @@ class EventLog:
     ``capacity`` bounds the in-memory ring; once full the **oldest**
     event is dropped and :attr:`dropped` counts exactly how many were
     lost (the daemon surfaces it as ``events_dropped`` in ``status``).
-    The file sink, when configured, sees *every* event (it rotates
-    instead of dropping). Listeners are called synchronously with each
-    event dict; they must be cheap and must not raise.
+    The file sink, when configured, sees *every* event: it rotates at
+    ``sink_bytes`` instead of dropping, or with ``sink_bytes=None``
+    keeps the whole stream (see :class:`_FileSink`). :meth:`close`
+    writes out everything queued; callers close in a ``finally`` so a
+    run that raises still leaves its events on disk. Listeners are
+    called synchronously with each event dict; they must be cheap and
+    must not raise.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         sink_path: Optional[str] = None,
-        sink_bytes: int = DEFAULT_SINK_BYTES,
+        sink_bytes: Optional[int] = DEFAULT_SINK_BYTES,
     ):
         self.capacity = capacity
         self._ring = deque()
         self.dropped = 0
         self._seq = 0
-        self._sink = (
-            _RotatingSink(sink_path, sink_bytes) if sink_path else None
-        )
+        self._sink = _FileSink(sink_path, sink_bytes) if sink_path else None
         self._listeners: List[Callable[[Dict[str, object]], None]] = []
 
     # -- emission ----------------------------------------------------------
@@ -336,37 +379,25 @@ def span(name: str):
 # -- validation ------------------------------------------------------------
 
 
-def looks_like_event(record) -> bool:
-    """Frame-sniff: is this JSONL record a ``repro.events/1`` event
-    (as opposed to a PR-5 trace event, which has neither ``seq`` nor
-    ``request_id``)?"""
-    return (
-        isinstance(record, dict)
-        and "seq" in record
-        and "request_id" in record
-        and "kind" in record
-    )
+_, _expect, _check_int, _check_number = make_checkers("event record")
 
 
 def validate_event(record):
     """Structurally validate one event record; returns it unchanged."""
-    from repro.serve.protocol import make_checkers
-
-    fail, expect, check_int, check_number = make_checkers("event record")
-    expect(isinstance(record, dict), "$", "expected an object")
-    check_int(record.get("seq"), "$.seq")
-    expect(record["seq"] >= 0, "$.seq", "expected >= 0")
-    check_number(record.get("ts"), "$.ts")
-    check_number(record.get("mono"), "$.mono")
+    _expect(isinstance(record, dict), "$", "expected an object")
+    _check_int(record.get("seq"), "$.seq")
+    _expect(record["seq"] >= 0, "$.seq", "expected >= 0")
+    _check_number(record.get("ts"), "$.ts")
+    _check_number(record.get("mono"), "$.mono")
     kind = record.get("kind")
-    expect(
+    _expect(
         isinstance(kind, str) and bool(kind),
         "$.kind",
         "expected a non-empty string",
     )
     for field in ("request_id", "component"):
         value = record.get(field)
-        expect(
+        _expect(
             value is None or (isinstance(value, str) and bool(value)),
             f"$.{field}",
             "expected null or a non-empty string",
@@ -377,7 +408,6 @@ def validate_event(record):
 def validate_telemetry(document):
     """Validate a ``telemetry`` scrape envelope (JSON format)."""
     from repro.obs.export import validate_registry_snapshot
-    from repro.serve.protocol import make_checkers
 
     fail, expect, check_int, check_number = make_checkers(
         "telemetry document"
@@ -415,17 +445,30 @@ def validate_telemetry(document):
 
 
 def read_event_log(source) -> List[Dict[str, object]]:
-    """Parse an event-log JSONL stream (path, file object, or iterable
-    of lines/dicts) into validated event records."""
+    """Parse an event JSONL stream into validated event records.
+
+    ``source`` is a path, an open text stream, or an iterable of
+    JSONL lines or already-parsed records. This is the one reader
+    behind ``repro obs top``, ``waterfall``, ``tail`` and ``req``;
+    malformed input raises :class:`ValueError` naming the line.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return read_event_log(handle)
     records = []
-    for item in source:
+    for lineno, item in enumerate(source, 1):
         if isinstance(item, (str, bytes)):
             line = item.strip()
             if not line:
                 continue
-            item = json.loads(line)
-        records.append(validate_event(item))
+            try:
+                item = json.loads(line)
+            except ValueError as error:
+                raise ValueError(
+                    f"line {lineno}: invalid JSON ({error})"
+                ) from None
+        try:
+            records.append(validate_event(item))
+        except ValueError as error:
+            raise ValueError(f"line {lineno}: {error}") from None
     return records

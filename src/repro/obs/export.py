@@ -35,6 +35,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
+from repro._util import make_checkers
+
 #: Schema tag carried by every metrics document.
 SCHEMA = "repro.metrics/1"
 
@@ -201,29 +203,7 @@ def metrics_to_json(document: Dict[str, object], indent: Optional[int] = 2) -> s
 # -- validation ---------------------------------------------------------------
 
 
-def _fail(path: str, message: str) -> None:
-    raise ValueError(f"invalid metrics document at {path}: {message}")
-
-
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        _fail(path, message)
-
-
-def _check_int(value, path: str) -> None:
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool),
-        path,
-        f"expected integer, got {type(value).__name__}",
-    )
-
-
-def _check_number(value, path: str) -> None:
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        path,
-        f"expected number, got {type(value).__name__}",
-    )
+_, _expect, _check_int, _check_number = make_checkers("metrics document")
 
 
 def validate_registry_snapshot(registry, path: str = "$.registry"):

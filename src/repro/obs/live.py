@@ -1,7 +1,7 @@
 """Live rendering over event logs and ``telemetry`` scrapes.
 
-The reader/presentation side of :mod:`repro.obs.events`, mirroring
-how :mod:`repro.obs.tracetools` sits on :mod:`repro.obs.trace`:
+The presentation side of :mod:`repro.obs.events` for request
+streams, as :mod:`repro.obs.tracetools` is for engine traces:
 
 * :func:`render_prometheus` — the ``telemetry`` verb's text format: a
   Prometheus-style exposition of the daemon registry (counters,
@@ -16,7 +16,7 @@ how :mod:`repro.obs.tracetools` sits on :mod:`repro.obs.trace`:
   warm/cold hit rates from the registry status;
 * :func:`render_events_top` / :func:`render_request_waterfall` — the
   offline reports ``repro obs top``/``waterfall`` produce when handed
-  an event-log file instead of an engine trace.
+  a daemon's event log instead of an engine trace.
 
 Quantiles are bucket-resolution (log2 upper bounds): good enough to
 tell a 2ms p95 from a 200ms one, which is what a live view is for;

@@ -1,7 +1,8 @@
 """Hierarchical span profiler for the analysis pipeline.
 
-Where :mod:`repro.obs.metrics` answers "how many" and
-:mod:`repro.obs.trace` answers "in what order", the profiler answers
+Where :mod:`repro.obs.metrics` answers "how many" and the engine's
+event log (:mod:`repro.obs.events`) answers "in what order", the
+profiler answers
 "*where did the time go*": it records a tree of named spans —
 phase → rule-family → flow-pass — with per-span call counts,
 cumulative seconds and (derived) self seconds, and exports the tree in
@@ -14,7 +15,7 @@ diagnose closure blowups: a cubic-family run whose flame is dominated
 by ``phase.close;sweep;rule.CLOSE-COV`` tells a very different story
 from one stuck in ``flow.fused``.
 
-Design constraints, matching the Tracer's:
+Design constraints, matching the engine event log's:
 
 * **Strictly opt-in.** Every instrumented call site holds
   ``profiler=None`` by default and guards emission with a single

@@ -1,13 +1,15 @@
-"""Offline analytics over ``trace.jsonl`` streams.
+"""Offline analytics over engine event traces.
 
-The tracer (:mod:`repro.obs.trace`) writes every engine event to its
-JSONL sink; this module is the reader side — everything here works on
-a finished trace file, long after the analysed process exited:
+``repro analyze P --events T`` streams the LC' engine's
+``repro.events/1`` records to ``T``; this module is the reader side —
+everything here works on a finished file (parsed by
+:func:`repro.obs.events.read_event_log`), long after the analysed
+process exited:
 
-* :func:`read_events` — parse and structurally check a JSONL stream;
-* :func:`completeness` — is the stream the *whole* story? The sink
-  receives every event (the ring buffer only bounds the in-memory
-  view), so a complete trace has contiguous ``seq`` values from 0;
+* :func:`completeness` — is the stream the *whole* story? A trace
+  file receives every event (the ring buffer only bounds the
+  in-memory view), so a complete trace has contiguous ``seq`` values
+  from 0;
 * :func:`rule_hotspots` / :func:`node_hotspots` — where the engine
   spent its firings: per-rule-family counts, and the graph nodes most
   often touched by edges, demand transitions and sweeps;
@@ -21,78 +23,20 @@ a finished trace file, long after the analysed process exited:
   close_edges`` in the run's metrics document.
 
 The CLI surfaces these as ``repro obs top`` and
-``repro obs waterfall`` (see ``docs/OBSERVABILITY.md``).
-
-Two JSONL dialects share this reader: PR-5 engine traces
-(``trace.jsonl``) and the ``repro.events/1`` request-correlated event
-log (:mod:`repro.obs.events`). :func:`read_events` sniffs each frame
-— event-log records carry ``request_id``, trace records never do —
-so ``repro obs top``/``waterfall`` work on either file; the rendering
-entry points dispatch on :func:`is_event_stream`.
+``repro obs waterfall`` (see ``docs/OBSERVABILITY.md``). A stream
+whose events belong to requests (a daemon's event log) gets the
+request-centric reports of :mod:`repro.obs.live` instead.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
-from repro.obs.events import looks_like_event, validate_event
-from repro.obs.trace import EVENT_KINDS
 
-
-def read_events(source) -> List[Dict[str, object]]:
-    """Load trace events from a path, file-like object, or iterable.
-
-    Accepts a filesystem path (str), an open text stream, an iterable
-    of JSONL lines, or an iterable of already-parsed event dicts.
-    Each event must carry an integer ``seq`` and a known ``kind``;
-    malformed input raises :class:`ValueError` naming the line.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_events(handle)
-    events: List[Dict[str, object]] = []
-    for lineno, item in enumerate(source, 1):
-        if isinstance(item, (str, bytes)):
-            text = item.strip()
-            if not text:
-                continue
-            try:
-                event = json.loads(text)
-            except ValueError as error:
-                raise ValueError(
-                    f"trace line {lineno}: invalid JSON ({error})"
-                ) from None
-        else:
-            event = item
-        if not isinstance(event, dict):
-            raise ValueError(f"trace line {lineno}: expected an object")
-        if looks_like_event(event):
-            # A repro.events/1 record (request-correlated event log).
-            try:
-                validate_event(event)
-            except ValueError as error:
-                raise ValueError(
-                    f"trace line {lineno}: {error}"
-                ) from None
-            events.append(event)
-            continue
-        seq = event.get("seq")
-        if not isinstance(seq, int) or isinstance(seq, bool):
-            raise ValueError(f"trace line {lineno}: missing integer 'seq'")
-        kind = event.get("kind")
-        if kind not in EVENT_KINDS and kind != "lint":
-            raise ValueError(
-                f"trace line {lineno}: unknown event kind {kind!r}"
-            )
-        events.append(event)
-    return events
-
-
-def is_event_stream(events: List[Dict[str, object]]) -> bool:
-    """True when the stream is ``repro.events/1`` (request-correlated
-    event log) rather than a PR-5 engine trace."""
-    return bool(events) and all(looks_like_event(e) for e in events)
+def _has_requests(events: List[Dict[str, object]]) -> bool:
+    """True when some event is bound to a request: the stream is a
+    service event log, not a CLI engine trace."""
+    return any(event.get("request_id") for event in events)
 
 
 def completeness(events: List[Dict[str, object]]) -> Dict[str, object]:
@@ -100,7 +44,7 @@ def completeness(events: List[Dict[str, object]]) -> Dict[str, object]:
 
     A JSONL sink receives every emitted event regardless of the ring
     buffer, so a complete trace has ``seq`` values 0..N-1 with no
-    gaps. A buffer dump (``tracer.events()``) after rotation starts
+    gaps. A buffer dump (``log.events()``) after rotation starts
     later — ``first_seq`` tells you how much is missing.
     """
     seqs = sorted(event["seq"] for event in events)
@@ -287,11 +231,11 @@ def render_top(
 ) -> str:
     """The ``repro obs top`` report: rules, nodes, provenance.
 
-    Event-log streams get the request-centric report instead (per
+    Request streams get the request-centric report instead (per
     kind/component counts, per-verb latency, slowest requests)."""
     from repro.bench import Table
 
-    if is_event_stream(events):
+    if _has_requests(events):
         from repro.obs.live import render_events_top
 
         return render_events_top(events, limit=limit)
@@ -340,11 +284,11 @@ def render_waterfall(
 ) -> str:
     """The ``repro obs waterfall`` report: the demand cascade.
 
-    Event-log streams get the request waterfall instead: one row per
+    Request streams get the request waterfall instead: one row per
     request with the delta/flow work it triggered."""
     from repro.bench import Table
 
-    if is_event_stream(events):
+    if _has_requests(events):
         from repro.obs.live import render_request_waterfall
 
         return render_request_waterfall(events, limit=limit)

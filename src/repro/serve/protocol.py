@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from repro._util import make_checkers
 from repro.serve.jobs import STATUSES, JobResult
 
 #: Schema tag carried by every batch record.
@@ -183,35 +184,6 @@ def jsonl_loads(
         except ValueError as error:
             raise ValueError(f"line {lineno}: {error}") from None
     return records
-
-
-def make_checkers(what: str):
-    """The ``(fail, expect, check_int, check_number)`` helper quartet
-    every record validator is written in terms of, with failure
-    messages naming ``what`` (e.g. ``"batch record"``)."""
-
-    def fail(path: str, message: str) -> None:
-        raise ValueError(f"invalid {what} at {path}: {message}")
-
-    def expect(condition: bool, path: str, message: str) -> None:
-        if not condition:
-            fail(path, message)
-
-    def check_int(value, path: str) -> None:
-        expect(
-            isinstance(value, int) and not isinstance(value, bool),
-            path,
-            f"expected integer, got {type(value).__name__}",
-        )
-
-    def check_number(value, path: str) -> None:
-        expect(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            path,
-            f"expected number, got {type(value).__name__}",
-        )
-
-    return fail, expect, check_int, check_number
 
 
 def to_jsonl(records: List[Dict[str, object]]) -> str:

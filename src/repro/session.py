@@ -202,7 +202,7 @@ class AnalysisSession:
         max_depth: int = 24,
         fuel: int = 1_000_000,
         registry=None,
-        tracer=None,
+        events=None,
     ):
         ensure_recursion_limit()
         self.program = _SessionProgram(datatypes)
@@ -211,7 +211,7 @@ class AnalysisSession:
             node_budget=node_budget,
             max_depth=max_depth,
             registry=registry,
-            tracer=tracer,
+            events=events,
         )
         self.fuel = fuel
         #: Definition order: (name, renamed expression).
@@ -257,8 +257,8 @@ class AnalysisSession:
         }
         self.history.append(entry)
         self.graph_version += 1
-        if engine.tracer is not None:
-            engine.tracer.emit("session", **entry)
+        if engine.events is not None:
+            engine.events.emit("session", **entry)
         return result
 
     # -- defining ------------------------------------------------------------

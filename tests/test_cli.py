@@ -146,17 +146,17 @@ class TestObservabilityFlags:
         assert f"wrote metrics to {target}" in capsys.readouterr().err
 
     def test_trace_written_as_jsonl(self, demo_file, tmp_path, capsys):
+        from repro.obs import validate_event
+
         target = tmp_path / "trace.jsonl"
-        assert main(["analyze", demo_file, "--trace", str(target)]) == 0
+        assert main(["analyze", demo_file, "--events", str(target)]) == 0
         lines = target.read_text().splitlines()
         assert lines
-        events = [json.loads(line) for line in lines]
-        assert events[0] == {
-            "seq": 0,
-            "kind": "phase",
-            "phase": "build",
-            "action": "start",
-        }
+        events = [validate_event(json.loads(line)) for line in lines]
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        assert {
+            key: events[0][key] for key in ("kind", "phase", "action")
+        } == {"kind": "phase", "phase": "build", "action": "start"}
         assert any(event["kind"] == "rule" for event in events)
         err = capsys.readouterr().err
         assert f"wrote trace to {target} ({len(events)} events)" in err
@@ -180,7 +180,7 @@ class TestObservabilityFlags:
             ["analyze", demo_file, "--algorithm", "standard",
              "--metrics", str(target)]
         ) == 1
-        assert "--metrics/--trace require" in capsys.readouterr().err
+        assert "--metrics/--events require" in capsys.readouterr().err
         assert not target.exists()
 
 
@@ -527,3 +527,65 @@ class TestDaemonCli:
         assert main(["daemon", "status", "--socket", endpoint, "--json"]) == 0
         status = json.loads(capsys.readouterr().out)
         assert "projects" in status and "metrics" in status
+
+    def test_capacity_below_one_is_a_usage_error(self, tmp_path, capsys):
+        argv = [
+            "daemon", "start", "--socket", str(tmp_path / "repro.sock"),
+            "--capacity", "0",
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--capacity: must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "repro.sock").exists()
+
+
+_EVENT = {
+    "seq": 0, "ts": 0.0, "mono": 0.0, "kind": "phase",
+    "request_id": None, "component": None,
+}
+
+#: One malformed file per failure class, as (an events file, a JSON
+#: metrics document); a document's "missing seq" is a missing section.
+MALFORMED = {
+    "not-json": ("{nope\n", "{nope"),
+    "non-object": ("[1, 2]\n", "[1, 2]"),
+    "missing-seq": (
+        json.dumps({k: v for k, v in _EVENT.items() if k != "seq"}) + "\n",
+        json.dumps({"schema": "repro.bench-metrics/1"}),
+    ),
+    "wrong-schema": (
+        json.dumps({"schema": "repro.metrics/1"}) + "\n",
+        json.dumps({"schema": "repro.events/1"}),
+    ),
+}
+
+#: Each ``repro obs`` reader: its argv (BAD is the malformed file) and
+#: which form of :data:`MALFORMED` that file takes.
+OBS_READERS = {
+    "top": (["obs", "top", "BAD"], 0),
+    "top-metrics": (["obs", "top", "EVENTS", "--metrics", "BAD"], 1),
+    "waterfall": (["obs", "waterfall", "BAD"], 0),
+    "tail": (["obs", "tail", "BAD"], 0),
+    "req": (["obs", "req", "r1", "--events", "BAD"], 0),
+    "diff": (["obs", "diff", "BAD", "METRICS"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("command", sorted(OBS_READERS))
+def test_obs_reader_reports_malformed_file(command, case, tmp_path, capsys):
+    argv, form = OBS_READERS[command]
+    paths = {
+        "BAD": tmp_path / "bad",
+        "EVENTS": tmp_path / "events.jsonl",
+        "METRICS": tmp_path / "metrics.json",
+    }
+    paths["BAD"].write_text(MALFORMED[case][form])
+    paths["EVENTS"].write_text(json.dumps(_EVENT) + "\n")
+    paths["METRICS"].write_text(json.dumps({"schema": "repro.metrics/1"}))
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = f"error: {paths['BAD']}: " + ("line 1: " if form == 0 else "")
+    assert err.startswith(prefix) and err.count("\n") == 1, err

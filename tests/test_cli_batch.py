@@ -99,6 +99,13 @@ class TestBatchCommand:
         assert main(["batch", "/nonexistent-dir"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--cache-size"])
+    def test_count_below_one_is_a_usage_error(self, corpus, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", corpus, flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_examples_acceptance(self, capsys):
         # The ISSUE.md acceptance criterion, as a regression test.
         assert main(["batch", "examples", "--jobs", "2"]) == 0

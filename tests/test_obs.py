@@ -1,4 +1,4 @@
-"""The observability subsystem: metric primitives, tracing, the
+"""The observability subsystem: metric primitives, engine events, the
 ``repro.metrics/1`` export schema, and the engine-accounting
 invariants they surface.
 
@@ -22,12 +22,12 @@ from repro.errors import AnalysisBudgetExceeded
 from repro.lang import parse
 from repro.obs import (
     EVENT_KINDS,
+    EventLog,
     MetricsRegistry,
-    NULL_TRACER,
     SCHEMA,
-    Tracer,
     collect_metrics,
     metrics_to_json,
+    validate_event,
     validate_metrics,
 )
 from repro.session import AnalysisSession
@@ -86,46 +86,49 @@ class TestPrimitives:
 
 
 class TestTracer:
+    """The engine's event recorder is the ``repro.events/1`` EventLog."""
+
     def test_ring_buffer_bounds_memory(self):
-        tracer = Tracer(capacity=4)
+        log = EventLog(capacity=4)
         for i in range(10):
-            tracer.emit("rule", rule="ABS-1", n=i)
-        assert tracer.event_count == 10
-        assert tracer.dropped == 6
-        buffered = tracer.events()
+            log.emit("rule", rule="ABS-1", n=i)
+        assert log.emitted == 10
+        assert log.dropped == 6
+        buffered = log.events()
         assert len(buffered) == 4
         assert [e["n"] for e in buffered] == [6, 7, 8, 9]
         assert [e["seq"] for e in buffered] == [6, 7, 8, 9]
 
     def test_kind_filter(self):
-        tracer = Tracer()
-        tracer.emit("phase", phase="build", action="start")
-        tracer.emit("rule", rule="APP-1")
-        assert len(tracer.events("rule")) == 1
-        assert tracer.events("rule")[0]["rule"] == "APP-1"
+        log = EventLog()
+        log.emit("phase", phase="build", action="start")
+        log.emit("rule", rule="APP-1")
+        assert len(log.events("rule")) == 1
+        assert log.events("rule")[0]["rule"] == "APP-1"
 
     def test_jsonl_sink_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with Tracer(sink=str(path)) as tracer:
-            tracer.emit("phase", phase="build", action="start")
-            tracer.rule("CLOSE-COV", "a", "b", "close")
+        path.write_text("stale line from an earlier run\n")
+        log = EventLog(sink_path=str(path), sink_bytes=None)
+        log.emit("phase", phase="build", action="start")
+        log.emit("rule", rule="CLOSE-COV", src="a", dst="b", phase="close")
+        log.close()
         lines = path.read_text().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 2  # a whole-run sink starts the file afresh
         first, second = (json.loads(line) for line in lines)
         assert first["kind"] == "phase"
-        assert second == {
+        assert validate_event(second) == {
             "seq": 1,
+            "ts": second["ts"],
+            "mono": second["mono"],
             "kind": "rule",
+            "request_id": None,
+            "component": None,
             "rule": "CLOSE-COV",
             "src": "a",
             "dst": "b",
             "phase": "close",
         }
-
-    def test_null_tracer_is_inert(self):
-        NULL_TRACER.emit("rule", rule="ABS-1")
-        assert NULL_TRACER.events() == []
-        assert NULL_TRACER.event_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +137,15 @@ class TestTracer:
 
 class TestEngineTracing:
     def test_engine_emits_known_kinds_in_order(self):
-        tracer = Tracer()
-        cfa = repro.analyze(parse(SAMPLES[0]), tracer=tracer)
+        log = EventLog()
+        cfa = repro.analyze(parse(SAMPLES[0]), events=log)
         for site in cfa.program.applications:
             cfa.may_call(site)
-        kinds = {e["kind"] for e in tracer.events()}
+        kinds = {e["kind"] for e in log.events()}
         assert kinds <= set(EVENT_KINDS)
         assert {"phase", "rule", "edge"} <= kinds
         phases = [
-            (e["phase"], e["action"]) for e in tracer.events("phase")
+            (e["phase"], e["action"]) for e in log.events("phase")
         ]
         assert phases == [
             ("build", "start"),
@@ -155,8 +158,8 @@ class TestEngineTracing:
         from repro.core.lc import LCEngine
 
         engine = LCEngine(parse(SAMPLES[0]))
-        assert engine.tracer is None
-        engine.run()  # must not emit (or fail) without a tracer
+        assert engine.events is None
+        engine.run()  # must not emit (or fail) without an event log
 
 
 class TestCloseRuleAccounting:
@@ -358,23 +361,26 @@ class TestTracerSinkLifecycle:
         # even when the analysis aborts mid-run (budget trip) — the
         # partial trace is exactly what the post-mortem needs.
         path = tmp_path / "trace.jsonl"
+        log = EventLog(sink_path=str(path), sink_bytes=None)
         with pytest.raises(AnalysisBudgetExceeded):
-            with Tracer(sink=str(path)) as tracer:
+            try:
                 analyze_subtransitive(
-                    make_cubic_program(8), node_budget=5, tracer=tracer
+                    make_cubic_program(8), node_budget=5, events=log
                 )
-        assert tracer._sink is None  # owned handle released
+            finally:
+                log.close()
+        assert log._sink is None  # owned handle released
         lines = path.read_text().splitlines()
         assert lines  # the events up to the abort reached disk
         events = [json.loads(line) for line in lines]
         assert events[-1]["seq"] == len(events) - 1
-        assert tracer.event_count == len(events)
+        assert log.emitted == len(events)
 
     def test_close_is_idempotent(self, tmp_path):
-        tracer = Tracer(sink=str(tmp_path / "t.jsonl"))
-        tracer.emit("phase", phase="build", action="start")
-        tracer.close()
-        tracer.close()  # second close must be a no-op, not a crash
+        log = EventLog(sink_path=str(tmp_path / "t.jsonl"), sink_bytes=None)
+        log.emit("phase", phase="build", action="start")
+        log.close()
+        log.close()  # second close must be a no-op, not a crash
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +396,12 @@ class TestRingBufferProperties:
         ),
     )
     def test_event_count_includes_rotated_events(self, capacity, kinds):
-        tracer = Tracer(capacity=capacity)
+        log = EventLog(capacity=capacity)
         for kind in kinds:
-            tracer.emit(kind)
-        assert tracer.event_count == len(kinds)
-        assert len(tracer.events()) == min(len(kinds), capacity)
-        assert tracer.dropped == max(0, len(kinds) - capacity)
+            log.emit(kind)
+        assert log.emitted == len(kinds)
+        assert len(log.events()) == min(len(kinds), capacity)
+        assert log.dropped == max(0, len(kinds) - capacity)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -405,10 +411,10 @@ class TestRingBufferProperties:
         ),
     )
     def test_kind_filter_preserves_seq_order(self, capacity, kinds):
-        tracer = Tracer(capacity=capacity)
+        log = EventLog(capacity=capacity)
         for kind in kinds:
-            tracer.emit(kind)
-        seqs = [event["seq"] for event in tracer.events("rule")]
+            log.emit(kind)
+        seqs = [event["seq"] for event in log.events("rule")]
         assert seqs == sorted(seqs)
         # And it is exactly the buffered subsequence of that kind.
         expected = [

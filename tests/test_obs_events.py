@@ -301,6 +301,27 @@ def test_sink_flushes_per_request_not_per_event(tmp_path):
     log.close()
 
 
+def test_whole_run_sink_streams_in_bounded_batches(tmp_path):
+    from repro.obs.events import SINK_PENDING_LIMIT
+
+    whole = str(tmp_path / "trace.jsonl")
+    rotating = str(tmp_path / "events.jsonl")
+    logs = (
+        EventLog(sink_path=whole, sink_bytes=None),
+        EventLog(sink_path=rotating),
+    )
+    for log in logs:
+        for _ in range(SINK_PENDING_LIMIT):
+            log.emit("edge", phase="close")
+    # Nothing flushes a whole-run trace until close, so it writes out
+    # once the queue is full; a rotating sink waits for its flush.
+    assert len(read_event_log(whole)) == SINK_PENDING_LIMIT
+    assert read_event_log(rotating) == []
+    for log in logs:
+        log.close()
+    assert len(read_event_log(rotating)) == SINK_PENDING_LIMIT
+
+
 # -- validators ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
-"""Offline trace analytics: stream parsing, completeness, hotspots,
-the demand waterfall, and the CLOSE-* provenance cross-check.
+"""Offline trace analytics: reading an engine's event file,
+completeness, hotspots, the demand waterfall, and the CLOSE-*
+provenance cross-check.
 
 The provenance invariant under test is the accounting contract from
 the close-rule fix: closure counters count only edges actually added,
@@ -15,18 +16,17 @@ from repro.cli import main
 from repro.core.queries import analyze_subtransitive
 from repro.lang import parse
 from repro.obs import (
-    Tracer,
+    EventLog,
     collect_metrics,
     demand_waterfall,
     node_hotspots,
     provenance_check,
-    read_events,
+    read_event_log,
     rule_hotspots,
     validate_metrics,
 )
 from repro.obs.tracetools import (
     completeness,
-    is_event_stream,
     render_top,
     render_waterfall,
 )
@@ -42,51 +42,57 @@ SOURCE = (
 def traced_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     program = make_cubic_program(8)
-    tracer = Tracer(capacity=16, sink=str(path))  # tiny ring on purpose
-    cfa = analyze_subtransitive(program, tracer=tracer)
-    tracer.close()
+    # A tiny ring on purpose: the file must still get every event.
+    log = EventLog(capacity=16, sink_path=str(path), sink_bytes=None)
+    cfa = analyze_subtransitive(program, events=log)
+    log.close()
     metrics = validate_metrics(collect_metrics(cfa))
-    return str(path), metrics, tracer
+    return str(path), metrics, log
+
+
+def _event(seq, kind, **fields):
+    return {
+        "seq": seq, "ts": 0.0, "mono": 0.0, "kind": kind,
+        "request_id": None, "component": None, **fields,
+    }
 
 
 class TestReadEvents:
     def test_reads_sink_file(self, traced_run):
-        path, _, tracer = traced_run
-        events = read_events(path)
+        path, _, log = traced_run
+        events = read_event_log(path)
         # The sink got every event, ring rotation notwithstanding.
-        assert len(events) == tracer.event_count
-        assert len(events) > tracer.capacity
+        assert len(events) == log.emitted
+        assert len(events) > log.capacity
 
     def test_accepts_parsed_dicts_and_lines(self):
-        events = [{"seq": 0, "kind": "demand", "node": "x"}]
-        assert read_events(events) == events
-        assert read_events([json.dumps(events[0])]) == events
+        events = [_event(0, "demand", node="x")]
+        assert read_event_log(events) == events
+        assert read_event_log([json.dumps(events[0])]) == events
 
     def test_rejects_bad_json(self):
         with pytest.raises(ValueError, match="line 1"):
-            read_events(["{nope"])
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            read_events([{"seq": 0, "kind": "mystery"}])
+            read_event_log(["{nope"])
 
     def test_rejects_missing_seq(self):
+        event = _event(0, "demand")
+        del event["seq"]
         with pytest.raises(ValueError, match="seq"):
-            read_events([{"kind": "demand"}])
+            read_event_log([event])
 
 
 class TestCompleteness:
     def test_sink_stream_is_complete(self, traced_run):
         path, _, _ = traced_run
-        report = completeness(read_events(path))
+        report = completeness(read_event_log(path))
         assert report["complete"] is True
         assert report["first_seq"] == 0
         assert report["gaps"] == 0
 
     def test_buffer_dump_after_rotation_is_incomplete(self, traced_run):
-        _, _, tracer = traced_run
-        assert tracer.dropped > 0
-        report = completeness(tracer.events())
+        _, _, log = traced_run
+        assert log.dropped > 0
+        report = completeness(log.events())
         assert report["complete"] is False
         assert report["first_seq"] > 0
 
@@ -103,7 +109,7 @@ class TestCompleteness:
 class TestHotspots:
     def test_rule_hotspots_include_closures(self, traced_run):
         path, metrics, _ = traced_run
-        counts = rule_hotspots(read_events(path))
+        counts = rule_hotspots(read_event_log(path))
         rules = metrics["rules"]
         assert counts["ABS"] == rules["ABS-1"]
         assert counts["APP"] == rules["APP-1"]
@@ -114,7 +120,7 @@ class TestHotspots:
 
     def test_node_hotspots_sorted_and_limited(self, traced_run):
         path, _, _ = traced_run
-        rows = node_hotspots(read_events(path), limit=5)
+        rows = node_hotspots(read_event_log(path), limit=5)
         assert len(rows) == 5
         totals = [row["total"] for row in rows]
         assert totals == sorted(totals, reverse=True)
@@ -127,7 +133,7 @@ class TestHotspots:
 class TestWaterfall:
     def test_rows_follow_demand_order(self, traced_run):
         path, metrics, _ = traced_run
-        events = read_events(path)
+        events = read_event_log(path)
         rows = demand_waterfall(events)
         assert len(rows) == metrics["nodes"]["demanded"]
         seqs = [row["seq"] for row in rows]
@@ -137,7 +143,7 @@ class TestWaterfall:
         # Every closure conclusion lands after the first demand, so
         # the waterfall's close-edge attributions sum to the total.
         path, metrics, _ = traced_run
-        rows = demand_waterfall(read_events(path))
+        rows = demand_waterfall(read_event_log(path))
         assert (
             sum(row["close_edges"] for row in rows)
             == metrics["graph"]["close_edges"]
@@ -147,7 +153,7 @@ class TestWaterfall:
 class TestProvenance:
     def test_complete_trace_checks_out(self, traced_run):
         path, metrics, _ = traced_run
-        report = provenance_check(read_events(path), metrics)
+        report = provenance_check(read_event_log(path), metrics)
         assert report["complete"] is True
         assert report["ok"] is True
         assert report["problems"] == []
@@ -156,7 +162,7 @@ class TestProvenance:
         path, metrics, _ = traced_run
         events = [
             e
-            for e in read_events(path)
+            for e in read_event_log(path)
             if not (e["kind"] == "edge" and e.get("phase") == "close")
         ]
         # Renumber so the stream still *looks* complete: only the
@@ -169,14 +175,14 @@ class TestProvenance:
         assert report["problems"]
 
     def test_incomplete_trace_degrades_to_informational(self, traced_run):
-        _, metrics, tracer = traced_run
-        report = provenance_check(tracer.events(), metrics)
+        _, metrics, log = traced_run
+        report = provenance_check(log.events(), metrics)
         assert report["complete"] is False
         assert report["problems"] == []
 
     def test_renderers_return_text(self, traced_run):
         path, metrics, _ = traced_run
-        events = read_events(path)
+        events = read_event_log(path)
         top = render_top(events, metrics=metrics, limit=3)
         assert "rule hotspots" in top
         assert "provenance" in top
@@ -184,13 +190,12 @@ class TestProvenance:
 
 
 class TestEventLogDialect:
-    """The reader sniffs ``repro.events/1`` frames, so the same CLI
-    (``obs top`` / ``obs waterfall``) covers both JSONL dialects."""
+    """A daemon's event log goes through the same reader and the same
+    CLI (``obs top`` / ``obs waterfall``); request-bound streams get
+    the request reports."""
 
     @pytest.fixture()
     def event_log(self, tmp_path):
-        from repro.obs import EventLog
-
         path = str(tmp_path / "events.jsonl")
         log = EventLog(sink_path=path)
         rid = "req-0001"
@@ -214,26 +219,16 @@ class TestEventLogDialect:
         log.close()
         return path, log.events()
 
-    def test_read_events_sniffs_event_frames(self, event_log):
-        path, emitted = event_log
-        events = read_events(path)
-        assert events == emitted
-        assert is_event_stream(events)
-        # Engine traces are not mistaken for event logs.
-        assert not is_event_stream(
-            [{"seq": 0, "kind": "demand", "node": "x"}]
-        )
-
     def test_read_events_rejects_malformed_event_frame(self, event_log):
         path, _ = event_log
-        bad = dict(read_events(path)[0])
+        bad = dict(read_event_log(path)[0])
         bad["seq"] = "zero"
         with pytest.raises(ValueError, match="line 1"):
-            read_events([bad])
+            read_event_log([bad])
 
     def test_render_top_dispatches_to_request_report(self, event_log):
         path, _ = event_log
-        top = render_top(read_events(path), limit=5)
+        top = render_top(read_event_log(path), limit=5)
         assert "event mix" in top
         assert "request latency" in top
         # And never the engine-trace report.
@@ -241,7 +236,7 @@ class TestEventLogDialect:
 
     def test_render_waterfall_dispatches_to_request_rows(self, event_log):
         path, _ = event_log
-        out = render_waterfall(read_events(path), limit=5)
+        out = render_waterfall(read_event_log(path), limit=5)
         assert "request waterfall" in out
         assert "req-0001" in out
         assert "demand waterfall" not in out
@@ -269,7 +264,7 @@ class TestObsTraceCli:
             main(
                 [
                     "analyze", str(source),
-                    "--trace", str(trace),
+                    "--events", str(trace),
                     "--metrics", str(metrics),
                 ]
             )
