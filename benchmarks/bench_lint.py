@@ -1,8 +1,9 @@
 """E14 — lint: per-pass diagnostics timings on the subtransitive graph.
 
-Every lint pass consumes the subtransitive graph directly, so a full
-five-pass run should scale like the graph itself (near-linear in the
-program size) and must never materialise a label set: the
+Every L/F pass reads the one evaluation of the compiled lint rule
+programs over the subtransitive graph, so a full run (the T-series
+audits included) should scale like the graph itself (near-linear in
+the program size) and must never materialise a label set: the
 ``queries.labels_of`` counter is asserted to stay at zero for every
 measured run.
 
@@ -81,7 +82,7 @@ def test_lint_shape():
     _, rows = run_report(sizes=[8, 16, 32])
     assert all(r["labels_of"] == 0 for r in rows)
     sizes = [r["size"] for r in rows]
-    # The full five-pass run stays ~linear in the program size.
+    # The full lint run stays ~linear in the program size.
     assert fit_exponent(sizes, [r["lint_time"] for r in rows]) < 1.7
 
 

@@ -5,7 +5,8 @@ Usage::
     python benchmarks/run_all.py [--quick] [--metrics PATH | --no-metrics]
 
 Prints the reproduction of each experiment indexed in DESIGN.md (E1 -
-E21; E17, the retired object-vs-CSR comparison, is history in
+E21; E16, the retired hand-written lint sweep, is folded into E18,
+and E17, the retired object-vs-CSR comparison, is history in
 EXPERIMENTS.md), in order. ``--quick`` shrinks the sweeps for a fast
 smoke run.
 EXPERIMENTS.md records a reference run of this script.
@@ -31,7 +32,6 @@ import bench_complexity_table
 import bench_constant_factor
 import bench_daemon
 import bench_equality_cfa
-import bench_flow
 import bench_frontend
 import bench_hybrid
 import bench_joinpoint
@@ -104,6 +104,20 @@ def write_metrics(path, experiments, quick: bool) -> None:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"\nwrote metrics document to {path}")
+
+
+def _print_pinned_fit(report, pinned) -> None:
+    fit = report["fit"]
+    drift = [
+        row["n"]
+        for row in report["rows"]
+        if row["n"] in pinned and row["steps"] != pinned[row["n"]]
+    ]
+    verdict = f"DRIFT at n={drift}" if drift else "pinned counts match"
+    print(
+        f"steps ~= {fit['slope']:.3f}*(n+e) + {fit['intercept']:.1f} "
+        f"(R^2 = {fit['r2']:.5f}); {verdict}"
+    )
 
 
 def main(quick: bool = False, metrics_path=None) -> None:
@@ -245,35 +259,14 @@ def main(quick: bool = False, metrics_path=None) -> None:
     print(table.render())
 
     print("\n" + "=" * 72)
-    print("E16 (extra) — fused flow sweep: steps vs graph size")
-    print("=" * 72)
-    table, report = bench_flow.run_report(
-        sizes=[8, 16, 32] if quick else bench_flow.SIZES
-    )
-    record("E16", "fused flow sweep: steps vs graph size", report)
-    print(table.render())
-    fit = report["fit"]
-    print(
-        f"steps ~= {fit['slope']:.3f}*(n+e) + {fit['intercept']:.1f} "
-        f"(R^2 = {fit['r2']:.5f})"
-    )
-
-    print("\n" + "=" * 72)
-    print("E18 (extra) — compiled rule sweep vs hand-written sweep")
+    print("E18 (extra) — compiled lint sweep: exact steps, linear")
     print("=" * 72)
     table, report = bench_rules.run_report(
         sizes=[8, 16, 32] if quick else bench_rules.SIZES
     )
-    record("E18", "compiled rule sweep vs hand-written sweep", report)
+    record("E18", "compiled lint sweep: exact steps, linear", report)
     print(table.render())
-    fit = report["fit"]
-    worst = max(r["ratio"] for r in report["rows"])
-    print(
-        f"rule steps ~= {fit['slope']:.3f}*(n+e) + "
-        f"{fit['intercept']:.1f} (R^2 = {fit['r2']:.5f}); "
-        f"worst step ratio {worst:.3f}x "
-        f"(bound {bench_rules.RATIO_BOUND}x)"
-    )
+    _print_pinned_fit(report, bench_rules.PINNED_STEPS)
 
     print("\n" + "=" * 72)
     print("E19 (extra) — incremental daemon: warm delta vs cold")
@@ -291,21 +284,14 @@ def main(quick: bool = False, metrics_path=None) -> None:
     )
 
     print("\n" + "=" * 72)
-    print("E20 (extra) — full ported surface: rule vs hand sweeps")
+    print("E20 (extra) — every shipped rule sweep: exact steps, linear")
     print("=" * 72)
     table, report = bench_rules_full.run_report(
         sizes=[8, 16, 32] if quick else bench_rules_full.SIZES
     )
-    record("E20", "full ported surface: rule vs hand sweeps", report)
+    record("E20", "every shipped rule sweep: exact steps, linear", report)
     print(table.render())
-    fit = report["fit"]
-    worst = max(r["ratio"] for r in report["rows"])
-    print(
-        f"rule steps ~= {fit['slope']:.3f}*(n+e) + "
-        f"{fit['intercept']:.1f} (R^2 = {fit['r2']:.5f}); "
-        f"worst step ratio {worst:.3f}x "
-        f"(bound {bench_rules_full.RATIO_BOUND}x)"
-    )
+    _print_pinned_fit(report, bench_rules_full.PINNED_STEPS)
 
     print("\n" + "=" * 72)
     print("E21 (extra) — event-log overhead on warm redefines")

@@ -12,10 +12,12 @@ on the subtransitive graph*:
   site, the callee set if it has at most k elements, else "many";
 * :mod:`repro.apps.called_once` — abstractions invoked from exactly
   one call site (listed in the paper's abstract), via the same
-  bounded-lattice propagation run in the reverse direction;
-* :mod:`repro.apps.propagation` — the shared worklist engine: each
-  node carries a set of at most k tokens or the absorbing value MANY,
-  so every node changes at most k+2 times and the fixpoint is linear.
+  bounded-lattice propagation run in the reverse direction.
+
+Each linear analysis is a rule program (:mod:`repro.rules.programs`)
+compiled onto the shared flow engine: a node carries a set of at most
+k tokens or the absorbing value MANY, so every node changes at most
+k+2 times and the fixpoint is linear.
 """
 
 from repro.apps.called_once import CalledOnceResult, called_once
@@ -25,7 +27,6 @@ from repro.apps.effects import (
     effects_analysis_baseline,
 )
 from repro.apps.klimited import KLimitedResult, MANY, k_limited_cfa
-from repro.apps.propagation import propagate_bounded_sets
 
 __all__ = [
     "CalledOnceResult",
@@ -36,5 +37,4 @@ __all__ = [
     "effects_analysis",
     "effects_analysis_baseline",
     "k_limited_cfa",
-    "propagate_bounded_sets",
 ]

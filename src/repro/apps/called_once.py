@@ -7,8 +7,9 @@ growth).
 
 A function labelled ``l`` is *called from* site ``(e1 e2)`` when
 ``l in L(e1)``. On the subtransitive graph that is a path from the
-operator node to the abstraction node, so we seed every operator node
-with a marker for its site and propagate markers *forward* along
+operator node to the abstraction node, so the ``app-called-once``
+rule program (:mod:`repro.rules.programs`) seeds every operator node
+with a marker for its site and propagates markers *forward* along
 edges with the 1-bounded set lattice: an abstraction annotated with a
 singleton ``{s}`` is called from exactly the one site ``s``; bottom
 means dead (never called); MANY means multiple sites.
@@ -19,13 +20,11 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro._util import Stopwatch
-from repro.apps.propagation import MANY
+from repro.flow.lattice import MANY
 from repro.lang.ast import App, Lam, Program
 
 from repro.core.lc import SubtransitiveGraph, build_subtransitive_graph
-from repro.core.nodes import Node
-from repro.flow.analyses import BoundedSetAnalysis
-from repro.flow.framework import FlowContext, run_flow
+from repro.flow.framework import FlowContext
 
 
 class CalledOnceResult:
@@ -84,24 +83,19 @@ def called_once(
     sub: Optional[SubtransitiveGraph] = None,
 ) -> CalledOnceResult:
     """Run the linear-time called-once analysis."""
+    from repro.rules.programs import called_once_rule_set
+
     if sub is None:
         sub = build_subtransitive_graph(program)
-    seeds: Dict[Node, FrozenSet[int]] = {}
-    for site in program.applications:
-        node = sub.factory.expr_node(site.fn)
-        seeds.setdefault(node, frozenset())
-        seeds[node] = seeds[node] | {site.nid}
     ctx = FlowContext(program=program, sub=sub)
-    analysis = BoundedSetAnalysis(
-        seeds, 1, sub.graph.successors, name="called-once"
-    )
     with Stopwatch() as watch:
-        values = run_flow(analysis, ctx, fuel=ctx.default_fuel())
+        evaluation = called_once_rule_set().run(ctx=ctx)
+    calls = evaluation.extents.data["calls"]
     once: Dict[str, int] = {}
     never = set()
     many = set()
     for lam in program.abstractions:
-        annotation = values.get(sub.factory.expr_node(lam))
+        annotation = calls.get(sub.factory.expr_node(lam))
         if annotation is None:
             never.add(lam.label)
         elif annotation is MANY:

@@ -20,21 +20,16 @@ abstraction is *never* structurally red — building a closure is pure —
 which is exactly why redness must route through the ``ran`` chain to
 reach the call sites that can actually run the body.
 
-The colouring itself now lives on the shared dataflow engine
-(:class:`repro.flow.analyses.EffectsAnalysis` run by
-:func:`repro.flow.framework.run_flow`); this module keeps the stable
-entry point and the :class:`EffectsResult` shape.
+The colouring is the ``app-effects`` rule program
+(:mod:`repro.rules.programs`): ``red`` closes the base-effectful seeds
+forward along ``eff_edge``, the propagation relation
+:meth:`repro.flow.analyses.EffectsAnalysis.downstream` defines, in
+one compiled flow sweep.
 
 :func:`effects_analysis_baseline` is the quadratic consumer, run on
 any :class:`~repro.cfa.base.CFAResult`; the two produce *identical*
 red sets (the paper: "computes exactly the same effects information"),
 a property the test suite checks.
-
-This analysis also exists as the ``app-effects`` rule program
-(:func:`repro.rules.programs.rules_effects_analysis`, ``repro effects
---impl rules``), held byte-identical to this implementation in CI;
-this module is its golden twin until the docs/RULES.md retirement
-clock runs out.
 """
 
 from __future__ import annotations
@@ -49,11 +44,10 @@ from repro.lang.ast import App, Expr, Program
 from repro.core.lc import SubtransitiveGraph, build_subtransitive_graph
 from repro.core.nodes import Node
 from repro.flow.analyses import (
-    EffectsAnalysis,
     base_red as _base_red,
     structural_parent_rule as _structural_parent_rule,
 )
-from repro.flow.framework import FlowContext, run_flow
+from repro.flow.framework import FlowContext
 
 
 class EffectsResult:
@@ -97,17 +91,20 @@ def effects_analysis(
     sub: Optional[SubtransitiveGraph] = None,
 ) -> EffectsResult:
     """Linear-time effects analysis on the subtransitive graph."""
+    # Imported on use: the rule layer is not needed to import repro.
+    from repro.rules.programs import effects_rule_set
+
     if sub is None:
         sub = build_subtransitive_graph(program)
     ctx = FlowContext(program=program, sub=sub)
     with Stopwatch() as watch:
-        marked = run_flow(
-            EffectsAnalysis(), ctx, fuel=ctx.default_fuel()
-        )
+        evaluation = effects_rule_set().run(ctx=ctx)
     # The fixpoint mixes AST expressions with ran graph nodes; the
     # result exposes only the expression colouring.
     red = frozenset(
-        item.nid for item in marked if not isinstance(item, Node)
+        item.nid
+        for item in evaluation.extents.data["red"]
+        if not isinstance(item, Node)
     )
     return EffectsResult(program, red, watch.elapsed)
 

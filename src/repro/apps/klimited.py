@@ -8,29 +8,26 @@ nodes with the empty set. Then, we propagate information back along
 edges." Applications named by the paper: inlining and specialization.
 
 The annotation of a node is its *exact* label set whenever that set
-has at most k elements, and :data:`~repro.apps.propagation.MANY`
+has at most k elements, and :data:`~repro.flow.lattice.MANY`
 otherwise — which the test suite verifies against the exact analysis.
-
-This analysis also exists as the ``app-klimited`` rule program
-(:func:`repro.rules.programs.rules_k_limited_cfa`, ``repro klimited
---impl rules``), held byte-identical to this implementation in CI;
-this module is its golden twin until the docs/RULES.md retirement
-clock runs out.
+The propagation is the ``app-klimited`` rule program
+(:func:`repro.rules.programs.klimited_program`): ``klabels`` carries
+k-bounded label sets backward from the lambda-bearing nodes in one
+compiled flow sweep.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Union
+from typing import Dict, Optional
 
 from repro._util import Stopwatch
-from repro.apps.propagation import MANY, Annotation
 from repro.errors import QueryError
-from repro.lang.ast import App, Expr, Lam, Program
+from repro.flow.lattice import MANY, Annotation
+from repro.lang.ast import App, Expr, Program
 
 from repro.core.lc import SubtransitiveGraph, build_subtransitive_graph
 from repro.core.nodes import Node
-from repro.flow.analyses import BoundedSetAnalysis
-from repro.flow.framework import FlowContext, run_flow
+from repro.flow.framework import FlowContext
 
 
 class KLimitedResult:
@@ -94,17 +91,19 @@ def k_limited_cfa(
     Reuses a prebuilt subtransitive graph when given (the LC' build
     is shared across all the consuming analyses of a compilation).
     """
+    from repro.rules.programs import klimited_rule_set
+
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if sub is None:
         sub = build_subtransitive_graph(program)
-    seeds: Dict[Node, FrozenSet[str]] = {}
+    # Seed every abstraction: expr_node *builds* a node for one the
+    # depth cap left out, so the lam_at view sees them all.
     for lam in program.abstractions:
-        node = sub.factory.expr_node(lam)
-        seeds.setdefault(node, frozenset())
-        seeds[node] = seeds[node] | {lam.label}
+        sub.factory.expr_node(lam)
     ctx = FlowContext(program=program, sub=sub)
-    analysis = BoundedSetAnalysis(
-        seeds, k, sub.graph.predecessors, name="klimited"
-    )
     with Stopwatch() as watch:
-        values = run_flow(analysis, ctx, fuel=ctx.default_fuel())
-    return KLimitedResult(sub, k, values, watch.elapsed)
+        evaluation = klimited_rule_set(k).run(ctx=ctx)
+    return KLimitedResult(
+        sub, k, evaluation.extents.data["klabels"], watch.elapsed
+    )

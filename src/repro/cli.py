@@ -10,12 +10,12 @@ Usage (also available as ``python -m repro``)::
                    [--format text|jsonl]
     repro lint     prog.ml [more.ml ... | dir/] [--format json|text]
                    [--severity info|warning|error] [--rules L001,T001]
-                   [--impl hand|rules] [--explain]
+                   [--explain]
                    [--sanitize] [--metrics out.json] [--events out.jsonl]
     repro query    prog.ml --label inc [--expr NID]
-    repro effects  prog.ml [--impl hand|rules]
-    repro klimited prog.ml -k 2 [--impl hand|rules]
-    repro called-once prog.ml [--impl hand|rules]
+    repro effects  prog.ml
+    repro klimited prog.ml -k 2
+    repro called-once prog.ml
     repro rules    list | show NAME | check [--fixture NAME]
     repro typecheck prog.ml
     repro eval     prog.ml [--fuel N]
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -466,32 +467,6 @@ def _cmd_lint(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.impl == "rules" or args.explain:
-        # Fail loudly up front rather than silently running a hand
-        # traversal under --impl rules: every selected pass must have
-        # a rule-program twin or be rules-exempt (the T-series
-        # auditors, which read type inference, not the graph).
-        from repro.lint.ruleimpl import RULE_PASSES
-
-        # Every pass runs (``--rules`` filters findings afterwards),
-        # so the whole registry must be portable, not just the
-        # selection.
-        unported = sorted(
-            {
-                cls.code
-                for cls in ALL_PASSES
-                if cls.code not in RULE_PASSES and not cls.rules_exempt
-            }
-        )
-        if unported:
-            print(
-                "error: --impl rules selected but these rules have "
-                "no rule-program implementation: "
-                f"{', '.join(unported)}",
-                file=sys.stderr,
-            )
-            return 2
-
     exit_code = 0
     file_documents = []
     errors = []
@@ -514,7 +489,7 @@ def _cmd_lint(args) -> int:
                     )
                 result = run_lints(
                     program, analysis, registry=registry, events=events,
-                    impl=args.impl, explain=args.explain,
+                    explain=args.explain,
                 )
                 if args.sanitize:
                     from repro.serve.worker import _sub_of
@@ -625,12 +600,7 @@ def _cmd_effects(args) -> int:
 
     program = _read_program(args.file)
     sub = build_subtransitive_graph(program)
-    if getattr(args, "impl", "hand") == "rules":
-        from repro.rules.programs import rules_effects_analysis
-
-        effects = rules_effects_analysis(program, sub=sub)
-    else:
-        effects = effects_analysis(program, sub=sub)
+    effects = effects_analysis(program, sub=sub)
     table = Table(["site", "source", "verdict"])
     for site in program.applications:
         verdict = (
@@ -650,12 +620,7 @@ def _cmd_klimited(args) -> int:
 
     program = _read_program(args.file)
     sub = build_subtransitive_graph(program)
-    if getattr(args, "impl", "hand") == "rules":
-        from repro.rules.programs import rules_k_limited_cfa
-
-        klim = rules_k_limited_cfa(program, k=args.k, sub=sub)
-    else:
-        klim = k_limited_cfa(program, k=args.k, sub=sub)
+    klim = k_limited_cfa(program, k=args.k, sub=sub)
     table = Table(["site", "source", f"callees (k={args.k})"])
     for site in program.applications:
         value = klim.may_call(site)
@@ -674,12 +639,7 @@ def _cmd_called_once(args) -> int:
 
     program = _read_program(args.file)
     sub = build_subtransitive_graph(program)
-    if getattr(args, "impl", "hand") == "rules":
-        from repro.rules.programs import rules_called_once
-
-        result = rules_called_once(program, sub=sub)
-    else:
-        result = called_once(program, sub=sub)
+    result = called_once(program, sub=sub)
     table = Table(["label", "verdict", "unique site"])
     for lam in program.abstractions:
         verdict = result.classify(lam.label)
@@ -1141,6 +1101,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type for a time budget: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {text!r}"
+        ) from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1225,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="S",
         help="per-job wall-clock budget in seconds (default: none); "
@@ -1323,19 +1298,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_sanitize(p)
     p.add_argument(
-        "--impl",
-        default="hand",
-        choices=["hand", "rules"],
-        help="implementation for the ported passes (L001-L005, "
-        "F001-F004): hand-written traversals (default) or their "
-        "rule-program twins (see docs/RULES.md); exits 2 if any "
-        "non-exempt pass lacks a twin",
-    )
-    p.add_argument(
         "--explain",
         action="store_true",
-        help="attach per-finding derivation provenance (implies "
-        "--impl rules)",
+        help="attach each L/F finding's rule derivation (see "
+        "docs/RULES.md)",
     )
     p.set_defaults(run=_cmd_lint)
 
@@ -1350,38 +1316,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("effects", help="Section 8 effects analysis")
     add_common(p)
     add_sanitize(p)
-    p.add_argument(
-        "--impl",
-        default="hand",
-        choices=["hand", "rules"],
-        help="hand-written propagation (default) or the "
-        "app-effects rule program",
-    )
     p.set_defaults(run=_cmd_effects)
 
     p = sub.add_parser("klimited", help="Section 9 k-limited CFA")
     add_common(p)
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=_positive_int, default=2)
     add_sanitize(p)
-    p.add_argument(
-        "--impl",
-        default="hand",
-        choices=["hand", "rules"],
-        help="hand-written propagation (default) or the "
-        "app-klimited rule program",
-    )
     p.set_defaults(run=_cmd_klimited)
 
     p = sub.add_parser("called-once", help="called-once analysis")
     add_common(p)
     add_sanitize(p)
-    p.add_argument(
-        "--impl",
-        default="hand",
-        choices=["hand", "rules"],
-        help="hand-written propagation (default) or the "
-        "app-called-once rule program",
-    )
     p.set_defaults(run=_cmd_called_once)
 
     p = sub.add_parser(

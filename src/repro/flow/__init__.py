@@ -7,14 +7,9 @@ Proposition 3/4 bounded-type preconditions before the LC' engine runs.
 """
 
 from repro.flow.analyses import (
-    ESCAPE_VALUE_TYPES,
     BoundedSetAnalysis,
-    ConstructorAnalysis,
     EffectsAnalysis,
-    EscapeAnalysis,
-    NeednessAnalysis,
     ReachabilityAnalysis,
-    TaintAnalysis,
     base_red,
     structural_parent_rule,
 )
@@ -48,11 +43,6 @@ __all__ = [
     "BoundedSetAnalysis",
     "ReachabilityAnalysis",
     "EffectsAnalysis",
-    "TaintAnalysis",
-    "EscapeAnalysis",
-    "NeednessAnalysis",
-    "ConstructorAnalysis",
-    "ESCAPE_VALUE_TYPES",
     "base_red",
     "structural_parent_rule",
     "LinearityAudit",

@@ -1,29 +1,18 @@
 """Client analyses for the dataflow framework.
 
 Each class here instantiates :class:`~repro.flow.framework.
-FlowAnalysis` with one lattice and one downstream relation; together
-they cover every CFA-consuming traversal the repository ships:
+FlowAnalysis` with one lattice and one downstream relation. The
+compiled rule engine (:mod:`repro.rules.engine`) runs every recursive
+relation of the shipped rule programs as one of the first two:
 
 * :class:`BoundedSetAnalysis` — the Section 9 k-bounded token lattice
-  (k-limited CFA, called-once);
+  (k-limited CFA, called-once, constructor sets);
 * :class:`ReachabilityAnalysis` — boolean marks along a follow
-  function (the lint L002/L004 probes);
+  function (the lint reachability, escape and taint relations);
 * :class:`EffectsAnalysis` — the Section 8 effects colouring, mixing
-  AST expressions and graph nodes in one worklist;
-* :class:`TaintAnalysis` — backward marks from mutable-state reads
-  (``!r`` dereferences): a marked node may evaluate to a value read
-  from a cell (lint F001);
-* :class:`EscapeAnalysis` — forward marks from primitive-argument
-  sinks: everything reached may flow out of the analysed call
-  structure (lint L004 + F002);
-* :class:`NeednessAnalysis` — used-variable marks. LC''s build rules
-  (ABS-1 routes ``x -> dom``, uses route edges *into* the variable
-  node) materialise the use relation directly as edges, so the
-  fixpoint is pure seeding with an empty downstream — the degenerate
-  but honest case of the framework (lint F003);
-* :class:`ConstructorAnalysis` — k-bounded constructor-name sets
-  flowing backward from ``Con`` nodes: a node's annotation is the
-  (small) set of constructors it may evaluate to (lint F004).
+  AST expressions and graph nodes in one worklist. Its
+  :meth:`~EffectsAnalysis.downstream` *is* the ``eff_edge`` base
+  relation the ``app-effects`` program propagates along.
 
 Directions follow the graph-edge semantics: ``l ∈ L(e)`` iff the
 abstraction node is reachable *from* ``e``'s node via successors, so
@@ -34,12 +23,12 @@ value sources, and "where may this value end up" propagates forward
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, Optional
+from typing import Callable, Dict, Hashable, Iterable
 
 from repro.core.nodes import Node
-from repro.lang.ast import Assign, Con, Deref, Lam, Prim, Ref
+from repro.lang.ast import Assign, Lam, Prim
 
-from repro.flow.framework import FlowAnalysis, FlowContext, MarkAnalysis
+from repro.flow.framework import FlowAnalysis, MarkAnalysis
 from repro.flow.lattice import Annotation, bounded_join, bounded_seed
 
 
@@ -177,131 +166,3 @@ class EffectsAnalysis(MarkAnalysis):
             for pred in graph.predecessors(graph_node):
                 if pred.kind == "op" and pred.opkey == ("ran",):
                     yield pred
-
-
-# -- F-series lint clients -------------------------------------------------
-
-
-def _nodes_bearing(ctx: FlowContext, expr_type) -> Iterable:
-    """Graph nodes whose expression (or a congruence-absorbed one) is
-    an instance of ``expr_type`` — the factory's bearing index, so
-    seed scans skip the full node list."""
-    return ctx.factory.nodes_bearing(expr_type)
-
-
-class TaintAnalysis(MarkAnalysis):
-    """Source-sink taint: marks flow backward from every dereference
-    node, so a marked node may evaluate to a value read out of a
-    mutable cell. F001 then flags primitive arguments whose node is
-    marked — external output derived from mutable state."""
-
-    name = "taint"
-
-    def seeds(self, ctx) -> Dict[Hashable, bool]:
-        return {node: True for node in _nodes_bearing(ctx, Deref)}
-
-    def downstream(self, ctx, item):
-        return ctx.graph.predecessors(item)
-
-    def flat_direction(self, ctx):
-        return "predecessors"
-
-
-class EscapeAnalysis(MarkAnalysis):
-    """Escape: marks flow forward from every primitive-argument node;
-    a value-bearing node reached is a value that may leave the
-    analysed call structure. One sweep serves both L004 (escaping
-    abstractions) and F002 (escaping mutable cells)."""
-
-    name = "escape"
-
-    def seeds(self, ctx) -> Dict[Hashable, bool]:
-        return {node: True for _, node in ctx.sink_arg_nodes}
-
-    def downstream(self, ctx, item):
-        return ctx.graph.successors(item)
-
-    def flat_direction(self, ctx):
-        return "successors"
-
-    def reached_exprs(self, marked, expr_type) -> Dict[int, Any]:
-        """The reached expressions of ``expr_type`` (own or absorbed),
-        keyed by nid."""
-        out: Dict[int, Any] = {}
-        for node in marked:
-            if not isinstance(node, Node) or node.kind != "expr":
-                continue
-            candidates = [node.expr]
-            candidates.extend(node.absorbed)
-            for expr in candidates:
-                if isinstance(expr, expr_type):
-                    out[expr.nid] = expr
-        return out
-
-
-class NeednessAnalysis(MarkAnalysis):
-    """Used-variable marks for strictness/neededness (F003).
-
-    LC''s build rules materialise the use relation as graph edges:
-    every *use* of a variable routes an edge into its variable node
-    (operand uses via APP-1, body/binding uses via ABS-2 and the
-    binding edges), while the binder itself only routes edges *out*
-    (ABS-1's ``x -> dom``). A variable node with positive in-degree is
-    therefore exactly a used variable — the fixpoint is pure seeding,
-    the degenerate case of the framework (zero propagation steps)."""
-
-    name = "needness"
-
-    def seeds(self, ctx) -> Dict[Hashable, bool]:
-        graph = ctx.graph
-        return {
-            node: True
-            for node in ctx.factory.var_nodes
-            if graph.in_degree(node) > 0
-        }
-
-    def downstream(self, ctx, item):
-        return ()
-
-    def flat_direction(self, ctx):
-        return "seeds-only"
-
-
-class ConstructorAnalysis(BoundedSetAnalysis):
-    """Constructor-name sets for unreachable-branch detection (F004).
-
-    Every graph node bearing a ``Con`` expression seeds its
-    constructor name; names flow backward (a node that may evaluate to
-    the construction inherits them) in the k-bounded lattice, with k
-    the largest constructor count of any declared datatype — so the
-    annotation is exact whenever it is not MANY. A ``case`` scrutinee
-    annotated with a set missing some branch's constructor proves that
-    branch unreachable."""
-
-    def __init__(self, ctx: FlowContext):
-        seed_map: Dict[Hashable, set] = {}
-        for node in _nodes_bearing(ctx, Con):
-            names = set()
-            if isinstance(node.expr, Con):
-                names.add(node.expr.cname)
-            for expr in node.absorbed:
-                if isinstance(expr, Con):
-                    names.add(expr.cname)
-            seed_map[node] = frozenset(names)
-        k = max(
-            (
-                len(decl.constructors)
-                for decl in ctx.program.datatypes.values()
-            ),
-            default=1,
-        )
-        super().__init__(
-            seed_map,
-            max(k, 1),
-            ctx.graph.predecessors,
-            name="constructors",
-        )
-
-
-#: Re-exported for clients that pattern-match on the sources.
-ESCAPE_VALUE_TYPES = (Lam, Ref)

@@ -56,8 +56,8 @@ class FlowContext:
     Wraps a program and (optionally) its subtransitive graph; the
     derived structures every client keeps re-deriving — AST parent
     map, lambda-bearing graph nodes, primitive-sink argument nodes,
-    ``ran``-node-to-call-site index — are computed once, lazily, and
-    cached here.
+    let/letrec binders, ``ran``-node-to-call-site index — are computed
+    once, lazily, and cached here.
     """
 
     def __init__(self, program=None, sub=None, registry=None, profiler=None):
@@ -79,6 +79,7 @@ class FlowContext:
         self._parent_of = None
         self._lambda_nodes = None
         self._sink_args = None
+        self._binders = None
         self._ran_to_sites = None
 
     # -- node lookups ------------------------------------------------------
@@ -127,6 +128,20 @@ class FlowContext:
                             pairs.append((arg, graph_node))
             self._sink_args = pairs
         return self._sink_args
+
+    @property
+    def binders(self) -> List:
+        """The program's ``let``/``letrec`` expressions, in program
+        order."""
+        from repro.lang.ast import Let, Letrec
+
+        if self._binders is None:
+            self._binders = [
+                node
+                for node in self.program.nodes
+                if isinstance(node, (Let, Letrec))
+            ]
+        return self._binders
 
     @property
     def ran_to_sites(self) -> Dict[Any, List]:
@@ -214,7 +229,7 @@ class FlowAnalysis:
         ``ctx.graph`` for every item, ``"seeds-only"`` when it is
         always empty, or ``None`` (the default) for anything else.
         The engine only acts on the declaration for boolean mark
-        analyses (identity transfer, or-join, set finish) on a CSR
+        analyses (identity transfer, or-join) on a CSR
         graph, where the fixpoint is literally multi-source
         reachability and runs as a bitset BFS over the adjacency rows
         — with step/update/fuel accounting identical to the generic
@@ -340,15 +355,14 @@ def run_fused(
 def _flat_plan(analysis, ctx, seed_map) -> Optional[str]:
     """The flat-sweep direction for ``analysis``, or ``None`` when it
     must run on the generic worklist. Eligibility is strict: boolean
-    mark semantics (default transfer, or-join, set finish), a declared
-    graph direction, all-``True`` seeds, and — for the BFS directions
-    — a graph to run the bitset sweep on."""
+    mark semantics (default transfer, or-join), a declared graph
+    direction, all-``True`` seeds, and — for the BFS directions — a
+    graph to run the bitset sweep on. (``finish`` only shapes the
+    marks the sweep returns, so it does not matter.)"""
     cls = type(analysis)
     if cls.transfer is not FlowAnalysis.transfer:
         return None
     if cls.join is not MarkAnalysis.join:
-        return None
-    if cls.finish is not MarkAnalysis.finish:
         return None
     direction = analysis.flat_direction(ctx)
     if direction is None:

@@ -10,15 +10,13 @@ algorithm."
 Two lattices cover every shipped analysis:
 
 * the **boolean mark lattice** (``False < True``) — plain
-  reachability, used by the lint traversals and the effects colouring;
+  reachability, used by the lint relations and the effects colouring;
 * the **k-bounded set lattice** — subsets of tokens of size <= k,
   topped by the absorbing element :data:`MANY`. A node's annotation
   grows at most k+2 times, so a propagation is O(k * E).
 
-:data:`MANY` lives here (it used to live in
-:mod:`repro.apps.propagation`, which still re-exports it); every
-``value is MANY`` identity check in the codebase relies on there being
-exactly one instance.
+Every ``value is MANY`` identity check in the codebase relies on
+there being exactly one :data:`MANY` instance: this one.
 """
 
 from __future__ import annotations

@@ -29,6 +29,8 @@ Grammar sketch (see README for the full reference)::
 
 Prefix unary primitives (currently ``print`` and ``not``) are reserved
 words at the expression level: a variable may not shadow them.
+Brackets may nest at most :data:`MAX_NESTING` deep; a deeper one is a
+:class:`~repro.errors.ParseError` at that bracket.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ _EXPR_START = frozenset(
 
 _BASE_TYPES = {"int": INT, "bool": BOOL, "unit": UNIT}
 
+#: The deepest bracket nesting a program may have. Every stage after
+#: the parser recurses over the tree; 12,000 levels still get through
+#: analysis, lint and the daemon's ``define``, so this leaves margin.
+MAX_NESTING = 10_000
+
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
@@ -79,6 +86,8 @@ class _Parser:
         #: consumes a following '(' (it would belong to the next
         #: application argument, e.g. ``f Nil (1, 2)``).
         self.con_arity: dict = {}
+        #: Brackets open around the current token.
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -108,6 +117,21 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         token = self.current
         return ParseError(message, token.line, token.column)
+
+    def open_bracket(self) -> Token:
+        token = self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"brackets nested deeper than {MAX_NESTING} levels",
+                token.line,
+                token.column,
+            )
+        return token
+
+    def close_bracket(self) -> Token:
+        self.depth -= 1
+        return self.expect(")")
 
     # -- datatype declarations ------------------------------------------
 
@@ -161,12 +185,12 @@ class _Parser:
             self.take()
             ty = _BASE_TYPES.get(token.value, None) or TData(token.value)
         elif token.kind == "(":
-            self.take()
+            self.open_bracket()
             fields = [self.parse_type()]
             while self.peek(","):
                 self.take()
                 fields.append(self.parse_type())
-            self.expect(")")
+            self.close_bracket()
             ty = fields[0] if len(fields) == 1 else TRecord(tuple(fields))
         else:
             raise self.error(f"expected a type, found {token.kind!r}")
@@ -342,23 +366,23 @@ class _Parser:
             args: List[Expr] = []
             takes_args = self.con_arity.get(token.value, 1) > 0
             if takes_args and self.peek("("):
-                self.take()
+                self.open_bracket()
                 args.append(self.parse_expr())
                 while self.peek(","):
                     self.take()
                     args.append(self.parse_expr())
-                self.expect(")")
+                self.close_bracket()
             return Con(token.value, args).at(token.line, token.column)
         if token.kind == "(":
-            self.take()
+            self.open_bracket()
             if self.peek(")"):
-                closing = self.take()
+                self.close_bracket()
                 return Lit(None).at(token.line, token.column)
             exprs = [self.parse_expr()]
             while self.peek(","):
                 self.take()
                 exprs.append(self.parse_expr())
-            self.expect(")")
+            self.close_bracket()
             if len(exprs) == 1:
                 return exprs[0]
             return Record(exprs).at(token.line, token.column)

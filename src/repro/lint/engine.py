@@ -68,7 +68,6 @@ def run_lints(
     scope: Optional[Set[int]] = None,
     events=None,
     profiler=None,
-    impl: str = "hand",
     explain: bool = False,
 ) -> LintResult:
     """Run lint passes over ``program``.
@@ -78,51 +77,15 @@ def run_lints(
     ``registry``/``events``/``profiler`` instrument the run
     (defaulting to the graph's own registry so one metrics document
     covers everything; the profiler records one ``lint.<code>`` span
-    per pass with the shared flow sweep's ``flow.fused`` span nested
-    under whichever pass demanded it first).
+    per pass, with the shared rule evaluation's ``rules.eval`` span
+    nested under whichever pass demanded it first).
 
-    ``impl="rules"`` swaps every ported pass (L001–L005, F001–F004)
-    for its rule-program twin (:mod:`repro.lint.ruleimpl`);
-    ``explain=True`` implies it and attaches per-finding derivation
-    provenance. A selected pass that has no twin and is not
-    ``rules_exempt`` (the T-series auditors are — they read type
-    inference, not the graph) raises ``ValueError`` naming the
-    unported codes, so ``--impl rules`` never silently falls back to
-    a hand traversal. Both only apply on the subtransitive engine —
-    the standard-CFA fallback has no graph for a rule program to run
-    on.
+    ``explain=True`` runs the rule programs with provenance and
+    attaches each L/F finding's derivation chain. It only applies on
+    the subtransitive engine — the standard-CFA fallback has no graph
+    for a rule program to run on.
     """
-    if explain:
-        impl = "rules"
-    if impl not in ("hand", "rules"):
-        raise ValueError(
-            f"impl must be 'hand' or 'rules', got {impl!r}"
-        )
     lint_passes = _normalise_passes(passes)
-    pass_impl: Dict[str, str] = {}
-    if impl == "rules":
-        from repro.lint.ruleimpl import RULE_PASSES
-
-        unported = sorted(
-            {
-                p.code
-                for p in lint_passes
-                if p.code not in RULE_PASSES and not p.rules_exempt
-            }
-        )
-        if unported:
-            raise ValueError(
-                "impl='rules' selected but these rules have no "
-                f"rule-program implementation: {', '.join(unported)}"
-            )
-        lint_passes = [
-            RULE_PASSES[p.code]() if p.code in RULE_PASSES else p
-            for p in lint_passes
-        ]
-        pass_impl = {
-            p.code: ("rules" if p.code in RULE_PASSES else "hand")
-            for p in lint_passes
-        }
     sub, engine, fallback_reason, cfa = _resolve(result)
     if sub is None and engine == "subtransitive":
         from repro.core.lc import build_subtransitive_graph
@@ -177,7 +140,6 @@ def run_lints(
         findings,
         engine="subtransitive",
         pass_seconds=pass_seconds,
-        pass_impl=pass_impl,
     )
 
 

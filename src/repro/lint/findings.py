@@ -101,7 +101,7 @@ class Finding:
             "via": self.via,
         }
         # Only explained runs carry the key, so unexplained envelopes
-        # stay byte-identical whichever implementation produced them.
+        # stay byte-identical.
         if self.derivation is not None:
             document["derivation"] = self.derivation
         return document
@@ -134,7 +134,6 @@ class LintResult:
         fallback_reason: Optional[str] = None,
         pass_seconds: Optional[Dict[str, float]] = None,
         sanitize_report=None,
-        pass_impl: Optional[Dict[str, str]] = None,
     ):
         self.program = program
         self.findings: List[Finding] = sorted(
@@ -147,12 +146,6 @@ class LintResult:
         self.fallback_reason = fallback_reason
         #: Rule code -> wall-clock seconds of that pass.
         self.pass_seconds = dict(pass_seconds or {})
-        #: Rule code -> implementation actually used (``"rules"`` for
-        #: a substituted rule-program twin, ``"hand"`` for an exempt
-        #: pass that ran its hand traversal). Empty on hand-mode runs,
-        #: and then absent from :meth:`to_dict` so hand envelopes stay
-        #: byte-identical to pre-rules releases.
-        self.pass_impl = dict(pass_impl or {})
         #: Attached :class:`repro.lint.sanitize.SanitizeReport`, when
         #: the caller asked for one.
         self.sanitize_report = sanitize_report
@@ -191,7 +184,6 @@ class LintResult:
             fallback_reason=self.fallback_reason,
             pass_seconds=self.pass_seconds,
             sanitize_report=self.sanitize_report,
-            pass_impl=self.pass_impl,
         )
 
     # -- rendering ---------------------------------------------------------
@@ -210,10 +202,6 @@ class LintResult:
             "counts": counts,
             "pass_seconds": dict(self.pass_seconds),
         }
-        # Only rules-mode runs carry the key, so hand-mode envelopes
-        # stay byte-identical whichever release produced them.
-        if self.pass_impl:
-            document["impl"] = dict(self.pass_impl)
         if self.sanitize_report is not None:
             document["sanitize"] = self.sanitize_report.to_dict()
         return document

@@ -1,9 +1,10 @@
-"""The flow-framework lint rules: F-series clients, T-series auditor.
+"""The F-series dataflow lints and the T-series auditor.
 
-The F-series rules are thin verdict readers over the fused
-:mod:`repro.flow` sweep that :class:`~repro.lint.passes.LintContext`
-runs once per lint session (one shared worklist services the L002/L004
-reachability probes and all four F analyses):
+The F-series rules read the flow relations of the shipped lint rule
+programs (:mod:`repro.rules.programs`), evaluated once per lint
+session by :attr:`~repro.lint.passes.LintContext.rules_evaluation`
+(one fused sweep services the L002/L004 reachability relations and
+all four F analyses):
 
 ========  ========  =====================================================
 code      severity  finding
@@ -39,38 +40,21 @@ construction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.lang.ast import Case, Ref
 
 from repro.lint.passes import LintPass
 
-#: Kinds the F004 verdict trusts: a non-MANY, non-empty constructor
-#: set is exact, so a missing name proves the branch dead.
-
-
-def marked_exprs(marked: Iterable, expr_type) -> Dict[int, Any]:
-    """Expressions of ``expr_type`` carried by marked graph nodes
-    (their own expression or a congruence-absorbed one), by nid."""
-    out: Dict[int, Any] = {}
-    for node in marked:
-        if getattr(node, "kind", None) != "expr":
-            continue
-        candidates = [node.expr]
-        candidates.extend(node.absorbed)
-        for expr in candidates:
-            if isinstance(expr, expr_type):
-                out[expr.nid] = expr
-    return out
-
 
 class TaintedSinkPass(LintPass):
     """F001 — external output may depend on mutable state.
 
-    The fused sweep propagates taint marks backward from every
+    ``lint-f001``: ``taint`` marks flow backward from every
     dereference node, so a marked node may evaluate to a value read
-    out of a cell; a primitive argument whose node is marked hands
-    such a value to the outside world.
+    out of a cell; ``tainted_sink(S)`` joins the marks with the
+    primitive-argument sinks, which hand such a value to the outside
+    world.
 
     Not incremental: a new dereference anywhere can taint an old sink.
     """
@@ -81,31 +65,33 @@ class TaintedSinkPass(LintPass):
     incremental = False
 
     def run(self, ctx, scope=None):
+        tainted = ctx.extent("tainted_sink")
         findings = []
-        taint = ctx.taint_marks
         seen = set()
-        for arg, node in ctx.flow.sink_arg_nodes:
+        for arg, _node in ctx.flow.sink_arg_nodes:
             if arg.nid in seen or not self._in_scope(arg, scope):
                 continue
-            if node in taint:
-                seen.add(arg.nid)
-                findings.append(
-                    self.finding(
-                        arg,
-                        "primitive argument may carry a value read "
-                        "from a mutable cell: external output depends "
-                        "on mutable state",
-                    )
-                )
+            if arg.nid not in tainted:
+                continue
+            seen.add(arg.nid)
+            finding = self.finding(
+                arg,
+                "primitive argument may carry a value read "
+                "from a mutable cell: external output depends "
+                "on mutable state",
+            )
+            ctx.derivation(finding, "tainted_sink", (arg.nid,))
+            findings.append(finding)
         return findings
 
 
 class EscapingRefPass(LintPass):
     """F002 — a reference cell flows into a primitive/external sink.
 
-    Shares the forward escape sweep with L004; a ``ref`` expression
-    among the reached value-bearing nodes can be aliased by the
-    outside world, so no assignment through it is locally accountable.
+    ``lint-f002``: ``escaping_ref(N)`` restricts the L004 escape marks
+    to ref-bearing nodes; a ``ref`` expression they carry can be
+    aliased by the outside world, so no assignment through it is
+    locally accountable. Findings land in nid order.
 
     Not incremental, for the same reason as L004.
     """
@@ -116,19 +102,26 @@ class EscapingRefPass(LintPass):
     incremental = False
 
     def run(self, ctx, scope=None):
+        by_nid = {}
+        for node in ctx.extent("escaping_ref"):
+            if getattr(node, "kind", None) != "expr":
+                continue
+            for expr in [node.expr] + node.absorbed:
+                if isinstance(expr, Ref):
+                    by_nid[expr.nid] = (expr, node)
         findings = []
-        for nid in sorted(marked_exprs(ctx.escape_marks, Ref)):
-            expr = ctx.program.node(nid)
+        for nid in sorted(by_nid):
+            expr, node = by_nid[nid]
             if not self._in_scope(expr, scope):
                 continue
-            findings.append(
-                self.finding(
-                    expr,
-                    "reference cell flows into a primitive sink and "
-                    "escapes the analysed program: aliasing beyond "
-                    "this point is unanalysable",
-                )
+            finding = self.finding(
+                expr,
+                "reference cell flows into a primitive sink and "
+                "escapes the analysed program: aliasing beyond "
+                "this point is unanalysable",
             )
+            ctx.derivation(finding, "escaping_ref", (node,))
+            findings.append(finding)
         return findings
 
 
@@ -138,9 +131,11 @@ class UnneededParamPass(LintPass):
     LC''s build rules materialise the use relation as in-edges on
     variable nodes (the binder itself only routes edges out, via
     ABS-1), so a parameter whose variable node attracted no in-edge is
-    never needed — the abstraction is lazy in it. The neededness
-    analysis seeds exactly the used variable nodes; absence means
-    unneeded. Underscore-prefixed names opt out, as for L005.
+    never needed — the abstraction is lazy in it. ``lint-f003``:
+    ``unneeded_param(N, L)`` is the parameter view joined with the
+    complement of ``var_used``; a parameter whose variable node was
+    never built is trivially unneeded. Underscore-prefixed names opt
+    out, as for L005.
     """
 
     code = "F003"
@@ -148,24 +143,29 @@ class UnneededParamPass(LintPass):
     severity = "info"
 
     def run(self, ctx, scope=None):
+        unneeded = ctx.extent("unneeded_param")
+        peek_var = ctx.factory.peek_var
         findings = []
-        needed = ctx.needness_marks
         for lam in ctx.program.abstractions:
             if not self._in_scope(lam, scope):
                 continue
             if lam.param.startswith("_"):
                 continue
-            var_node = ctx.factory.peek_var(lam.param)
-            if var_node is None or var_node not in needed:
-                findings.append(
-                    self.finding(
-                        lam,
-                        f"parameter '{lam.param}' of function "
-                        f"'{lam.label}' is never needed: no use "
-                        "demands its variable node",
-                        label=lam.label,
-                    )
+            var_node = peek_var(lam.param)
+            if var_node is not None and (var_node, lam.label) not in unneeded:
+                continue
+            finding = self.finding(
+                lam,
+                f"parameter '{lam.param}' of function "
+                f"'{lam.label}' is never needed: no use "
+                "demands its variable node",
+                label=lam.label,
+            )
+            if var_node is not None:
+                ctx.derivation(
+                    finding, "unneeded_param", (var_node, lam.label)
                 )
+            findings.append(finding)
         return findings
 
 
@@ -173,11 +173,14 @@ class UnreachableBranchPass(LintPass):
     """F004 — a case branch whose constructor cannot reach the
     scrutinee.
 
-    The fused sweep propagates k-bounded constructor-name sets
-    backward from every construction; whenever a scrutinee's
-    annotation is an exact (non-MANY, non-empty) set, a branch naming
-    a constructor outside it can never match. Bottom (no annotation)
-    and MANY give no verdict — conservative, never a false positive.
+    ``lint-f004``: ``con_val`` propagates k-bounded constructor-name
+    sets backward from every construction, with k the largest
+    constructor count of any declared datatype
+    (:func:`~repro.rules.programs.constructor_k`) — so the annotation
+    is exact whenever it is not MANY. A branch naming a constructor
+    outside a scrutinee's exact, non-empty set can never match;
+    bottom (no annotation) and MANY give no verdict — conservative,
+    never a false positive.
 
     Not incremental: a removed construction elsewhere can newly kill
     an old branch.
@@ -189,32 +192,30 @@ class UnreachableBranchPass(LintPass):
     incremental = False
 
     def run(self, ctx, scope=None):
-        from repro.flow.lattice import MANY
+        from repro.rules.lattice import MANY
 
+        values = ctx.extent("con_val")
         findings = []
-        values = ctx.constructor_values
         for node in ctx.program.nodes:
             if not isinstance(node, Case):
                 continue
             if not self._in_scope(node, scope):
                 continue
             scrut_node = ctx.peek(node.scrutinee)
-            if scrut_node is None:
-                continue
             annotation = values.get(scrut_node)
             if annotation is None or annotation is MANY or not annotation:
                 continue
             for branch in node.branches:
                 if branch.cname not in annotation:
                     reachable = ", ".join(sorted(annotation))
-                    findings.append(
-                        self.finding(
-                            branch.body,
-                            f"branch '{branch.cname}' can never "
-                            "match: the scrutinee only constructs "
-                            f"{{{reachable}}}",
-                        )
+                    finding = self.finding(
+                        branch.body,
+                        f"branch '{branch.cname}' can never "
+                        "match: the scrutinee only constructs "
+                        f"{{{reachable}}}",
                     )
+                    ctx.derivation(finding, "con_val", (scrut_node,))
+                    findings.append(finding)
         return findings
 
 
@@ -274,12 +275,8 @@ class _AuditPass(LintPass):
     """Base for the T-series: one whole-program verdict, anchored at
     the root expression. Incremental in the scope sense: any
     redefinition re-audits (the session always scopes the root in when
-    types may have changed), an empty scope skips.
-
-    T verdicts are pure type-inference — there is no graph relation to
-    express them over, so ``impl="rules"`` runs them unchanged."""
-
-    rules_exempt = True
+    types may have changed), an empty scope skips. T verdicts are pure
+    type inference: they never read the graph or the rule programs."""
 
     def run(self, ctx, scope=None):
         # Session-grown programs have no root expression (and no

@@ -1,22 +1,21 @@
 """The lint passes and their shared per-program context.
 
-Every pass consumes the subtransitive graph directly and is linear in
-the graph: a constant number of multi-source BFS traversals
-(:func:`repro.graph.reachability.reachable_from`) or one bounded-set
-propagation (:mod:`repro.apps.propagation`). No pass ever materialises
+Every L/F verdict is read off one evaluation of the shipped lint rule
+programs (:mod:`repro.rules.programs`): :attr:`LintContext.
+rules_evaluation` runs them once per lint session, and their five
+recursive relations (``reach_lam``, ``escape``, ``taint``, ``calls``,
+``con_val``) fuse into a single :mod:`repro.flow` sweep, so the whole
+run stays linear in the subtransitive graph. No pass ever materialises
 a label set — a regression test holds the ``queries.labels_of`` /
-``queries.count`` counters at zero across a full lint run.
+``queries.count`` counters at zero across a full lint run. A pass
+then reads the output relation it needs; the L-series lives here, the
+F- and T-series in :mod:`repro.lint.flowrules`.
 
-The traversals are shared through :class:`LintContext` caches so a run
-of all the passes performs:
-
-* one ``called_once`` bounded propagation (L001 + L003),
-* one *fused* :mod:`repro.flow` sweep — a single shared worklist
-  servicing the backward lambda-reachability probe (L002), the forward
-  escape probe (L004 + F002), the taint (F001), neededness (F003) and
-  constructor-set (F004) analyses,
-* one in-degree probe per let/letrec binder (L005),
-* one type-measure audit for the T-series rules (no graph work).
+When the context carries ``explain=True`` the programs run with
+provenance and each L/F finding carries its derivation chain — which
+rules fired on which ground facts — rendered by
+:meth:`repro.rules.engine.RuleEvaluation.derivation` and surfaced by
+``repro lint --explain``.
 
 ``scope`` (a set of nids, or ``None`` for everything) restricts a pass
 to the constructs an incremental session actually needs re-examined;
@@ -27,9 +26,9 @@ passes whose findings can *appear* on untouched old constructs declare
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.lang.ast import App, Lam, Let, Letrec, Prim
+from repro.lang.ast import Prim
 
 from repro.lint.findings import Finding
 
@@ -45,9 +44,9 @@ def _span(expr):
 class LintContext:
     """Shared, lazily-computed artefacts for one lint run.
 
-    ``lint.visited_nodes`` on the registry accounts every node touched
-    by the context's traversals — the number the O(edges) regression
-    tests bound by the graph size.
+    ``lint.visited_nodes`` on the registry accounts the nodes the two
+    reachability relations (``reach_lam``, ``escape``) mark — the
+    number the O(edges) regression tests bound by the graph size.
     """
 
     def __init__(
@@ -55,40 +54,26 @@ class LintContext:
     ):
         self.program = program
         self.sub = sub
-        self.graph = sub.graph
         self.factory = sub.factory
         self.registry = (
             registry if registry is not None else sub.stats.registry
         )
         self.profiler = profiler
-        #: When True, the rule-based passes run their programs with
-        #: provenance recording and attach derivations to findings.
+        #: When True, the rule programs run with provenance recording
+        #: and the passes attach derivations to findings.
         self.explain = explain
-        self._c_visited = self.registry.counter("lint.visited_nodes")
-        self._called_once = None
         self._flow = None
-        self._sweep_results = None
         self._rules_evaluation = None
-        self._escaping: Optional[Dict[str, Lam]] = None
         self._audit = None
-
-    # -- node lookups ------------------------------------------------------
 
     def peek(self, expr):
         """The already-built graph node of ``expr`` (never creates)."""
         return self.factory.peek_expr(expr)
 
-    def lambda_value_nodes(self) -> List:
-        """Graph nodes carrying at least one abstraction value (their
-        own expression or a congruence-absorbed one)."""
-        return self.flow.lambda_value_nodes
-
-    # -- shared traversals -------------------------------------------------
-
     @property
     def flow(self):
-        """The :class:`repro.flow.framework.FlowContext` every flow
-        client in this lint run shares (same registry, same caches)."""
+        """The :class:`repro.flow.framework.FlowContext` the rule
+        programs run on (same registry, same caches)."""
         if self._flow is None:
             from repro.flow.framework import FlowContext
 
@@ -100,64 +85,11 @@ class LintContext:
             )
         return self._flow
 
-    def _sweep(self) -> Dict[str, object]:
-        """The fused flow sweep: one shared worklist runs the L002
-        backward reachability probe, the L004/F002 forward escape
-        probe, and the F001/F003/F004 analyses together.
-
-        ``lint.visited_nodes`` accounts the two reachability mark sets
-        (the quantity the O(edges) regression tests bound); the flow
-        engine's own ``flow.steps.fused`` counter accounts the full
-        propagation work.
-        """
-        if self._sweep_results is None:
-            from repro.flow.analyses import (
-                ConstructorAnalysis,
-                EscapeAnalysis,
-                NeednessAnalysis,
-                ReachabilityAnalysis,
-                TaintAnalysis,
-            )
-            from repro.flow.framework import run_fused
-
-            flow = self.flow
-            analyses = [
-                ReachabilityAnalysis(
-                    flow.lambda_value_nodes,
-                    self.graph.predecessors,
-                    name="reach-lambda",
-                ),
-                EscapeAnalysis(),
-                TaintAnalysis(),
-                NeednessAnalysis(),
-                ConstructorAnalysis(flow),
-            ]
-            results = run_fused(
-                analyses, flow, fuel=flow.default_fuel()
-            )
-            self._sweep_results = dict(
-                zip(
-                    (
-                        "reach-lambda",
-                        "escape",
-                        "taint",
-                        "needness",
-                        "constructors",
-                    ),
-                    results,
-                )
-            )
-            self._c_visited.inc(len(results[0]))
-            self._c_visited.inc(len(results[1]))
-        return self._sweep_results
-
     @property
     def rules_evaluation(self):
-        """The compiled lint rule programs (every L/F twin plus
+        """The compiled lint rule programs (every L/F program plus
         called-once), evaluated once per lint run on the shared flow
-        context: all five recursive relations fuse into one sweep,
-        mirroring :meth:`_sweep`. Only the rule-based pass
-        implementations (:mod:`repro.lint.ruleimpl`) demand this."""
+        context: all five recursive relations fuse into one sweep."""
         if self._rules_evaluation is None:
             from repro.rules.programs import (
                 constructor_k,
@@ -165,71 +97,25 @@ class LintContext:
             )
 
             rule_set = lint_rule_set(constructor_k(self.program))
-            self._rules_evaluation = rule_set.run(
-                ctx=self.flow, explain=self.explain
+            evaluation = rule_set.run(ctx=self.flow, explain=self.explain)
+            data = evaluation.extents.data
+            self.registry.counter("lint.visited_nodes").inc(
+                len(data["reach_lam"]) + len(data["escape"])
             )
-            self._c_visited.inc(
-                len(self._rules_evaluation.extents.data["reach_lam"])
-            )
-            self._c_visited.inc(
-                len(self._rules_evaluation.extents.data["escape"])
-            )
+            self._rules_evaluation = evaluation
         return self._rules_evaluation
 
-    @property
-    def called_once(self):
-        """One bounded-set propagation shared by L001 and L003."""
-        if self._called_once is None:
-            from repro.apps.called_once import called_once
+    def extent(self, name: str):
+        """One output relation of the lint programs, as stored: a dict
+        of keys (bare for a single-column key, else tuples) mapped to
+        True, or to the annotation of a k-bounded relation."""
+        return self.rules_evaluation.extents.data[name]
 
-            self._called_once = called_once(self.program, sub=self.sub)
-        return self._called_once
-
-    @property
-    def nodes_reaching_lambda(self) -> Set:
-        """Nodes from which some abstraction node is reachable — the
-        backward probe of the fused sweep, shared by every L002
-        probe."""
-        return self._sweep()["reach-lambda"]
-
-    @property
-    def escape_marks(self) -> Set:
-        """Nodes reachable from a primitive-argument sink — the
-        forward probe of the fused sweep (L004 + F002)."""
-        return self._sweep()["escape"]
-
-    @property
-    def taint_marks(self) -> Set:
-        """Nodes that may evaluate to a value read from a mutable
-        cell (F001)."""
-        return self._sweep()["taint"]
-
-    @property
-    def needness_marks(self) -> Set:
-        """Variable nodes some use actually demands (F003)."""
-        return self._sweep()["needness"]
-
-    @property
-    def constructor_values(self) -> Dict:
-        """k-bounded constructor-name annotations (F004)."""
-        return self._sweep()["constructors"]
-
-    @property
-    def escaping_lambdas(self) -> Dict[str, Lam]:
-        """Abstractions reachable from a primitive-argument sink,
-        read off the fused sweep's escape marks (L004)."""
-        if self._escaping is None:
-            escaping: Dict[str, Lam] = {}
-            for node in self.escape_marks:
-                if node.kind != "expr":
-                    continue
-                if isinstance(node.expr, Lam):
-                    escaping[node.expr.label] = node.expr
-                for expr in node.absorbed:
-                    if isinstance(expr, Lam):
-                        escaping[expr.label] = expr
-            self._escaping = escaping
-        return self._escaping
+    def derivation(self, finding, name: str, key) -> None:
+        """Attach ``name(key)``'s derivation chain to ``finding`` when
+        the run is explained."""
+        if self.explain:
+            finding.derivation = self.rules_evaluation.derivation(name, key)
 
     @property
     def linearity_audit(self):
@@ -253,7 +139,7 @@ def primitive_sink_args(program) -> Iterable:
 
 
 class LintPass:
-    """Base class: one rule code, one severity, one linear traversal."""
+    """Base class: one rule code, one severity, one linear read."""
 
     code: str = ""
     name: str = ""
@@ -261,10 +147,6 @@ class LintPass:
     #: False when a finding may newly appear on a construct outside
     #: the redefinition scope (the session then always runs it fully).
     incremental: bool = True
-    #: True for passes whose verdicts never touch the graph (the
-    #: T-series type audits): ``impl="rules"`` runs them as-is rather
-    #: than failing over a missing rule-program twin.
-    rules_exempt: bool = False
 
     def run(
         self, ctx: LintContext, scope: Optional[Set[int]] = None
@@ -288,10 +170,13 @@ class LintPass:
 class DeadLambdaPass(LintPass):
     """L001 — an abstraction no call site can ever invoke.
 
-    Bounded-set propagation (k=1) annotates every abstraction with its
-    caller multiplicity; bottom means dead. Dead code that is *values*
-    (never-called closures) is invisible to reachability-style dead
-    code elimination on the CFG — this is the CFA-level counterpart.
+    ``lint-l001``: ``dead_fun(N, L)`` joins the lambda-bearing index
+    with the stratified complement of ``called``, the boolean
+    projection of the 1-bounded ``calls`` propagation. Dead code that
+    is *values* (never-called closures) is invisible to
+    reachability-style dead code elimination on the CFG — this is the
+    CFA-level counterpart. An abstraction whose node was never built
+    (depth-capped away) is never called either.
     """
 
     code = "L001"
@@ -299,20 +184,23 @@ class DeadLambdaPass(LintPass):
     severity = "warning"
 
     def run(self, ctx, scope=None):
+        dead = ctx.extent("dead_fun")
         findings = []
-        never = ctx.called_once.never_called
         for lam in ctx.program.abstractions:
             if not self._in_scope(lam, scope):
                 continue
-            if lam.label in never:
-                findings.append(
-                    self.finding(
-                        lam,
-                        f"function '{lam.label}' is never called: "
-                        "no call site can invoke it",
-                        label=lam.label,
-                    )
-                )
+            node = ctx.peek(lam)
+            if node is not None and (node, lam.label) not in dead:
+                continue
+            finding = self.finding(
+                lam,
+                f"function '{lam.label}' is never called: "
+                "no call site can invoke it",
+                label=lam.label,
+            )
+            if node is not None:
+                ctx.derivation(finding, "dead_fun", (node, lam.label))
+            findings.append(finding)
         return findings
 
 
@@ -321,9 +209,10 @@ class StuckApplicationPass(LintPass):
     empty: ``L(e1) = {}`` so the call can never fire (the expression
     is stuck or dead at runtime).
 
-    One backward BFS from all lambda-bearing nodes marks every node
-    that can reach an abstraction; an operator node left unmarked has
-    an empty label set, with no per-site label-set materialisation.
+    ``lint-l002``: ``reach_lam`` marks every node that can reach an
+    abstraction (one backward sweep from the lambda-bearing nodes),
+    and a site is ``stuck`` when its operator node is in the
+    complement — no per-site label-set materialisation.
     """
 
     code = "L002"
@@ -331,50 +220,59 @@ class StuckApplicationPass(LintPass):
     severity = "error"
 
     def run(self, ctx, scope=None):
+        stuck = ctx.extent("stuck")
         findings = []
-        alive = ctx.nodes_reaching_lambda
         for site in ctx.program.applications:
-            if not self._in_scope(site, scope):
+            if site.nid not in stuck or not self._in_scope(site, scope):
                 continue
-            op_node = ctx.peek(site.fn)
-            if op_node is None:
-                continue  # depth-capped away; no verdict
-            if op_node not in alive:
-                findings.append(
-                    self.finding(
-                        site,
-                        "this application can never fire: the "
-                        "operator's label set is provably empty",
-                    )
-                )
+            finding = self.finding(
+                site,
+                "this application can never fire: the "
+                "operator's label set is provably empty",
+            )
+            ctx.derivation(finding, "stuck", (site.nid,))
+            findings.append(finding)
         return findings
 
 
 class CalledOncePass(LintPass):
     """L003 — an abstraction called from exactly one site: the classic
-    inline-without-code-growth candidate (paper abstract, item 3)."""
+    inline-without-code-growth candidate (paper abstract, item 3).
+
+    ``app-called-once``: an abstraction whose node's ``calls``
+    annotation is a singleton is called from exactly that site."""
 
     code = "L003"
     name = "called-once-inline-candidate"
     severity = "info"
 
     def run(self, ctx, scope=None):
+        from repro.rules.lattice import MANY
+
+        calls = ctx.extent("calls")
+        once = {}
+        for lam in ctx.program.abstractions:
+            node = ctx.peek(lam)
+            annotation = calls.get(node)
+            if annotation is None or annotation is MANY:
+                continue
+            (site_nid,) = annotation
+            once[lam.label] = (site_nid, node)
         findings = []
-        result = ctx.called_once
-        for label in sorted(result.once_labels):
+        for label in sorted(once):
             lam = ctx.program.abstraction(label)
             if not self._in_scope(lam, scope):
                 continue
-            site = result.unique_site(label)
-            findings.append(
-                self.finding(
-                    lam,
-                    f"function '{label}' is called from exactly one "
-                    f"site (nid {site.nid}): inlining it cannot grow "
-                    "code",
-                    label=label,
-                )
+            site_nid, node = once[label]
+            finding = self.finding(
+                lam,
+                f"function '{label}' is called from exactly one "
+                f"site (nid {site_nid}): inlining it cannot grow "
+                "code",
+                label=label,
             )
+            ctx.derivation(finding, "calls", (node,))
+            findings.append(finding)
         return findings
 
 
@@ -383,10 +281,11 @@ class EscapingFunctionPass(LintPass):
     the analysed call structure (so e.g. the L001/L003 caller counts
     cannot be trusted for specialisation past this point).
 
-    One forward BFS from every primitive-argument node; abstractions
-    reached have a flow path into the sink. Not incremental: a new
-    definition can make an *old* lambda escape, so sessions always run
-    this pass over the whole program.
+    ``lint-l004``: ``escaping_fun(N, L)`` joins the forward escape
+    marks (one sweep from every primitive-argument node) with the
+    lambda-bearing index. Not incremental: a new definition can make
+    an *old* lambda escape, so sessions always run this pass over the
+    whole program.
     """
 
     code = "L004"
@@ -395,19 +294,24 @@ class EscapingFunctionPass(LintPass):
     incremental = False
 
     def run(self, ctx, scope=None):
+        escaping = {
+            label: node for node, label in ctx.extent("escaping_fun")
+        }
         findings = []
-        for label in sorted(ctx.escaping_lambdas):
-            lam = ctx.escaping_lambdas[label]
+        for label in sorted(escaping):
+            lam = ctx.program.abstraction(label)
             if not self._in_scope(lam, scope):
                 continue
-            findings.append(
-                self.finding(
-                    lam,
-                    f"function '{label}' flows into a primitive sink "
-                    "and escapes the analysed call structure",
-                    label=label,
-                )
+            finding = self.finding(
+                lam,
+                f"function '{label}' flows into a primitive sink "
+                "and escapes the analysed call structure",
+                label=label,
             )
+            ctx.derivation(
+                finding, "escaping_fun", (escaping[label], label)
+            )
+            findings.append(finding)
         return findings
 
 
@@ -416,14 +320,17 @@ class UnusedBindingPass(LintPass):
     demanded: LC' added no occurrence edge into it, so the bound value
     flows nowhere.
 
-    In-edges to a variable node come only from use occurrences (build
-    rules route binding edges *out of* the node and closure conclusions
-    only target operator nodes), so ``in_degree == 0`` is exactly
-    "never used". Conventionally-ignored names (leading underscore)
-    are skipped; a letrec used only by its own recursive occurrence
-    still counts as used (L001 flags the enclosed lambda instead).
-    Congruence class nodes may merge variables and suppress a finding —
-    conservative, never a false positive.
+    ``lint-l005``: ``unused_bind(N, X)`` is the binder view joined
+    with the complement of ``var_used``. In-edges to a variable node
+    come only from use occurrences (build rules route binding edges
+    *out of* the node and closure conclusions only target operator
+    nodes), so positive in-degree is exactly "used"; a binder whose
+    variable node was never built is trivially unused.
+    Conventionally-ignored names (leading underscore) are skipped; a
+    letrec used only by its own recursive occurrence still counts as
+    used (L001 flags the enclosed lambda instead). Congruence class
+    nodes may merge variables and suppress a finding — conservative,
+    never a false positive.
     """
 
     code = "L005"
@@ -431,28 +338,29 @@ class UnusedBindingPass(LintPass):
     severity = "warning"
 
     def run(self, ctx, scope=None):
+        unused = ctx.extent("unused_bind")
+        peek_var = ctx.factory.peek_var
         findings = []
-        for node in ctx.program.nodes:
-            if not isinstance(node, (Let, Letrec)):
-                continue
+        for node in ctx.flow.binders:
             if not self._in_scope(node, scope):
                 continue
             if node.name.startswith("_"):
                 continue
-            var_node = ctx.factory.peek_var(node.name)
-            if var_node is None or ctx.graph.in_degree(var_node) == 0:
-                findings.append(
-                    self.finding(
-                        node,
-                        f"binding '{node.name}' is never used: its "
-                        "variable node is never demanded by LC'",
-                    )
-                )
+            var_node = peek_var(node.name)
+            if var_node is not None and (var_node, node.name) not in unused:
+                continue
+            finding = self.finding(
+                node,
+                f"binding '{node.name}' is never used: its "
+                "variable node is never demanded by LC'",
+            )
+            if var_node is not None:
+                ctx.derivation(finding, "unused_bind", (var_node, node.name))
+            findings.append(finding)
         return findings
 
 
-#: The graph-traversal passes defined in this module, in rule-code
-#: order. The full registry (:data:`ALL_PASSES`) also includes the
+#: The L-series passes defined in this module, in rule-code order. The full registry (:data:`ALL_PASSES`) also includes the
 #: F/T-series passes from :mod:`repro.lint.flowrules`.
 CORE_PASSES = (
     DeadLambdaPass,

@@ -43,7 +43,6 @@ from repro.rules.programs import (
     SHIPPED_PROGRAMS,
     called_once_rule_set,
     lint_rule_set,
-    rules_called_once,
     shipped_fingerprint,
 )
 from repro.rules.schema import (
@@ -85,6 +84,5 @@ __all__ = [
     "make_vars",
     "merge_programs",
     "naive_fixpoint",
-    "rules_called_once",
     "shipped_fingerprint",
 ]

@@ -6,7 +6,9 @@ built:
 
 * **non-recursive relations** are complete after firing their rules
   once — by construction a level's relations depend only on strictly
-  lower levels, so each firing pass sees finished inputs;
+  lower levels, so each firing pass sees finished inputs. Each such
+  rule is lowered at construction to a generated nested-loop function
+  (:class:`_CompiledJoin`) that writes straight into the extents;
 * **recursive relations** compile onto the existing flow scheduler:
   their seed rules fire into the extents, and their step rules — which
   the compiler requires in propagation shape, ``R(N) :- R(M),
@@ -27,7 +29,9 @@ node-to-node base relation may carry a sweep). Anything else fails
 compilation with an actionable error.
 
 With ``explain=True`` the run records provenance: join-derived facts
-keep the rule and ground premises that first produced them, and
+(fired through :func:`~repro.rules.eval.fire_rule`, which derives the
+same facts in the same order as the lowered joins) keep the rule and
+ground premises that first produced them, and
 propagated facts record their first deriving edge via a transfer
 override (the framework guarantees identical step/update accounting
 either way). :meth:`RuleEvaluation.derivation` replays a fact's chain
@@ -43,7 +47,13 @@ from repro.flow.analyses import BoundedSetAnalysis, ReachabilityAnalysis
 from repro.flow.framework import FlowContext, run_fused
 from repro.rules.check import CheckedRules, RelationPlan, check_programs
 from repro.rules.dsl import NODE, Rel, Rule, RuleProgram, Var, fingerprint
-from repro.rules.eval import Extents, World, fire_rule
+from repro.rules.eval import (
+    Extents,
+    World,
+    _order_positives,
+    add_bounded,
+    fire_rule,
+)
 from repro.rules.lattice import MANY
 from repro.rules.schema import FactSource, GraphFactSource, GRAPH_SCHEMA
 
@@ -155,6 +165,232 @@ def _step_spec(plan: RelationPlan, rule: Rule) -> _StepSpec:
     )
 
 
+# -- the join compiler ---------------------------------------------------------
+
+
+class _Access:
+    """How a compiled join reads one body atom, fixed when the rule is
+    lowered: ``mode`` is ``"scan"`` (no key column bound: every fact),
+    ``"probe"`` (some bound: one index bucket), ``"member"`` (every
+    key column bound: one membership test or annotation fetch) or
+    ``"keys"`` (a derived relation's stored keys, for a projection);
+    ``mask`` marks the bound key columns."""
+
+    __slots__ = ("rel", "mode", "mask")
+
+    def __init__(self, rel: Rel, mode: str, mask: Tuple[bool, ...]):
+        self.rel = rel
+        self.mode = mode
+        self.mask = mask
+
+    def resolve(self, source: FactSource, extents: Extents, indexes: Dict):
+        """The container this run's join reads the atom through."""
+        rel = self.rel
+        if rel.kind == "edb":
+            if self.mode == "scan":
+                return source.facts(rel.name)
+            return source.index(rel.name, self.mask)
+        store = extents.data[rel.name]
+        if self.mode in ("member", "keys"):
+            return store
+        if self.mode == "scan":
+            return store.items() if rel.bounded else store
+        # A probe into a derived relation: the relation is complete
+        # (it sits in a strictly lower stratum), so its index is
+        # built once per run and shared by every rule probing it.
+        index = indexes.get((rel.name, self.mask))
+        if index is None:
+            index = {}
+            for key, annotation in store.items():
+                probe = tuple(
+                    value
+                    for value, bound in zip(key, self.mask)
+                    if bound
+                )
+                row = (key, annotation) if rel.bounded else key
+                index.setdefault(probe, []).append(row)
+            indexes[(rel.name, self.mask)] = index
+        return index
+
+
+class _CompiledJoin:
+    """One seed/join rule lowered to a specialised Python function.
+
+    The function holds the join as nested loops over local slots: the
+    body's probe order, each atom's access path and each negated atom's
+    membership test are all fixed at lowering time, so a run pays no
+    per-binding dict copies or variable hashing. A projection of one
+    derived relation onto its keys is a single dict update instead.
+    Either way it derives exactly the facts
+    :func:`~repro.rules.eval.fire_rule` does, in the same order,
+    writing them straight into the head's extent; provenance recording
+    (``explain``) stays with :func:`fire_rule`.
+    """
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.head = rule.head.rel
+        self.accesses: List[_Access] = []
+        #: The generated function's text (``join(a0, ..., store, add)``).
+        self.source, constants = self._lower(rule)
+        namespace = {"frozenset": frozenset, **constants}
+        exec(compile(self.source, f"<rule {rule.name}>", "exec"), namespace)
+        self.function = namespace["join"]
+
+    def _lower(self, rule: Rule) -> Tuple[str, Dict[str, object]]:
+        constants: Dict[str, object] = {}
+        slots: Dict[Var, str] = {}
+        transported = set()
+        pending = list(rule.negative)
+        lines: List[str] = []
+        depth = 1
+
+        def line(text: str) -> None:
+            lines.append("    " * depth + text)
+
+        def code(term) -> str:
+            if isinstance(term, Var):
+                return slots[term]
+            name = f"c{len(constants)}"
+            constants[name] = term
+            return name
+
+        def row(codes: List[str]) -> str:
+            return "(" + ", ".join(codes) + ("," if len(codes) == 1 else "") + ")"
+
+        def stored(rel: Rel, codes: List[str]) -> str:
+            # Extents keep a single-column key bare.
+            if rel.kind == "idb" and len(codes) == 1:
+                return codes[0]
+            return row(codes)
+
+        def access(rel: Rel, mode: str, mask) -> str:
+            self.accesses.append(_Access(rel, mode, tuple(mask)))
+            return f"a{len(self.accesses) - 1}"
+
+        def check_negations() -> None:
+            nonlocal depth
+            for atom in list(pending):
+                if all(var in slots for var in atom.variables):
+                    pending.remove(atom)
+                    mask = (True,) * atom.rel.arity
+                    fact = stored(atom.rel, [code(t) for t in atom.terms])
+                    line(f"if {fact} not in {access(atom.rel, 'member', mask)}:")
+                    depth += 1
+
+        body = rule.body
+        if (
+            len(body) == 1
+            and body[0].rel.kind == "idb"
+            and not self.head.bounded
+            and body[0].terms[: body[0].rel.key_arity] == rule.head.terms
+            and len(set(rule.head.terms)) == len(rule.head.terms)
+            and all(isinstance(t, Var) for t in rule.head.terms)
+        ):
+            # A projection onto the keys of one derived relation: one
+            # dict update, which reuses the source's stored hashes.
+            mask = (True,) * body[0].rel.key_arity
+            source = (
+                f"def join({access(body[0].rel, 'keys', mask)}, store, add):\n"
+                "    n = len(store)\n"
+                "    store.update(dict.fromkeys(a0, True))\n"
+                "    return len(store) - n\n"
+            )
+            return source, constants
+        check_negations()
+        for atom in _order_positives(list(rule.positive)):
+            rel = atom.rel
+            keys = atom.terms[: rel.key_arity]
+            mask = [
+                not isinstance(t, Var) or t in slots for t in keys
+            ]
+            value = atom.terms[-1] if rel.bounded else None
+            if all(mask):
+                name = access(rel, "member", mask)
+                fact = stored(rel, [code(t) for t in keys])
+                if rel.bounded:
+                    slots[value] = f"v{len(slots)}"
+                    transported.add(value)
+                    line(f"{slots[value]} = {name}.get({fact})")
+                    line(f"if {slots[value]} is not None:")
+                else:
+                    line(f"if {fact} in {name}:")
+                depth += 1
+            else:
+                mode = "probe" if any(mask) else "scan"
+                name = access(rel, mode, mask)
+                bucket = name
+                if mode == "probe":
+                    bound = [code(t) for t, b in zip(keys, mask) if b]
+                    bucket = f"{name}.get({row(bound)}, ())"
+                targets: List[str] = []
+                checks: List[str] = []
+                for term, bound in zip(keys, mask):
+                    if bound:
+                        targets.append("_")
+                    elif term in slots:
+                        # A variable repeated within this atom.
+                        temp = f"t{len(checks)}"
+                        targets.append(temp)
+                        checks.append(f"{temp} == {slots[term]}")
+                    else:
+                        slots[term] = f"v{len(slots)}"
+                        targets.append(slots[term])
+                target = stored(rel, targets)
+                if rel.bounded:
+                    slots[value] = f"v{len(slots)}"
+                    transported.add(value)
+                    target = f"{target}, {slots[value]}"
+                line(f"for {target} in {bucket}:")
+                depth += 1
+                if checks:
+                    line(f"if {' and '.join(checks)}:")
+                    depth += 1
+            check_negations()
+
+        head = rule.head
+        if self.head.bounded:
+            key = stored(self.head, [code(t) for t in head.terms[:-1]])
+            value = head.terms[-1]
+            contribution = (
+                slots[value]
+                if value in transported
+                else f"frozenset(({code(value)},))"
+            )
+            # A first contribution needs no join: a fresh singleton
+            # is within k, and a transported annotation already has
+            # the head's k (the checker's transport discipline).
+            line(f"k = {key}")
+            line(f"c = {contribution}")
+            line("if k not in store:")
+            line("    store[k] = c")
+            line("    n += 1")
+            line(f"elif add(store, k, c, {code(self.head.k)}):")
+            line("    n += 1")
+            first, last = "n = 0", "return n"
+        else:
+            # A plain head only ever gains keys: count them by size.
+            line(f"store[{stored(self.head, [code(t) for t in head.terms])}] = True")
+            first, last = "n = len(store)", "return len(store) - n"
+        params = ", ".join(
+            [f"a{i}" for i in range(len(self.accesses))] + ["store", "add"]
+        )
+        source = "\n".join(
+            [f"def join({params}):", f"    {first}"] + lines + [f"    {last}", ""]
+        )
+        return source, constants
+
+    def run(self, source: FactSource, extents: Extents, indexes: Dict) -> int:
+        """Fire the rule once; returns how many head facts changed."""
+        args = [
+            access.resolve(source, extents, indexes)
+            for access in self.accesses
+        ]
+        return self.function(
+            *args, extents.data[self.head.name], add_bounded
+        )
+
+
 class RuleEvaluation:
     """One run's results: the extents plus (with ``explain``) the
     provenance needed to replay any fact's derivation."""
@@ -191,12 +427,10 @@ class RuleEvaluation:
     def rows(self, name: str) -> List[Tuple]:
         """The relation's rows, deterministically ordered: key tuples
         for a plain relation, key + annotation for a bounded one."""
-        rel = self.relation(name)
-        store = self.extents.data[name]
-        if rel.bounded:
-            rows = [key + (ann,) for key, ann in store.items()]
+        if self.relation(name).bounded:
+            rows = [key + (ann,) for key, ann in self.extents.items(name)]
         else:
-            rows = list(store)
+            rows = self.extents.keys(name)
         return sorted(rows, key=lambda row: render_fact(name, row))
 
     def fact_text(self, name: str, key: Sequence) -> str:
@@ -287,10 +521,14 @@ class RuleEvaluation:
 
 
 class _RuleReachAnalysis(ReachabilityAnalysis):
-    """A recursive plain relation's sweep."""
+    """A recursive plain relation's sweep. Its fixpoint, the item ->
+    True marks, is the relation's extent as it stands."""
+
+    def finish(self, ctx, values):
+        return values
 
 
-class _RecordingReachAnalysis(ReachabilityAnalysis):
+class _RecordingReachAnalysis(_RuleReachAnalysis):
     """The explain variant: records the first deriving edge per mark.
 
     The transfer override is a *class-level* method on a separate
@@ -313,7 +551,7 @@ class _RuleBoundedAnalysis(BoundedSetAnalysis):
     clamped annotations the seed rules derived (MANY included)."""
 
     def seeds(self, ctx):
-        return dict(self._seed_map)
+        return self._seed_map
 
 
 class _RecordingBoundedAnalysis(_RuleBoundedAnalysis):
@@ -365,6 +603,13 @@ class CompiledRuleSet:
                         "premises"
                     )
                 self.specs[plan.rel.name] = specs
+        #: Every seed/join rule, lowered once (see :class:`_CompiledJoin`).
+        self.joins: Dict[Rule, _CompiledJoin] = {
+            rule: _CompiledJoin(rule)
+            for level in self.checked.levels
+            for plan in level
+            for rule in plan.seed_rules
+        }
 
     # -- the dynamic stage -------------------------------------------------
 
@@ -431,7 +676,7 @@ class CompiledRuleSet:
         provenance: Optional[Dict] = {} if explain else None
         parents: Optional[Dict] = {} if explain else None
         extents = Extents(self.checked.relations)
-        world = World(source, extents)
+        world = World(source, extents) if explain else None
         joined = 0
 
         profiler = ctx.profiler
@@ -462,21 +707,27 @@ class CompiledRuleSet:
         fuel, registry, provenance, parents,
     ) -> int:
         """One stratum: fire every seed/join rule once (inputs are
-        complete), then fuse the stratum's recursive sweeps."""
-        explain = provenance is not None
+        complete), then fuse the stratum's recursive sweeps. Explained
+        runs fire through :func:`fire_rule` to record each fact's
+        first premises; the others run the lowered joins."""
         joined = 0
+        indexes: Dict = {}
         sweeps: List[Tuple[RelationPlan, object]] = []
         for plan in level:
             for rule in plan.seed_rules:
+                if provenance is None:
+                    joined += self.joins[rule].run(
+                        source, extents, indexes
+                    )
+                    continue
                 for key, contribution, premises in list(
-                    fire_rule(rule, world, explain=explain)
+                    fire_rule(rule, world, explain=True)
                 ):
                     if extents.add(plan.rel, key, contribution):
                         joined += 1
-                    if explain:
-                        provenance.setdefault(
-                            (plan.rel.name, key), (rule.name, premises)
-                        )
+                    provenance.setdefault(
+                        (plan.rel.name, key), (rule.name, premises)
+                    )
             if plan.step_rules:
                 sweeps.append(
                     (plan, self._sweep(plan, ctx, source, extents, parents))
@@ -487,15 +738,7 @@ class CompiledRuleSet:
                 ctx, fuel=fuel, registry=registry,
             )
             for (plan, _), result in zip(sweeps, results):
-                if plan.rel.bounded:
-                    extents.replace(
-                        plan.rel,
-                        {(item,): ann for item, ann in result.items()},
-                    )
-                else:
-                    extents.replace(
-                        plan.rel, {(item,): True for item in result}
-                    )
+                extents.replace(plan.rel, result)
         return joined
 
     def _sweep(self, plan: RelationPlan, ctx, source, extents, parents):
@@ -510,13 +753,12 @@ class CompiledRuleSet:
                 parents.setdefault((_rel, (dst,)), src)
 
         if plan.rel.bounded:
-            seed_map = {key[0]: ann for key, ann in store.items()}
             if record is not None:
                 return _RecordingBoundedAnalysis(
-                    seed_map, plan.rel.k, follow, name, record
+                    store, plan.rel.k, follow, name, record
                 )
-            return _RuleBoundedAnalysis(seed_map, plan.rel.k, follow, name)
-        sources = [key[0] for key in store]
+            return _RuleBoundedAnalysis(store, plan.rel.k, follow, name)
+        sources = list(store)
         if record is not None:
             return _RecordingReachAnalysis(sources, follow, name, record)
         return _RuleReachAnalysis(sources, follow, name)

@@ -4,10 +4,12 @@ Both evaluators sit on the same three pieces, so they cannot drift
 apart semantically:
 
 * :class:`Extents` — the derived-fact store. A plain relation is a set
-  of key tuples; a k-bounded relation is a map from key tuple to a
-  lattice annotation (``frozenset`` of at most k values, or
+  of keys; a k-bounded relation is a map from key to a lattice
+  annotation (``frozenset`` of at most k values, or
   :data:`~repro.rules.lattice.MANY`), joined with
-  :func:`~repro.rules.lattice.bounded_join` on every update.
+  :func:`~repro.rules.lattice.bounded_join` on every update. A key of
+  one column is stored bare, wider keys as tuples, so a recursive
+  relation's extent *is* the flow sweep's own item map.
 * :class:`World` — uniform fact access for rule firing: base relations
   come from a :class:`~repro.rules.schema.FactSource`, derived ones
   from the extents.
@@ -43,8 +45,22 @@ def clamp(annotation, k: int):
     return MANY if len(annotation) > k else frozenset(annotation)
 
 
+def add_bounded(store: Dict, key, contribution, k: int) -> bool:
+    """Join one contribution into a k-bounded extent; True when the
+    annotation changed."""
+    new = clamp(contribution, k)
+    old = store.get(key)
+    if old is not None:
+        new = bounded_join(old, new, k)
+        if new == old:
+            return False
+    store[key] = new
+    return True
+
+
 class Extents:
-    """Derived-fact store for one evaluation run."""
+    """Derived-fact store for one evaluation run. Methods take and
+    return key tuples; :attr:`data` holds single-column keys bare."""
 
     def __init__(self, relations: Dict[str, Rel]):
         #: Only the derived relations; base facts live in the source.
@@ -53,31 +69,31 @@ class Extents:
             for name, rel in relations.items()
             if rel.kind == "idb"
         }
-        self.data: Dict[str, Dict[Key, object]] = {
+        self.data: Dict[str, Dict[object, object]] = {
             name: {} for name in self.relations
         }
+
+    @staticmethod
+    def stored(rel: Rel, key: Key):
+        """The form ``key`` is stored under: bare for one column."""
+        return key[0] if rel.key_arity == 1 else tuple(key)
 
     def add(self, rel: Rel, key: Key, contribution) -> bool:
         """Join one contribution in; True when the extent changed."""
         store = self.data[rel.name]
+        key = self.stored(rel, key)
         if rel.bounded:
-            new = clamp(contribution, rel.k)
-            old = store.get(key)
-            if old is not None:
-                new = bounded_join(old, new, rel.k)
-            if old is None or new != old:
-                store[key] = new
-                return True
-            return False
+            return add_bounded(store, key, contribution, rel.k)
         if key in store:
             return False
         store[key] = True
         return True
 
-    def replace(self, rel: Rel, values: Dict[Key, object]) -> None:
+    def replace(self, rel: Rel, values: Dict[object, object]) -> None:
         """Install a completed fixpoint for one relation (the compiled
-        engine's post-sweep write-back)."""
-        self.data[rel.name] = dict(values)
+        engine's post-sweep write-back); ``values`` is taken over, not
+        copied."""
+        self.data[rel.name] = values
 
     def holds(self, rel: Rel, fact: Key) -> bool:
         if rel.bounded:
@@ -85,13 +101,20 @@ class Extents:
                 f"'{rel.name}' is k-bounded; membership of a value "
                 "is not a fact test"
             )
-        return tuple(fact) in self.data[rel.name]
+        return self.stored(rel, fact) in self.data[rel.name]
 
     def annotation(self, rel: Rel, key: Key):
-        return self.data[rel.name].get(tuple(key))
+        return self.data[rel.name].get(self.stored(rel, key))
+
+    def items(self, name: str) -> Iterator[Tuple[Key, object]]:
+        """``(key tuple, value)`` pairs of one relation."""
+        store = self.data[name]
+        if self.relations[name].key_arity == 1:
+            return (((key,), value) for key, value in store.items())
+        return iter(store.items())
 
     def keys(self, name: str) -> List[Key]:
-        return list(self.data[name])
+        return [key for key, _ in self.items(name)]
 
     def size(self) -> int:
         return sum(len(store) for store in self.data.values())
@@ -109,13 +132,12 @@ class World:
         (``None`` marks a free column)."""
         if rel.kind == "edb":
             return self.source.lookup(rel.name, pattern)
-        store = self.extents.data[rel.name]
         if all(value is not None for value in pattern):
             probe = tuple(pattern)
-            return (probe,) if probe in store else ()
+            return (probe,) if self.extents.holds(rel, probe) else ()
         return (
             fact
-            for fact in store
+            for fact in self.extents.keys(rel.name)
             if all(
                 want is None or have == want
                 for have, want in zip(fact, pattern)
@@ -127,14 +149,13 @@ class World:
     ) -> Iterator[Tuple[Key, object]]:
         """(key, annotation) pairs of a bounded relation matching the
         key pattern."""
-        store = self.extents.data[rel.name]
         if all(value is not None for value in key_pattern):
             probe = tuple(key_pattern)
-            annotation = store.get(probe)
+            annotation = self.extents.annotation(rel, probe)
             if annotation is not None:
                 yield probe, annotation
             return
-        for key, annotation in store.items():
+        for key, annotation in self.extents.items(rel.name):
             if all(
                 want is None or have == want
                 for have, want in zip(key, key_pattern)

@@ -1,45 +1,36 @@
-"""The shipped rule programs: every analysis as rules.
+"""The shipped rule programs: every linear analysis as rules.
 
-Each program is the declarative twin of a hand-written analysis and is
-held to byte-equivalence against it by the golden tests — the twins
-stay in the tree as the specification the rules must match (retirement
-clock: a hand twin may be deleted once two releases of CI
-byte-equality have held; see docs/RULES.md):
+These programs are the only implementation of the L/F lints and of
+the paper's Section 8–9 consumers; :mod:`repro.lint` and
+:mod:`repro.apps` read their output relations, and the golden tests
+under ``tests/golden/`` freeze what they produce:
 
-* ``lint-l001`` (:class:`~repro.lint.passes.DeadLambdaPass`):
-  ``called`` projects the bounded ``calls`` annotation down to a
-  key-existence view, and ``dead_fun`` joins the lambda-bearing index
-  with its stratified complement;
-* ``lint-l002`` (:class:`~repro.lint.passes.StuckApplicationPass`):
-  ``reach_lam`` marks every node that can reach an abstraction
-  (backward along edges, exactly the fused sweep's ``reach-lambda``
-  probe) and a site is ``stuck`` when its operator node is in the
-  stratified complement;
-* ``lint-l004`` (:class:`~repro.lint.passes.EscapingFunctionPass`):
-  ``escape`` marks everything reachable from a primitive-argument
-  sink (forward), and ``escaping_fun`` joins the marks with the
-  lambda-bearing index;
-* ``lint-l005`` (:class:`~repro.lint.passes.UnusedBindingPass`):
-  ``unused_bind`` is the binder view joined with the complement of
-  ``var_used``;
-* ``lint-f001`` (:class:`~repro.lint.flowrules.TaintedSinkPass`):
-  ``taint`` marks everything that may evaluate to a dereference
-  (backward), and ``tainted_sink`` joins the marks with the
-  primitive-argument sinks;
-* ``lint-f002`` (:class:`~repro.lint.flowrules.EscapingRefPass`):
-  ``escaping_ref`` restricts the ``escape`` marks to ref-bearing
-  nodes;
-* ``lint-f003`` (:class:`~repro.lint.flowrules.UnneededParamPass`):
-  ``unneeded_param`` is the parameter view joined with the complement
-  of ``var_used``;
-* ``lint-f004`` (:class:`~repro.lint.flowrules.UnreachableBranchPass`):
-  ``con_val`` carries k-bounded constructor-name sets backward from
-  construction sites (k = the widest datatype, via
-  :func:`constructor_k`);
-* ``app-called-once`` (:func:`~repro.apps.called_once.called_once`):
-  ``calls`` carries 1-bounded call-site sets forward from operator
-  nodes; an abstraction's annotation is then ``None`` (never called),
-  a singleton (the unique site), or MANY;
+* ``lint-l001`` (L001, dead lambda): ``called`` projects the bounded
+  ``calls`` annotation down to a key-existence view, and ``dead_fun``
+  joins the lambda-bearing index with its stratified complement;
+* ``lint-l002`` (L002, stuck application): ``reach_lam`` marks every
+  node that can reach an abstraction (backward along edges) and a
+  site is ``stuck`` when its operator node is in the stratified
+  complement;
+* ``lint-l004`` (L004, escaping function): ``escape`` marks
+  everything reachable from a primitive-argument sink (forward), and
+  ``escaping_fun`` joins the marks with the lambda-bearing index;
+* ``lint-l005`` (L005, unused binding): ``unused_bind`` is the binder
+  view joined with the complement of ``var_used``;
+* ``lint-f001`` (F001, tainted sink): ``taint`` marks everything that
+  may evaluate to a dereference (backward), and ``tainted_sink``
+  joins the marks with the primitive-argument sinks;
+* ``lint-f002`` (F002, escaping ref): ``escaping_ref`` restricts the
+  ``escape`` marks to ref-bearing nodes;
+* ``lint-f003`` (F003, unneeded parameter): ``unneeded_param`` is the
+  parameter view joined with the complement of ``var_used``;
+* ``lint-f004`` (F004, unreachable branch): ``con_val`` carries
+  k-bounded constructor-name sets backward from construction sites
+  (k = the widest datatype, via :func:`constructor_k`);
+* ``app-called-once`` (:func:`~repro.apps.called_once.called_once`,
+  and L003): ``calls`` carries 1-bounded call-site sets forward from
+  operator nodes; an abstraction's annotation is then ``None`` (never
+  called), a singleton (the unique site), or MANY;
 * ``app-effects`` (:func:`~repro.apps.effects.effects_analysis`):
   ``red`` closes the base-effectful seeds forward along ``eff_edge``
   — the Section 8 colouring as a two-rule program;
@@ -50,15 +41,13 @@ byte-equality have held; see docs/RULES.md):
 ``repro.lint`` compiles the lint programs together (plus
 ``app-called-once``, which L001/L003 read), so their recursive
 relations share one stratum and fuse into a single ``run_fused``
-sweep — the same scheduling the hand-written passes get from
-:meth:`~repro.lint.passes.LintContext._sweep`.
+sweep.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro._util import Stopwatch
 from repro.rules.dsl import (
     CNAME,
     LABEL,
@@ -119,8 +108,7 @@ RED = Rel("red", NODE)
 
 def constructor_k(program) -> int:
     """The F004 value bound: the largest constructor count of any
-    declared datatype (the k :class:`~repro.flow.analyses.
-    ConstructorAnalysis` uses, so annotations saturate identically)."""
+    declared datatype, so an annotation short of MANY is exact."""
     k = max(
         (
             len(decl.constructors)
@@ -245,8 +233,7 @@ def _f003_program() -> RuleProgram:
 
 def f004_program(k: int = 1) -> RuleProgram:
     """The F004 program for a given constructor bound ``k`` — the
-    value column saturates to MANY past ``k`` names, exactly like the
-    hand pass's :class:`~repro.flow.analyses.ConstructorAnalysis`."""
+    value column saturates to MANY past ``k`` names."""
     con_val = Rel("con_val", NODE, CNAME, k=k)
     N, M, C = make_vars("N M C")
     return RuleProgram(
@@ -336,9 +323,9 @@ SHIPPED_PROGRAMS = (
     KLIMITED_PROGRAM,
 )
 
-#: The programs `repro.lint --impl rules` evaluates together: all the
-#: lint twins plus called-once (which L001/L003 read). F004 is
-#: instantiated per constructor bound, so the tuple is built per k.
+#: The programs `repro.lint` evaluates together: every lint program
+#: plus called-once (which L001/L003 read). F004 is instantiated per
+#: constructor bound, so the tuple is built per k.
 _LINT_PROGRAMS = (
     L001_PROGRAM,
     L002_PROGRAM,
@@ -369,10 +356,9 @@ def shipped_fingerprint() -> str:
 
 def lint_rule_set(con_k: int = 1):
     """The compiled lint set (cached per constructor bound; compiling
-    is pure static work): every L/F twin plus called-once. All five
+    is pure static work): every L/F program plus called-once. All five
     recursive relations (reach_lam, escape, taint, calls, con_val)
-    land in one stratum, so one fused sweep services every lint —
-    the same scheduling the hand passes get."""
+    land in one stratum, so one fused sweep services every lint."""
     rule_set = _lint_rule_sets.get(con_k)
     if rule_set is None:
         from repro.rules.engine import CompiledRuleSet
@@ -412,85 +398,3 @@ def klimited_rule_set(k: int = 2):
         rule_set = CompiledRuleSet((program,))
         _klimited_rule_sets[k] = rule_set
     return rule_set
-
-
-def rules_called_once(program, sub=None):
-    """The rule-program twin of :func:`repro.apps.called_once.
-    called_once`: same inputs, same :class:`~repro.apps.called_once.
-    CalledOnceResult` classifications."""
-    from repro.apps.called_once import CalledOnceResult
-    from repro.apps.propagation import MANY
-    from repro.core.lc import build_subtransitive_graph
-    from repro.flow.framework import FlowContext
-
-    if sub is None:
-        sub = build_subtransitive_graph(program)
-    ctx = FlowContext(program=program, sub=sub)
-    with Stopwatch() as watch:
-        evaluation = called_once_rule_set().run(ctx=ctx)
-    once = {}
-    never = set()
-    many = set()
-    for lam in program.abstractions:
-        annotation = evaluation.annotation(
-            "calls", sub.factory.expr_node(lam)
-        )
-        if annotation is None:
-            never.add(lam.label)
-        elif annotation is MANY:
-            many.add(lam.label)
-        else:
-            (site_nid,) = annotation
-            once[lam.label] = site_nid
-    return CalledOnceResult(
-        program, once, frozenset(never), frozenset(many), watch.elapsed
-    )
-
-
-def rules_effects_analysis(program, sub=None):
-    """The rule-program twin of :func:`repro.apps.effects.
-    effects_analysis`: the ``app-effects`` program evaluated over the
-    same context, returning the same :class:`~repro.apps.effects.
-    EffectsResult`."""
-    from repro.apps.effects import EffectsResult
-    from repro.core.lc import build_subtransitive_graph
-    from repro.core.nodes import Node
-    from repro.flow.framework import FlowContext
-
-    if sub is None:
-        sub = build_subtransitive_graph(program)
-    ctx = FlowContext(program=program, sub=sub)
-    with Stopwatch() as watch:
-        evaluation = effects_rule_set().run(ctx=ctx)
-        red = frozenset(
-            key[0].nid
-            for key in evaluation.extents.keys("red")
-            if not isinstance(key[0], Node)
-        )
-    return EffectsResult(program, red, watch.elapsed)
-
-
-def rules_k_limited_cfa(program, k: int, sub=None):
-    """The rule-program twin of :func:`repro.apps.klimited.
-    k_limited_cfa`: the ``app-klimited`` program for this ``k``,
-    returning the same :class:`~repro.apps.klimited.KLimitedResult`."""
-    from repro.apps.klimited import KLimitedResult
-    from repro.core.lc import build_subtransitive_graph
-    from repro.flow.framework import FlowContext
-
-    if sub is None:
-        sub = build_subtransitive_graph(program)
-    # The hand analysis seeds through expr_node, which *builds* a node
-    # for depth-capped abstractions; touch them first so the lam_at
-    # view enumerates the same seed set.
-    for lam in program.abstractions:
-        sub.factory.expr_node(lam)
-    ctx = FlowContext(program=program, sub=sub)
-    with Stopwatch() as watch:
-        evaluation = klimited_rule_set(k).run(ctx=ctx)
-        values = {
-            key[0]: annotation
-            for key, annotation in
-            evaluation.extents.data["klabels"].items()
-        }
-    return KLimitedResult(sub, k, values, watch.elapsed)

@@ -2,9 +2,8 @@
 
 Every EDB relation is a *view*: facts are enumerated (or looked up by
 bound columns) straight off the graph and the node factory's indexes,
-never materialised up front. The views mirror exactly what the
-hand-written flow analyses consume, so a rule program sees the same
-world the L/F lint passes do:
+materialised at most once per evaluation and only when a rule reads
+them:
 
 ``edge(node, node)``
     The subtransitive edges. Lookups with one side bound ride the
@@ -23,15 +22,15 @@ world the L/F lint passes do:
 ``app_op(nid, node)``
     Application sites: the site's nid and the *built* graph node of
     its operator (depth-capped operators have no node and contribute
-    no fact — the same "no verdict" rule the L002 pass applies).
+    no fact: no verdict for L002).
 ``var_used(node)``
     Variable nodes with positive in-degree (LC' materialises the use
     relation as edges, so this is exactly "used").
 ``param_var(node, label)``
     Each abstraction's parameter variable node, keyed by the
     abstraction's label (the F003 subjects; parameters whose variable
-    node was never built contribute no fact, matching the hand pass's
-    "no node, no verdict" rule — the rule pass reports them directly).
+    node was never built contribute no fact — the F003 pass reports
+    them directly).
 ``bind_var(node, name)``
     Each ``let``/``letrec`` binder's variable node and name (the L005
     subjects, same no-node convention as ``param_var``).
@@ -41,9 +40,9 @@ world the L/F lint passes do:
 ``eff_edge(node, node)``
     The effects analysis's propagation relation: exactly
     :meth:`~repro.flow.analyses.EffectsAnalysis.downstream`, mixing
-    AST nodes and graph nodes. Lookups with the source bound ride the
-    hand analysis's own downstream function, so the rule sweep visits
-    precisely the hand sweep's edges.
+    AST nodes and graph nodes. Lookups with the source bound call that
+    downstream function directly, so the sweep never materialises the
+    view.
 
 :class:`DictFactSource` provides the same interface over explicit fact
 sets — the harness the property tests and the naive reference
@@ -52,8 +51,10 @@ evaluator run against.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.lang.ast import Con, Deref, Lam, Ref
 from repro.rules.dsl import CNAME, LABEL, NAME, NID, NODE, Rel
 
 # -- the schema ---------------------------------------------------------------
@@ -124,25 +125,39 @@ class FactSource:
             self._indexes[cache_key] = cached
         return cached
 
+    def index(self, rel: str, mask: Tuple[bool, ...]) -> Dict[Tuple, List[Fact]]:
+        """The facts of ``rel`` bucketed by the columns ``mask`` marks
+        bound, in fact order (built once per source). With every
+        column bound the keys are the facts themselves, so ``fact in
+        index`` is the membership test."""
+        index_key = (rel, mask)
+        index = self._indexes.get(index_key)
+        if index is None:
+            facts = self.facts(rel)
+            positions = [i for i, bound in enumerate(mask) if bound]
+            if len(positions) == len(mask):
+                index = {fact: [fact] for fact in facts}
+            else:
+                index = {}
+                pick = itemgetter(*positions)
+                single = len(positions) == 1
+                for fact in facts:
+                    key = (pick(fact),) if single else pick(fact)
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = [fact]
+                    else:
+                        bucket.append(fact)
+            self._indexes[index_key] = index
+        return index
+
     def lookup(self, rel: str, pattern: Pattern) -> Iterable[Fact]:
         """Facts matching ``pattern`` (``None`` = free column)."""
         mask = tuple(value is not None for value in pattern)
         if not any(mask):
             return self.facts(rel)
-        index_key = (rel, mask)
-        index = self._indexes.get(index_key)
-        if index is None:
-            index = {}
-            for fact in self.facts(rel):
-                key = tuple(
-                    value
-                    for value, bound in zip(fact, mask)
-                    if bound
-                )
-                index.setdefault(key, []).append(fact)
-            self._indexes[index_key] = index
         probe = tuple(value for value in pattern if value is not None)
-        return index.get(probe, ())
+        return self.index(rel, mask).get(probe, ())
 
     def contains(self, rel: str, fact: Fact) -> bool:
         for _ in self.lookup(rel, fact):
@@ -168,9 +183,8 @@ class GraphFactSource(FactSource):
         return GRAPH_SCHEMA
 
     def _eff_downstream(self, item) -> List:
-        """The effects analysis's downstream items for ``item`` — the
-        hand analysis's own edge function, so ``eff_edge`` facts are
-        its edges by definition."""
+        """The effects analysis's downstream items for ``item``:
+        ``eff_edge`` facts are its edges by definition."""
         if self._effects is None:
             from repro.flow.analyses import EffectsAnalysis
 
@@ -179,6 +193,9 @@ class GraphFactSource(FactSource):
 
     def _bearing_pairs(self, expr_type, attr: str) -> Iterator[Fact]:
         for node in self.ctx.factory.nodes_bearing(expr_type):
+            if not node.absorbed:
+                yield (node, getattr(node.expr, attr))
+                continue
             values = []
             if isinstance(node.expr, expr_type):
                 values.append(getattr(node.expr, attr))
@@ -188,69 +205,58 @@ class GraphFactSource(FactSource):
             for value in sorted(set(values)):
                 yield (node, value)
 
-    def _all(self, rel: str) -> Iterator[Fact]:
-        from repro.lang.ast import Con, Deref, Lam, Ref
-
+    def _all(self, rel: str) -> List[Fact]:
         ctx = self.ctx
+        factory = ctx.factory
         if rel == "edge":
-            return iter(ctx.graph.edges())
+            return list(ctx.graph.edges())
         if rel == "lam_node":
-            return ((node,) for node in ctx.lambda_value_nodes)
+            return [(node,) for node in ctx.lambda_value_nodes]
         if rel == "lam_at":
-            return self._bearing_pairs(Lam, "label")
+            return list(self._bearing_pairs(Lam, "label"))
         if rel == "con_at":
-            return self._bearing_pairs(Con, "cname")
+            return list(self._bearing_pairs(Con, "cname"))
         if rel == "ref_node":
-            return (
-                (node,) for node in ctx.factory.nodes_bearing(Ref)
-            )
+            return [(node,) for node in factory.nodes_bearing(Ref)]
         if rel == "deref_node":
-            return (
-                (node,) for node in ctx.factory.nodes_bearing(Deref)
-            )
+            return [(node,) for node in factory.nodes_bearing(Deref)]
         if rel == "sink_arg":
-            return (
-                (arg.nid, node) for arg, node in ctx.sink_arg_nodes
-            )
+            return [(arg.nid, node) for arg, node in ctx.sink_arg_nodes]
         if rel == "app_op":
-            return (
+            peek = factory.peek_expr
+            return [
                 (site.nid, node)
                 for site in ctx.program.applications
-                for node in (ctx.peek(site.fn),)
+                for node in (peek(site.fn),)
                 if node is not None
-            )
+            ]
         if rel == "var_used":
-            graph = ctx.graph
-            return (
-                (node,)
-                for node in ctx.factory.var_nodes
-                if graph.in_degree(node) > 0
-            )
+            in_degree = ctx.graph.in_degree
+            return [
+                (node,) for node in factory.var_nodes if in_degree(node) > 0
+            ]
+        # Labels and (renamed) binder names are unique, and a repeated
+        # fact would derive nothing new anyway: no deduplication.
         if rel == "param_var":
-            return iter(dict.fromkeys(
+            peek_var = factory.peek_var
+            return [
                 (var_node, lam.label)
                 for lam in ctx.program.abstractions
-                for var_node in (ctx.factory.peek_var(lam.param),)
+                for var_node in (peek_var(lam.param),)
                 if var_node is not None
-            ))
+            ]
         if rel == "bind_var":
-            from repro.lang.ast import Let, Letrec
-
-            return iter(dict.fromkeys(
+            peek_var = factory.peek_var
+            return [
                 (var_node, binder.name)
-                for binder in ctx.program.nodes
-                if isinstance(binder, (Let, Letrec))
-                for var_node in (ctx.factory.peek_var(binder.name),)
+                for binder in ctx.binders
+                for var_node in (peek_var(binder.name),)
                 if var_node is not None
-            ))
+            ]
         if rel == "eff_base":
             from repro.flow.analyses import base_red
 
-            return (
-                (node,)
-                for node in ctx.program.nodes
-                if base_red(node)
-            )
+            return [(node,) for node in ctx.program.nodes if base_red(node)]
         if rel == "eff_edge":
             # Full enumeration (the slow path — source-bound lookups
             # below never reach it): every AST node plus every built
@@ -264,11 +270,11 @@ class GraphFactSource(FactSource):
                 if getattr(node, "kind", None) == "op"
                 and node.opkey == ("ran",)
             )
-            return (
+            return [
                 (item, out)
                 for item in items
                 for out in self._eff_downstream(item)
-            )
+            ]
         raise KeyError(f"unknown base relation {rel!r}")
 
     def lookup(self, rel: str, pattern: Pattern) -> Iterable[Fact]:
@@ -284,7 +290,7 @@ class GraphFactSource(FactSource):
                 return ((p, dst) for p in graph.predecessors(dst))
             if src is not None and dst is not None:
                 return ((src, dst),) if graph.has_edge(src, dst) else ()
-        # eff_edge with the source bound rides the hand analysis's
+        # eff_edge with the source bound rides the effects analysis's
         # downstream function directly — O(degree) per probe, and the
         # rule sweep's follow function never materialises the view.
         if rel == "eff_edge" and pattern[0] is not None:

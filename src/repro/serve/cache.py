@@ -108,9 +108,9 @@ def cache_key(
     }
     if keyed_options.get("lint"):
         # Lint envelopes depend on the shipped rule programs too (the
-        # L002/L004 twins are held byte-identical, so the *identity*
-        # of the rules is part of the result's identity): editing a
-        # rule invalidates cached lint results by construction.
+        # L/F lints *are* those programs, so the identity of the
+        # rules is part of the result's identity): editing a rule
+        # invalidates cached lint results by construction.
         from repro.rules.programs import shipped_fingerprint
 
         payload["rules"] = shipped_fingerprint()

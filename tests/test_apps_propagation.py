@@ -1,10 +1,16 @@
-"""Tests for the bounded-set propagation engine (Section 9 machinery)."""
+"""Tests for bounded-set propagation (the Section 9 machinery): the
+k-bounded lattice of :class:`~repro.flow.analyses.BoundedSetAnalysis`
+on the shared worklist engine, over plain digraphs."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.propagation import MANY, propagate_bounded_sets
+from repro.flow import MANY, BoundedSetAnalysis, FlowContext, run_flow
 from repro.graph.digraph import Digraph
+
+
+def propagate_sets(seeds, k, downstream):
+    return run_flow(BoundedSetAnalysis(seeds, k, downstream), FlowContext())
 
 
 def run(edges, seeds, k, direction="backward"):
@@ -13,8 +19,7 @@ def run(edges, seeds, k, direction="backward"):
     for node in seeds:
         g.add_node(node)
     downstream = g.predecessors if direction == "backward" else g.successors
-    return propagate_bounded_sets(
-        g,
+    return propagate_sets(
         {node: frozenset(tokens) for node, tokens in seeds.items()},
         k,
         downstream=downstream,
@@ -100,8 +105,7 @@ class TestFixpointProperty:
         g.add_edges(edges)
         for node in range(9):
             g.add_node(node)
-        values = propagate_bounded_sets(
-            g,
+        values = propagate_sets(
             {n: frozenset(s) for n, s in seeds.items()},
             k,
             downstream=g.predecessors,

@@ -106,6 +106,15 @@ class TestBatchCommand:
         assert exit_info.value.code == 2
         assert f"{flag}: must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "x"])
+    def test_timeout_not_positive_finite_is_a_usage_error(
+        self, corpus, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", corpus, "--timeout", value])
+        assert exit_info.value.code == 2
+        assert "--timeout:" in capsys.readouterr().err
+
     def test_examples_acceptance(self, capsys):
         # The ISSUE.md acceptance criterion, as a regression test.
         assert main(["batch", "examples", "--jobs", "2"]) == 0

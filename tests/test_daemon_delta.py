@@ -69,10 +69,9 @@ def check_exact(pa):
     ) == json.dumps(strip_positions(cold_lint), sort_keys=True)
 
 
-@pytest.fixture(params=["object", "csr"])
+@pytest.fixture(params=["csr"])
 def backend(request):
-    """Both ids run the one (CSR) graph; they name the graph backends
-    these tests used to be repeated on."""
+    """The one (CSR) graph; the param keeps these tests' ids."""
     return request.param
 
 

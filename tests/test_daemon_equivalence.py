@@ -156,25 +156,17 @@ BUDGET_GRIND = [
 ]
 
 
-# Both tests run the one (CSR) graph, each on its own random draw;
-# they name the graph backends the test used to be repeated on.
-@settings(max_examples=40, deadline=None)
-@given(sequence=ops)
-@example(sequence=BUDGET_GRIND)
-def test_random_sequences_object_backend(sequence):
-    run_sequence(sequence)
-
-
-@settings(max_examples=40, deadline=None)
+# The one (CSR) graph; the name keeps the test's id. This test alone
+# carries the random-sequence coverage, hence 80 examples.
+@settings(max_examples=80, deadline=None)
 @given(sequence=ops)
 @example(sequence=BUDGET_GRIND)
 def test_random_sequences_csr_backend(sequence):
     run_sequence(sequence)
 
 
-# Both ids run the one (CSR) graph; they name the graph backends the
-# test used to be repeated on.
-@pytest.mark.parametrize("backend", ["object", "csr"])
+# The one (CSR) graph; the param keeps the test's id.
+@pytest.mark.parametrize("backend", ["csr"])
 def test_worst_case_sequence(backend):
     """A hand-picked sequence that exercises every delta path:
     append, letrec, redefine-with-cascade, fallback, undefine."""

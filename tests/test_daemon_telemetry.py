@@ -20,12 +20,12 @@ from repro.obs import request_chain, validate_event, validate_telemetry
 from repro.obs.live import render_prometheus, render_request
 
 
-@pytest.fixture(params=["object", "csr"])
+@pytest.fixture(params=["csr"])
 def endpoint(request, tmp_path):
     """A live daemon on a temp Unix socket with the event sink on and
     the slow-capture threshold at zero (every request is "slow", so
-    span profiles are always taken). Both ids run the one (CSR) graph;
-    they name the graph backends these tests used to be repeated on."""
+    span profiles are always taken). It runs the one (CSR) graph; the
+    param keeps these tests' ids."""
     path = str(tmp_path / "repro.sock")
     events_path = str(tmp_path / "events.jsonl")
     loop = asyncio.new_event_loop()

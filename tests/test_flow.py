@@ -2,8 +2,8 @@
 
 Covers the k-bounded lattice, the shared worklist engine (fuel
 accounting, metrics), the fused multi-analysis scheduler, and the
-golden-output equivalence of the refactored apps analyses against
-their pre-framework semantics.
+effects analysis (a rule program on the framework) against the
+paper's quadratic baseline.
 """
 
 import pytest
@@ -15,19 +15,16 @@ from repro.errors import AnalysisBudgetExceeded
 from repro.flow import (
     MANY,
     BoundedSetAnalysis,
-    ConstructorAnalysis,
     EffectsAnalysis,
-    EscapeAnalysis,
     FlowContext,
-    NeednessAnalysis,
     ReachabilityAnalysis,
-    TaintAnalysis,
     bounded_join,
     bounded_seed,
     run_flow,
     run_fused,
 )
 from repro.lang import parse
+from repro.lang.ast import Con, Deref
 from repro.obs import MetricsRegistry
 
 from tests.helpers import SAMPLE_SOURCES
@@ -37,6 +34,15 @@ def _context(src, registry=None):
     program = parse(src)
     sub = build_subtransitive_graph(program)
     return program, sub, FlowContext(program, sub, registry=registry)
+
+
+def _taint(ctx):
+    """Backward marks from every dereference node (the F001 sweep)."""
+    return ReachabilityAnalysis(
+        ctx.factory.nodes_bearing(Deref),
+        ctx.graph.predecessors,
+        name="taint",
+    )
 
 
 # -- the k-bounded lattice ----------------------------------------------------
@@ -92,7 +98,7 @@ class TestRunFlow:
             "let r = ref 1 in let x = !r in print x",
             registry=registry,
         )
-        run_flow(TaintAnalysis(), ctx, fuel=ctx.default_fuel())
+        run_flow(_taint(ctx), ctx, fuel=ctx.default_fuel())
         assert registry.counter("flow.steps.taint").value > 0
         assert registry.gauge("flow.fuel.budget.taint").value > 0
         used = registry.gauge("flow.fuel.used.taint").value
@@ -107,16 +113,42 @@ FUSABLE = ["identity", "let_poly", "records", "datatype_map", "refs"]
 
 class TestRunFused:
     def _analyses(self, ctx, sub):
+        """The five shapes a lint run fuses: backward and forward
+        reachability, backward taint, a seeds-only mark set and a
+        k-bounded constructor-name propagation."""
+        graph = sub.graph
+        constructors = {}
+        for node in ctx.factory.nodes_bearing(Con):
+            names = {
+                expr.cname
+                for expr in [node.expr] + node.absorbed
+                if isinstance(expr, Con)
+            }
+            constructors[node] = frozenset(names)
         return [
             ReachabilityAnalysis(
                 ctx.lambda_value_nodes,
-                sub.graph.predecessors,
+                graph.predecessors,
                 name="reach-lambda",
             ),
-            EscapeAnalysis(),
-            TaintAnalysis(),
-            NeednessAnalysis(),
-            ConstructorAnalysis(ctx),
+            ReachabilityAnalysis(
+                [node for _, node in ctx.sink_arg_nodes],
+                graph.successors,
+                name="escape",
+            ),
+            _taint(ctx),
+            ReachabilityAnalysis(
+                [
+                    node
+                    for node in ctx.factory.var_nodes
+                    if graph.in_degree(node) > 0
+                ],
+                lambda item: (),
+                name="needness",
+            ),
+            BoundedSetAnalysis(
+                constructors, 2, graph.predecessors, name="constructors"
+            ),
         ]
 
     @pytest.mark.parametrize("name", FUSABLE)
@@ -174,4 +206,6 @@ class TestAppsEquivalence:
         program = parse("let u = print 1 in 2")
         sub = build_subtransitive_graph(program, registry=registry)
         effects_analysis(program, sub=sub)
-        assert registry.counter("flow.steps.effects").value > 0
+        # The app-effects program's red sweep runs on the fused
+        # scheduler.
+        assert registry.counter("flow.steps.fused").value > 0

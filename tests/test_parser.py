@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ParseError
 from repro.lang import parse, parse_expr
+from repro.lang.parser import MAX_NESTING
 from repro.lang.ast import (
     App,
     Assign,
@@ -244,3 +245,57 @@ class TestErrors:
         with pytest.raises(ParseError) as excinfo:
             parse_expr("let x = in x")
         assert excinfo.value.line == 1
+
+
+def _nested(depth: int) -> str:
+    return "(" * depth + "1" + ")" * depth + "\n"
+
+
+class TestNestingLimit:
+    """Brackets nest at most MAX_NESTING deep, and every entry point
+    that accepts the limit also gets through the rest of the stack;
+    one level more is a parse error at the offending bracket."""
+
+    LIMIT_MESSAGE = f"brackets nested deeper than {MAX_NESTING} levels"
+
+    def test_at_limit_parses(self):
+        assert parse(_nested(MAX_NESTING)).size == 1
+
+    def test_past_limit_names_the_limit_at_the_bracket(self):
+        with pytest.raises(ParseError) as error:
+            parse(_nested(MAX_NESTING + 1))
+        assert self.LIMIT_MESSAGE in str(error.value)
+        assert str(error.value).startswith(f"1:{MAX_NESTING + 1}:")
+
+    def test_type_brackets_share_the_limit(self):
+        deep = "(" * (MAX_NESTING + 1) + "int" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as error:
+            parse(f"datatype t = C of {deep}; 1")
+        assert self.LIMIT_MESSAGE in str(error.value)
+
+    @pytest.mark.parametrize("command", ["analyze", "lint", "batch"])
+    def test_cli_entry_points(self, tmp_path, command, capsys):
+        from repro.cli import main
+
+        ok = tmp_path / "ok.lam"
+        ok.write_text(_nested(MAX_NESTING))
+        deep = tmp_path / "deep.lam"
+        deep.write_text(_nested(MAX_NESTING + 1))
+        assert main([command, str(ok)]) == 0
+        capsys.readouterr()
+        assert main([command, str(deep)]) == (2 if command == "lint" else 1)
+        out, err = capsys.readouterr()
+        assert self.LIMIT_MESSAGE in out + err
+        assert "Traceback" not in out + err
+
+    def test_project_define(self):
+        from repro.daemon import ProjectAnalysis
+
+        project = ProjectAnalysis()
+        project.define("ok", _nested(MAX_NESTING))
+        assert project.lint()["engine"] == "subtransitive"
+        source = project.render_source()
+        with pytest.raises(ParseError) as error:
+            project.define("deep", _nested(MAX_NESTING + 1))
+        assert self.LIMIT_MESSAGE in str(error.value)
+        assert project.render_source() == source

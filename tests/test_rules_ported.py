@@ -1,21 +1,13 @@
-"""Unit tests for the full-coverage rule port (PR 9).
+"""Unit tests for the full-coverage rule port.
 
-Covers the machinery the port added around the golden/property
-suites: the unported-pass guard and per-rule impl provenance in
-``run_lints``, the ``rules_exempt`` escape hatch for the T-series
-auditors, the checker's new bounded-transport discipline checks and
-the projection pattern, and the parameterised f004/klimited program
+Covers the checker's bounded-transport discipline checks and the
+projection pattern, and the parameterised f004/klimited program
 builders.
 """
 
 import pytest
 
-from repro.core.lc import build_subtransitive_graph
 from repro.lang import parse
-from repro.lint import run_lints
-from repro.lint.flowrules import AUDIT_PASSES
-from repro.lint.passes import ALL_PASSES, LintPass
-from repro.lint.ruleimpl import RULE_PASSES
 from repro.rules import GRAPH_SCHEMA, RuleCheckError, check_programs
 from repro.rules.check import check_rules
 from repro.rules.dsl import (
@@ -23,7 +15,6 @@ from repro.rules.dsl import (
     NODE,
     Rel,
     Rule,
-    RuleProgram,
     make_vars,
 )
 from repro.rules.fixtures import FIXTURES
@@ -33,88 +24,11 @@ from repro.rules.programs import (
     f004_program,
     klimited_program,
 )
-from repro.rules.schema import EDGE, LAM_AT
+from repro.rules.schema import LAM_AT
 
 N, M, S = make_vars("N M S")
 
 PROGRAM = "let f = fn[f] x => x in let g = fn[g] y => y in f (g 1)"
-
-
-def build(source=PROGRAM):
-    program = parse(source)
-    return program, build_subtransitive_graph(program)
-
-
-class TestRunLintsGuard:
-    def test_every_lf_pass_has_a_rule_twin(self):
-        for cls in ALL_PASSES:
-            if cls.code.startswith(("L", "F")):
-                assert cls.code in RULE_PASSES, cls.code
-
-    def test_audit_passes_are_rules_exempt(self):
-        for cls in AUDIT_PASSES:
-            assert cls.rules_exempt, cls.code
-
-    def test_unported_pass_fails_loudly_under_rules(self):
-        class GhostPass(LintPass):
-            code = "X999"
-            name = "ghost"
-            severity = "info"
-
-            def run(self, ctx, scope=None):
-                return []
-
-        program, sub = build()
-        with pytest.raises(ValueError) as err:
-            run_lints(
-                program,
-                sub,
-                passes=list(ALL_PASSES) + [GhostPass],
-                impl="rules",
-            )
-        assert "X999" in str(err.value)
-        assert "no rule-program implementation" in str(err.value)
-
-    def test_exempt_pass_runs_unchanged_under_rules(self):
-        class ExemptGhostPass(LintPass):
-            code = "X998"
-            name = "exempt-ghost"
-            severity = "info"
-            rules_exempt = True
-
-            def run(self, ctx, scope=None):
-                return []
-
-        program, sub = build()
-        result = run_lints(
-            program,
-            sub,
-            passes=list(ALL_PASSES) + [ExemptGhostPass],
-            impl="rules",
-        )
-        assert result.pass_impl["X998"] == "hand"
-
-
-class TestImplProvenance:
-    def test_rules_mode_records_impl_per_pass(self):
-        program, sub = build()
-        result = run_lints(program, sub, impl="rules")
-        for cls in ALL_PASSES:
-            expected = "rules" if cls.code in RULE_PASSES else "hand"
-            assert result.pass_impl[cls.code] == expected
-        assert result.to_dict()["impl"] == result.pass_impl
-
-    def test_hand_mode_envelope_has_no_impl_key(self):
-        program, sub = build()
-        result = run_lints(program, sub, impl="hand")
-        assert result.pass_impl == {}
-        assert "impl" not in result.to_dict()
-
-    def test_filtered_carries_impl(self):
-        program, sub = build()
-        result = run_lints(program, sub, impl="rules")
-        kept = result.filtered(min_severity="warning")
-        assert kept.pass_impl == result.pass_impl
 
 
 class TestTransportDiscipline:

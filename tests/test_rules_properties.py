@@ -148,3 +148,56 @@ def test_explain_never_changes_extents(graph, specs):
     plain = compiled.run(source=fact_source(graph))
     explained = compiled.run(source=fact_source(graph), explain=True)
     assert plain.extents.data == explained.extents.data
+
+
+def join_shapes_program(k):
+    """Seed/join rules covering every access path the join lowering
+    emits: a constant, a variable repeated within an atom, a member
+    test and an index probe into base and derived relations, a scan
+    of a two-column derived relation, negated one- and two-column
+    derived atoms, a k-bounded annotation transported through a join
+    and then projected away, and a copy and a flip of a two-column
+    derived relation."""
+    P = make_vars("P")[0]
+    self_loop = Rel("self_loop", NODE)
+    from100 = Rel("from100", NODE)
+    pair = Rel("pair", NODE, NODE)
+    back = Rel("back", NODE, NODE)
+    two_hop = Rel("two_hop", NODE, NODE)
+    probe = Rel("probe", NODE, NODE)
+    calls = Rel("calls", NODE, NID, k=k)
+    moved = Rel("moved", NODE, NID, k=k)
+    seen = Rel("seen", NODE)
+    copy = Rel("copy", NODE, NODE)
+    flip = Rel("flip", NODE, NODE)
+    rules = [
+        Rule(self_loop(N), [EDGE(N, N)], name="repeated"),
+        Rule(from100(N), [SRC(100, N)], name="constant"),
+        Rule(pair(N, M), [EDGE(N, M), MARK(M)], name="member"),
+        Rule(back(M, N), [pair(N, M), ~self_loop(M)], name="scan"),
+        Rule(
+            two_hop(N, P),
+            [pair(N, M), EDGE(M, P), ~pair(M, P)],
+            name="negated-pair",
+        ),
+        Rule(probe(N, M), [MARK(M), pair(N, M)], name="derived-probe"),
+        Rule(calls(N, S), [SRC(S, N)], name="calls-seed"),
+        Rule(moved(M, S), [calls(N, S), EDGE(N, M)], name="transport"),
+        Rule(seen(N), [moved(N, S)], name="projection"),
+        Rule(copy(N, M), [pair(N, M)], name="copy"),
+        Rule(flip(M, N), [pair(N, M)], name="flip"),
+    ]
+    return RuleProgram("join-shapes", rules)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=graphs, k=st.integers(min_value=1, max_value=3))
+def test_join_shapes_match_naive(graph, k):
+    compiled = CompiledRuleSet(
+        [join_shapes_program(k)], schema=SCHEMA, require_linear=False
+    )
+    evaluation = compiled.run(source=fact_source(graph))
+    reference = naive_fixpoint(compiled.checked, fact_source(graph))
+    assert evaluation.extents.data == reference.data
+    explained = compiled.run(source=fact_source(graph), explain=True)
+    assert explained.extents.data == reference.data
