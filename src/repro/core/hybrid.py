@@ -20,6 +20,7 @@ from repro.cfa.base import CFAResult
 from repro.cfa.standard import StandardCFAResult, analyze_standard
 from repro.errors import AnalysisBudgetExceeded, TypeInferenceError
 from repro.lang.ast import Program
+from repro.types.infer import try_infer_types
 
 from repro.core.queries import SubtransitiveCFA, analyze_subtransitive
 
@@ -43,6 +44,7 @@ class HybridResult:
         result: Union[SubtransitiveCFA, StandardCFAResult],
         fallback_reason: Optional[str] = None,
         registry=None,
+        inference=None,
     ):
         self.engine = engine
         self.result = result
@@ -54,6 +56,11 @@ class HybridResult:
         #: budget burn even after a fallback, when ``result`` no
         #: longer references it.
         self.registry = registry
+        #: The type-inference outcome of the LC' attempt (see
+        #: :attr:`repro.core.lc.SubtransitiveGraph.inference`), kept
+        #: on a fallback too so lint and the audit reuse it; ``None``
+        #: when no inference ran.
+        self.inference = inference
 
     def __getattr__(self, name):
         return getattr(self.result, name)
@@ -86,15 +93,19 @@ def analyze_hybrid(
     """
     if node_budget is None:
         node_budget = budget_factor * max(program.size, 16)
+    inference = try_infer_types(program)
     try:
         result = analyze_subtransitive(
             program,
+            inference=inference,
             node_budget=node_budget,
             registry=registry,
             events=events,
             profiler=profiler,
         )
-        return HybridResult("subtransitive", result, registry=registry)
+        return HybridResult(
+            "subtransitive", result, registry=registry, inference=inference
+        )
     except (AnalysisBudgetExceeded, TypeInferenceError) as error:
         # Budget trip: unbounded dom/ran towers (untypeable program).
         # Inference failure: a datatype-using program we cannot pick a
@@ -122,4 +133,5 @@ def analyze_hybrid(
             standard,
             fallback_reason=reason,
             registry=registry,
+            inference=inference,
         )

@@ -202,6 +202,11 @@ class SubtransitiveGraph:
         #: Edges first added by a closure-rule firing (as opposed to a
         #: build rule); :func:`repro.export.graph_to_dot` styles them.
         self.close_edges = close_edges
+        #: The type-inference outcome the run started from (an
+        #: ``InferenceResult``, or the ``TypeInferenceError`` that
+        #: showed the program untypeable), kept so lint and the audit
+        #: reuse it; ``None`` when the run inferred nothing.
+        self.inference = None
 
     def node_of(self, expr: Expr, context: Context = ()) -> Node:
         """The graph node of an expression occurrence."""
@@ -742,7 +747,9 @@ def build_subtransitive_graph(
     ``make_congruence('exact')`` to force the exact node grammar.
     Type inference is attempted once up front to derive the Section 4
     type-template depth bound; untypeable programs run uncapped under
-    the node budget alone.
+    the node budget alone. ``inference`` may carry that attempt's
+    outcome already (see :func:`repro.types.infer.try_infer_types`);
+    the graph keeps it as ``inference``.
 
     Raises :class:`AnalysisBudgetExceeded` if the program does not
     appear to be bounded-type (use :mod:`repro.core.hybrid` to fall
@@ -750,15 +757,17 @@ def build_subtransitive_graph(
     """
     from repro.core.datatypes import ExactCongruence
     from repro.errors import TypeInferenceError
-    from repro.types.infer import infer_types
+    from repro.types.infer import try_infer_types
 
-    if inference is None:
-        try:
-            inference = infer_types(program)
-        except TypeInferenceError:
-            if program.datatypes and congruence is None:
-                raise  # auto-congruence needs types; hybrid handles
-            inference = None
+    outcome = inference
+    if outcome is None:
+        outcome = try_infer_types(program)
+    if isinstance(outcome, TypeInferenceError):
+        if program.datatypes and congruence is None:
+            raise outcome  # auto-congruence needs types; hybrid handles
+        inference = None
+    else:
+        inference = outcome
     if congruence is None:
         congruence, inference = default_congruence(program, inference)
     if isinstance(congruence, ExactCongruence):
@@ -776,4 +785,6 @@ def build_subtransitive_graph(
         events=events,
         profiler=profiler,
     )
-    return engine.run()
+    sub = engine.run()
+    sub.inference = outcome
+    return sub

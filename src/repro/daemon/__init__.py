@@ -14,6 +14,8 @@ Modules:
 
 - :mod:`repro.daemon.protocol` — the versioned JSONL wire format;
 - :mod:`repro.daemon.delta` — the semi-naive delta closure engine;
+- :mod:`repro.daemon.audit` — the T-series audit, inferred per
+  definition and memoised;
 - :mod:`repro.daemon.state` — the project registry (locks + LRU);
 - :mod:`repro.daemon.server` — the asyncio front-end;
 - :mod:`repro.daemon.client` — a blocking client.

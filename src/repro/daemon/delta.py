@@ -183,6 +183,7 @@ class DefEntry:
         "auto_lams",
         "nlines",
         "shift",
+        "typing",
     )
 
     def __init__(
@@ -227,6 +228,10 @@ class DefEntry:
         #: :meth:`ProjectAnalysis._renumber_lines` raises it to the
         #: definition's offset in the rendered chain.
         self.shift = 0
+        #: The memo of this definition's last type inference
+        #: (:class:`repro.daemon.audit.DefinitionTyping`); filled by
+        #: the first lint read that needs it.
+        self.typing = None
 
 
 class ProjectAnalysis:
@@ -1036,12 +1041,22 @@ class ProjectAnalysis:
 
         return result_to_dict(self.cfa())
 
+    def linearity_audit(self):
+        """The T-series audit of the current program, equal to a cold
+        audit of :meth:`render_source`, inferring only the definitions
+        that changed since the last read (:mod:`repro.daemon.audit`)."""
+        from repro.daemon.audit import chain_audit
+
+        return chain_audit(self.program, self.defs)
+
     def lint(self) -> Dict[str, object]:
         """The lint section (findings/counts) for the current
         program, shaped exactly like the serve worker's."""
         from repro.serve.worker import _lint_section
 
-        return _lint_section(self.program, self.cfa())
+        return _lint_section(
+            self.program, self.cfa(), audit=self.linearity_audit()
+        )
 
     def sanitize(self) -> Dict[str, object]:
         """The graph well-formedness report (timings dropped)."""

@@ -23,10 +23,15 @@ budget. This module is the static pre-flight check:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import TypeInferenceError
 from repro.lang.ast import Program
+
+#: One stretch of a program's occurrences, measured: (sum of type-tree
+#: sizes, largest size, occurrence count). Shares of disjoint
+#: stretches add up to the whole program's (see :func:`audit_of_share`).
+TypeShare = Tuple[int, int, int]
 
 #: Default bound ``k`` on type-tree size: a program whose deepest
 #: occurrence type exceeds this is treated as outside every practical
@@ -132,6 +137,43 @@ class LinearityAudit:
         )
 
 
+def type_share(nodes: Iterable, inference) -> TypeShare:
+    """The :data:`TypeShare` of ``nodes`` under ``inference``."""
+    from repro.types.measure import type_size
+
+    sizes = [type_size(inference.type_of(node)) for node in nodes]
+    return sum(sizes), max(sizes, default=0), len(sizes)
+
+
+def audit_of_share(
+    program: Program,
+    share: Optional[TypeShare],
+    size_threshold: int = DEFAULT_SIZE_THRESHOLD,
+) -> LinearityAudit:
+    """The audit of ``program`` from the share of all its occurrences,
+    or the ``typeable=False`` audit when ``share`` is ``None``."""
+    if share is None:
+        return LinearityAudit(
+            program,
+            typeable=False,
+            max_type_size=None,
+            avg_type_size=None,
+            predicted_nodes=None,
+            size_threshold=size_threshold,
+            node_budget=_node_budget(program),
+        )
+    predicted, peak, count = share
+    return LinearityAudit(
+        program,
+        typeable=True,
+        max_type_size=peak,
+        avg_type_size=predicted / max(count, 1),
+        predicted_nodes=predicted,
+        size_threshold=size_threshold,
+        node_budget=_node_budget(program),
+    )
+
+
 def audit_linearity(
     program: Program,
     inference=None,
@@ -140,48 +182,28 @@ def audit_linearity(
     """Statically audit ``program`` against the Proposition 3/4
     preconditions, *before* any LC' run.
 
-    Runs type inference unless a result is supplied; an untypeable
-    program yields a ``typeable=False`` audit instead of raising. The
-    predicted node budget is the sum of type-tree sizes over all
-    occurrences — the Section 4 bound on how many ``dom``/``ran``
-    positions the demand-driven closure can ever materialise.
+    ``inference`` is an inference outcome already at hand (an
+    ``InferenceResult``, or the ``TypeInferenceError`` it raised; see
+    :func:`inference_of`); without one, type inference runs here. An
+    untypeable program yields a ``typeable=False`` audit instead of
+    raising. The predicted node budget is the sum of type-tree sizes
+    over all occurrences — the Section 4 bound on how many
+    ``dom``/``ran`` positions the demand-driven closure can ever
+    materialise.
     """
-    from repro.types.infer import infer_types
-    from repro.types.measure import type_size
+    from repro.types.infer import try_infer_types
 
-    node_budget = _node_budget(program)
-    try:
-        if inference is None:
-            inference = infer_types(program)
-    except TypeInferenceError:
-        return LinearityAudit(
-            program,
-            typeable=False,
-            max_type_size=None,
-            avg_type_size=None,
-            predicted_nodes=None,
-            size_threshold=size_threshold,
-            node_budget=node_budget,
-        )
-    sizes = [
-        type_size(inference.type_of(node)) for node in program.nodes
-    ]
-    predicted = sum(sizes)
-    count = max(len(sizes), 1)
-    return LinearityAudit(
-        program,
-        typeable=True,
-        max_type_size=max(sizes, default=0),
-        avg_type_size=predicted / count,
-        predicted_nodes=predicted,
-        size_threshold=size_threshold,
-        node_budget=node_budget,
-    )
+    if inference is None:
+        inference = try_infer_types(program)
+    share = None
+    if not isinstance(inference, TypeInferenceError):
+        share = type_share(program.nodes, inference)
+    return audit_of_share(program, share, size_threshold)
 
 
-def _stats_of(analysis):
-    """The LC' statistics inside an analysis result, or None (the
-    standard/cubic engines keep none)."""
+def _graph_of(analysis):
+    """The LC' graph inside an analysis result, or None (the
+    standard/cubic engines build none)."""
     from repro.core.hybrid import HybridResult
     from repro.core.lc import SubtransitiveGraph
     from repro.core.queries import SubtransitiveCFA
@@ -189,33 +211,50 @@ def _stats_of(analysis):
     if isinstance(analysis, HybridResult):
         analysis = analysis.result
     if isinstance(analysis, SubtransitiveCFA):
-        return analysis.sub.stats
+        return analysis.sub
     if isinstance(analysis, SubtransitiveGraph):
-        return analysis.stats
+        return analysis
     return None
+
+
+def inference_of(analysis):
+    """The type-inference outcome an analysis result kept (LC' and
+    the hybrid keep theirs, a hybrid fallback included), or ``None``
+    when it ran none."""
+    from repro.core.hybrid import HybridResult
+
+    if isinstance(analysis, HybridResult):
+        return analysis.inference
+    sub = _graph_of(analysis)
+    return sub.inference if sub is not None else None
 
 
 def audit_section(
     program: Program,
     analysis=None,
-    inference=None,
+    audit: Optional[LinearityAudit] = None,
     size_threshold: int = DEFAULT_SIZE_THRESHOLD,
 ) -> Dict[str, object]:
     """The ``audit`` envelope section: the static prediction plus the
     actual LC' accounting when an analysis is available.
 
-    Deterministic by construction (counts only, no wall-clock), so
-    envelopes carrying it stay byte-stable and cacheable.
+    ``audit`` is the program's audit if one was already made;
+    otherwise it is made from the analysis's own inference outcome
+    (:func:`inference_of`), so the section never infers types a second
+    time. Deterministic by construction (counts only, no wall-clock),
+    so envelopes carrying it stay byte-stable and cacheable.
     """
-    audit = audit_linearity(
-        program, inference=inference, size_threshold=size_threshold
-    )
+    if audit is None:
+        audit = audit_linearity(
+            program, inference_of(analysis), size_threshold
+        )
     section = audit.to_dict()
-    stats = _stats_of(analysis) if analysis is not None else None
-    if stats is None:
+    sub = _graph_of(analysis)
+    if sub is None:
         section["actual"] = None
         section["within_budget"] = None
     else:
+        stats = sub.stats
         section["actual"] = {
             "nodes": stats.total_nodes,
             "edges": stats.total_edges,

@@ -38,22 +38,21 @@ def _normalise_passes(passes) -> List[LintPass]:
     return resolved
 
 
-def _resolve(result):
-    """``(sub, engine, fallback_reason, cfa)`` for any accepted input."""
+def _graph_of(result):
+    """The subtransitive graph of any accepted input other than a
+    hybrid fallback (``None`` when there is none yet)."""
     from repro.core.hybrid import HybridResult
     from repro.core.lc import SubtransitiveGraph
     from repro.core.queries import SubtransitiveCFA
 
     if result is None:
-        return None, "subtransitive", None, None
+        return None
     if isinstance(result, HybridResult):
-        if result.engine == "subtransitive":
-            return result.result.sub, "subtransitive", None, None
-        return None, "standard", result.fallback_reason, result.result
+        return result.result.sub
     if isinstance(result, SubtransitiveCFA):
-        return result.sub, "subtransitive", None, None
+        return result.sub
     if isinstance(result, SubtransitiveGraph):
-        return result, "subtransitive", None, None
+        return result
     raise TypeError(
         "run_lints expects a SubtransitiveGraph, SubtransitiveCFA, "
         f"HybridResult or None, got {type(result).__name__}"
@@ -69,11 +68,15 @@ def run_lints(
     events=None,
     profiler=None,
     explain: bool = False,
+    audit=None,
 ) -> LintResult:
     """Run lint passes over ``program``.
 
     ``result`` is an existing analysis to reuse (see module docstring);
-    ``scope`` restricts incremental passes to a set of nids;
+    the T-series reads ``audit`` (a :class:`~repro.flow.audit.
+    LinearityAudit`) if given, else one made from the type inference
+    the analysis already ran; ``scope`` restricts incremental passes
+    to a set of nids;
     ``registry``/``events``/``profiler`` instrument the run
     (defaulting to the graph's own registry so one metrics document
     covers everything; the profiler records one ``lint.<code>`` span
@@ -85,30 +88,31 @@ def run_lints(
     the subtransitive engine — the standard-CFA fallback has no graph
     for a rule program to run on.
     """
+    from repro.core.hybrid import HybridResult
+
     lint_passes = _normalise_passes(passes)
-    sub, engine, fallback_reason, cfa = _resolve(result)
-    if sub is None and engine == "subtransitive":
+    if isinstance(result, HybridResult) and result.engine == "standard":
+        return _fallback_lints(
+            program,
+            result,
+            lint_passes,
+            registry=registry,
+            scope=scope,
+            audit=audit,
+        )
+    sub = _graph_of(result)
+    if sub is None:
         from repro.core.lc import build_subtransitive_graph
 
         sub = build_subtransitive_graph(
             program, registry=registry, events=events,
             profiler=profiler,
         )
-    if engine == "standard":
-        return _fallback_lints(
-            program,
-            cfa,
-            lint_passes,
-            fallback_reason,
-            registry=registry,
-            scope=scope,
-        )
-
     if registry is None:
         registry = sub.stats.registry
     ctx = LintContext(
         program, sub, registry=registry, profiler=profiler,
-        explain=explain,
+        explain=explain, audit=audit,
     )
     findings: List[Finding] = []
     pass_seconds: Dict[str, float] = {}
@@ -159,10 +163,11 @@ def _fb_dead_and_once(program, cfa):
 
 
 def _fallback_lints(
-    program, cfa, lint_passes, fallback_reason, registry=None, scope=None
+    program, hybrid, lint_passes, registry=None, scope=None, audit=None
 ) -> LintResult:
     from repro.obs.metrics import MetricsRegistry
 
+    cfa = hybrid.result
     if registry is None:
         registry = MetricsRegistry()
     wanted = {p.code: p for p in lint_passes}
@@ -171,9 +176,10 @@ def _fallback_lints(
     sites_of = None
     if "L001" in wanted or "L003" in wanted:
         sites_of = _fb_dead_and_once(program, cfa)
-    # T verdicts need only the program text, so the fallback runs them
-    # with the exact graph-path logic; F rules need the subtransitive
-    # graph and are skipped here (their no-op timers still record).
+    # T verdicts need only the program's types, so the fallback runs
+    # them with the exact graph-path logic, on the inference the LC'
+    # attempt already ran; F rules need the subtransitive graph and
+    # are skipped here (their no-op timers still record).
     audit_pairs = ()
     if any(code.startswith("T") for code in wanted) and getattr(
         program, "root", None
@@ -181,7 +187,9 @@ def _fallback_lints(
         from repro.flow.audit import audit_linearity
         from repro.lint.flowrules import audit_verdicts
 
-        audit_pairs = audit_verdicts(audit_linearity(program))
+        if audit is None:
+            audit = audit_linearity(program, hybrid.inference)
+        audit_pairs = audit_verdicts(audit)
 
     def emit(code, expr, message, label=None):
         template = wanted[code]
@@ -281,6 +289,6 @@ def _fallback_lints(
         program,
         findings,
         engine="standard",
-        fallback_reason=fallback_reason,
+        fallback_reason=hybrid.fallback_reason,
         pass_seconds=pass_seconds,
     )

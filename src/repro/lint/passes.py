@@ -50,7 +50,13 @@ class LintContext:
     """
 
     def __init__(
-        self, program, sub, registry=None, profiler=None, explain=False
+        self,
+        program,
+        sub,
+        registry=None,
+        profiler=None,
+        explain=False,
+        audit=None,
     ):
         self.program = program
         self.sub = sub
@@ -64,7 +70,7 @@ class LintContext:
         self.explain = explain
         self._flow = None
         self._rules_evaluation = None
-        self._audit = None
+        self._audit = audit
 
     def peek(self, expr):
         """The already-built graph node of ``expr`` (never creates)."""
@@ -120,11 +126,14 @@ class LintContext:
     @property
     def linearity_audit(self):
         """The :class:`repro.flow.audit.LinearityAudit` shared by the
-        T-series rules (one type-inference run per lint session)."""
+        T-series rules: the one handed in, else made from the graph's
+        own inference outcome (inferring only if the graph ran none)."""
         if self._audit is None:
             from repro.flow.audit import audit_linearity
 
-            self._audit = audit_linearity(self.program)
+            self._audit = audit_linearity(
+                self.program, self.sub.inference
+            )
         return self._audit
 
 

@@ -122,12 +122,16 @@ def _sub_of(analysis):
     return None
 
 
-def _lint_section(program, analysis, profiler=None) -> Dict[str, object]:
+def _lint_section(
+    program, analysis, profiler=None, audit=None
+) -> Dict[str, object]:
     """Run the lint passes and shape them for the result envelope.
 
-    Timings (``pass_seconds``) are deliberately dropped: the envelope
-    must be byte-stable for equal inputs, and wall-clock numbers never
-    are. Findings keep their full structure including ``via``.
+    ``audit`` is the T-series' linearity audit when the caller already
+    has one (see :func:`repro.lint.run_lints`). Timings
+    (``pass_seconds``) are deliberately dropped: the envelope must be
+    byte-stable for equal inputs, and wall-clock numbers never are.
+    Findings keep their full structure including ``via``.
     """
     from repro.core.hybrid import HybridResult
     from repro.lint import run_lints
@@ -137,7 +141,7 @@ def _lint_section(program, analysis, profiler=None) -> Dict[str, object]:
         # timeout-degrade re-run): route it through the lint driver's
         # standard-CFA fallback path.
         analysis = HybridResult("standard", analysis)
-    result = run_lints(program, analysis, profiler=profiler)
+    result = run_lints(program, analysis, profiler=profiler, audit=audit)
     counts: Dict[str, int] = {}
     for finding in result.findings:
         counts[finding.rule] = counts.get(finding.rule, 0) + 1
@@ -167,15 +171,6 @@ def _sanitize_section(analysis) -> Optional[Dict[str, object]]:
     }
 
 
-def _audit_section(program, analysis) -> Dict[str, object]:
-    """The linearity-audit section: predicted LC' budget (Proposition
-    3/4 preconditions) next to the actual graph growth. Deterministic
-    for equal inputs, so it is safe inside the cached envelope."""
-    from repro.flow.audit import audit_section
-
-    return audit_section(program, analysis)
-
-
 #: Algorithms whose drivers accept the ``profiler=`` kwarg. The
 #: standard/cubic algorithms have no span sites; profiled jobs running
 #: them still get the job-stage spans (parse/analyze/lint/...).
@@ -187,6 +182,8 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     from repro.core.hybrid import HybridResult
     from repro.errors import AnalysisBudgetExceeded, TypeInferenceError
     from repro.export import result_fingerprint, result_to_dict
+    from repro.flow.audit import audit_linearity, audit_section, inference_of
+    from repro.types.infer import try_infer_types
 
     options: Dict[str, object] = payload["options"]
     profiler = None
@@ -205,8 +202,13 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     analyze_kwargs = {}
     if profiler is not None and options["algorithm"] in _PROFILED_ALGORITHMS:
         analyze_kwargs["profiler"] = profiler
+    inference = None
     try:
         with stage("job.analyze"):
+            if options["algorithm"] == "subtransitive":
+                # Inferred here so a degraded result keeps it too.
+                inference = try_infer_types(program)
+                analyze_kwargs["inference"] = inference
             analysis = repro.analyze(
                 program, algorithm=options["algorithm"], **analyze_kwargs
             )
@@ -225,22 +227,32 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
             "standard",
             analyze_standard(program),
             fallback_reason=fallback_reason,
+            inference=inference,
         )
     if isinstance(analysis, HybridResult) and analysis.engine == "standard":
         status = "degraded"
         fallback_reason = analysis.fallback_reason
     envelope = result_to_dict(analysis)
+    audit = None
     if options.get("lint"):
         with stage("job.lint"):
+            # One inference per job: the T-series and the audit
+            # section share this audit, made from the inference the
+            # analysis already ran (or from one run, when its
+            # algorithm runs none).
+            audit = audit_linearity(program, inference_of(analysis))
             envelope["lint"] = _lint_section(
-                program, analysis, profiler=profiler
+                program, analysis, profiler=profiler, audit=audit
             )
     if options.get("sanitize"):
         with stage("job.sanitize"):
             envelope["sanitize"] = _sanitize_section(analysis)
     if options.get("audit"):
+        # The linearity-audit section: predicted LC' budget
+        # (Proposition 3/4 preconditions) next to the actual graph
+        # growth, deterministic for equal inputs.
         with stage("job.audit"):
-            envelope["audit"] = _audit_section(program, analysis)
+            envelope["audit"] = audit_section(program, analysis, audit)
     response: Dict[str, object] = {
         "status": status,
         "fallback_reason": fallback_reason,

@@ -12,7 +12,7 @@ terms of.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro._util import ensure_recursion_limit
 from repro.errors import TypeInferenceError, UnknownConstructorError
@@ -48,15 +48,18 @@ from repro.types.types import (
     UNIT,
     free_type_vars,
     prune,
+    substitute,
 )
 from repro.types.unify import unify
 
 
-def _prim_scheme(name: str) -> Tuple[Tuple[Type, ...], Type]:
-    """(argument types, result type) for primitive ``name``.
+def _prim_scheme(name: str, level: int) -> Tuple[Tuple[Type, ...], Type]:
+    """(argument types, result type) for primitive ``name`` used at
+    generalisation level ``level``.
 
-    ``print`` is polymorphic in its argument; callers get a fresh
-    variable per occurrence.
+    ``print`` is polymorphic in its argument: each occurrence gets a
+    fresh variable at its own level, so a let-bound function that
+    prints its argument generalises like any other.
     """
     if name in ("add", "sub", "mul"):
         return (INT, INT), INT
@@ -65,7 +68,7 @@ def _prim_scheme(name: str) -> Tuple[Tuple[Type, ...], Type]:
     if name == "not":
         return (BOOL,), BOOL
     if name == "print":
-        return (TVar(),), UNIT
+        return (TVar(level),), UNIT
     raise TypeInferenceError(f"no type signature for primitive {name!r}")
 
 
@@ -125,21 +128,9 @@ class _Inferencer:
     def instantiate(self, scheme: TScheme, level: int) -> Type:
         if not scheme.quantified:
             return scheme.body
-        mapping = {v: TVar(level) for v in scheme.quantified}
-
-        def go(ty: Type) -> Type:
-            ty = prune(ty)
-            if isinstance(ty, TVar):
-                return mapping.get(ty, ty)
-            if isinstance(ty, TFun):
-                return TFun(go(ty.param), go(ty.result))
-            if isinstance(ty, TRecord):
-                return TRecord(tuple(go(f) for f in ty.fields))
-            if isinstance(ty, TRef):
-                return TRef(go(ty.content))
-            return ty
-
-        return go(scheme.body)
+        return substitute(
+            scheme.body, {v: TVar(level) for v in scheme.quantified}
+        )
 
     # -- inference -------------------------------------------------------
 
@@ -174,26 +165,10 @@ class _Inferencer:
             result = TVar(level)
             unify(fn, TFun(arg, result))
             return result
-        if isinstance(expr, Let):
-            bound = self.infer(expr.bound, env, level + 1)
-            scheme = self.generalize(bound, level)
-            self.result.schemes[expr.name] = scheme
+        if isinstance(expr, (Let, Letrec)):
             inner = dict(env)
-            inner[expr.name] = scheme
+            inner[expr.name] = self.bind(expr, env, level)
             return self.infer(expr.body, inner, level)
-        if isinstance(expr, Letrec):
-            # Monomorphic recursion: the binder is a plain variable
-            # inside its own definition, generalised only for the body.
-            recvar = TVar(level + 1)
-            inner = dict(env)
-            inner[expr.name] = TScheme((), recvar)
-            bound = self.infer(expr.bound, inner, level + 1)
-            unify(recvar, bound)
-            scheme = self.generalize(bound, level)
-            self.result.schemes[expr.name] = scheme
-            outer = dict(env)
-            outer[expr.name] = scheme
-            return self.infer(expr.body, outer, level)
         if isinstance(expr, Record):
             return TRecord(
                 tuple(self.infer(f, env, level) for f in expr.fields)
@@ -259,7 +234,7 @@ class _Inferencer:
                 return BOOL
             return INT
         if isinstance(expr, Prim):
-            argtypes, result = _prim_scheme(expr.name)
+            argtypes, result = _prim_scheme(expr.name, level)
             for arg, want in zip(expr.args, argtypes):
                 got = self.infer(arg, env, level)
                 unify(got, want)
@@ -279,6 +254,25 @@ class _Inferencer:
             unify(value, content)
             return UNIT
         raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+    def bind(
+        self, expr: Union[Let, Letrec], env: Dict[str, TScheme], level: int
+    ) -> TScheme:
+        """Infer a ``let``/``letrec`` binding one level up and return
+        its generalised scheme (the body is left to the caller)."""
+        if isinstance(expr, Letrec):
+            # Monomorphic recursion: the binder is a plain variable
+            # inside its own definition, generalised only for the body.
+            recvar = TVar(level + 1)
+            inner = dict(env)
+            inner[expr.name] = TScheme((), recvar)
+            bound = self.infer(expr.bound, inner, level + 1)
+            unify(recvar, bound)
+        else:
+            bound = self.infer(expr.bound, env, level + 1)
+        scheme = self.generalize(bound, level)
+        self.result.schemes[expr.name] = scheme
+        return scheme
 
     def _project(self, rec: Type, index: int) -> Type:
         if not isinstance(rec, TRecord):
@@ -327,16 +321,46 @@ class _Inferencer:
         self.pending_projections = []
 
 
-def infer_types(program: Program) -> InferenceResult:
+def infer_types(
+    program: Program,
+    definition: Optional[Union[Let, Letrec]] = None,
+    env: Optional[Dict[str, TScheme]] = None,
+) -> InferenceResult:
     """Infer types for every occurrence in ``program``.
 
     Raises :class:`TypeInferenceError` if the program is not typeable
     under the let-polymorphic discipline (such programs fall outside
     the paper's bounded-type guarantee and should use the hybrid
     analysis driver).
+
+    ``definition``, a ``let``/``letrec`` node of ``program``'s
+    top-level chain, restricts inference to that one binding, typed
+    under ``env`` (the schemes of the earlier definitions it names)
+    and generalised at the top level; ``node_types`` then cover its
+    bound subtree. Whole-program inference resolves deferred
+    projections only at the end, after later definitions have
+    instantiated this scheme, so ``schemes[definition.name]`` is a
+    copy of the scheme taken *before* the binding's own projections
+    are resolved: the scheme a later definition must instantiate.
     """
     ensure_recursion_limit()
     inferencer = _Inferencer(program)
-    inferencer.infer(program.root, {}, 0)
+    if definition is None:
+        inferencer.infer(program.root, {}, 0)
+    else:
+        scheme = inferencer.bind(definition, env or {}, 0)
+        inferencer.result.schemes[definition.name] = scheme.copy()
     inferencer.resolve_pending()
     return inferencer.result
+
+
+def try_infer_types(
+    program: Program,
+) -> Union[InferenceResult, TypeInferenceError]:
+    """:func:`infer_types`, with an untypeable program's
+    :class:`TypeInferenceError` returned instead of raised: the
+    attempt's outcome, kept and handed to every consumer."""
+    try:
+        return infer_types(program)
+    except TypeInferenceError as error:
+        return error

@@ -16,7 +16,7 @@ for algorithm W).
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 
 class Type:
@@ -216,6 +216,52 @@ class TScheme:
     def is_mono(self) -> bool:
         return not self.quantified
 
+    @property
+    def is_closed(self) -> bool:
+        """Is every free variable of the body quantified? An open
+        scheme shares its other variables with whoever instantiates
+        it, so a later unification can still change it."""
+        quantified = set(self.quantified)
+        return all(v in quantified for v in free_type_vars(self.body))
+
+    def copy(self) -> "TScheme":
+        """The same scheme over fresh quantified variables: later
+        unifications of this scheme's variables leave the copy as it
+        is now. Unquantified variables stay shared."""
+        mapping: Dict[TVar, Type] = {
+            v: TVar(v.level) for v in self.quantified
+        }
+        return TScheme(
+            tuple(mapping.values()), substitute(self.body, mapping)
+        )
+
+    def alpha_equal(self, other: "TScheme") -> bool:
+        """Equal up to renaming of the quantified variables, matched
+        by position (both in first-occurrence order, as
+        generalisation and :meth:`copy` leave them)."""
+        if len(self.quantified) != len(other.quantified):
+            return False
+        ours = {v: i for i, v in enumerate(self.quantified)}
+        theirs = {v: i for i, v in enumerate(other.quantified)}
+
+        def same(a: Type, b: Type) -> bool:
+            a, b = prune(a), prune(b)
+            if isinstance(a, TVar) or isinstance(b, TVar):
+                index = ours.get(a) if isinstance(a, TVar) else None
+                if index is None:
+                    return a is b
+                return isinstance(b, TVar) and theirs.get(b) == index
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, (TCon, TData)):
+                return a.name == b.name
+            left, right = a.children(), b.children()
+            return len(left) == len(right) and all(
+                same(x, y) for x, y in zip(left, right)
+            )
+
+        return same(self.body, other.body)
+
     def __str__(self) -> str:
         if not self.quantified:
             return str(self.body)
@@ -237,6 +283,23 @@ def prune(ty: Type) -> Type:
         if isinstance(nxt, TVar) and nxt.instance is not None:
             ty.instance = nxt.instance
         ty = nxt
+    return ty
+
+
+def substitute(ty: Type, mapping: Dict[TVar, Type]) -> Type:
+    """``ty`` rebuilt with each variable in ``mapping`` replaced
+    (resolved variables are followed; other variables are shared)."""
+    ty = prune(ty)
+    if isinstance(ty, TVar):
+        return mapping.get(ty, ty)
+    if isinstance(ty, TFun):
+        return TFun(
+            substitute(ty.param, mapping), substitute(ty.result, mapping)
+        )
+    if isinstance(ty, TRecord):
+        return TRecord(tuple(substitute(f, mapping) for f in ty.fields))
+    if isinstance(ty, TRef):
+        return TRef(substitute(ty.content, mapping))
     return ty
 
 

@@ -368,6 +368,36 @@ class TestLint:
         assert counters["queries.labels_of"] == 0
 
 
+PRINT_HELPER = (
+    "let p = fn[p] x => print x in let a = p 1 in let b = p true in ()\n"
+)
+
+
+class TestPrintHelper:
+    """A let-bound function that prints its argument is typeable at
+    every use (it used to be flagged untypeable by lint, and to stop
+    ``analyze`` once a datatype asked for types)."""
+
+    def test_lint_reports_no_type_findings(self, tmp_path, capsys):
+        path = tmp_path / "print.ml"
+        path.write_text(PRINT_HELPER)
+        main(["lint", str(path), "--format", "json"])
+        document = json.loads(capsys.readouterr().out)
+        rules = {f["rule"] for f in document["files"][0]["findings"]}
+        assert not rules & {"T001", "T002", "T003"}
+
+    def test_datatype_program_keeps_lc(self, tmp_path, capsys):
+        path = tmp_path / "print-nat.ml"
+        path.write_text("datatype nat = Z | S of nat;\n" + PRINT_HELPER)
+        assert main(["analyze", str(path)]) == 0
+        capsys.readouterr()
+        assert main(
+            ["analyze", str(path), "--json", "--algorithm", "hybrid"]
+        ) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["engine"]["fallback_reason"] is None
+
+
 class TestSanitizeFlag:
     def test_analyze_sanitize(self, demo_file, capsys):
         assert main(["analyze", demo_file, "--sanitize"]) == 0

@@ -10,8 +10,9 @@ rejected for exceeding the node budget only if the project kept its
 previous envelope and a cold analysis of the would-be program exceeds
 the budget too. Lint output — finding positions included, now that
 the warm chain restamps cold-parse line numbers after every mutation
-— is compared byte-identical against the true cold run at the end of
-every sequence.
+— and the linearity audit are compared against the true cold run
+after every mutation too, so the daemon's per-definition inference
+memo is checked on every refill, not only on its first.
 """
 
 import json
@@ -23,7 +24,8 @@ from repro.daemon import FALLBACK_REASONS, ProjectAnalysis
 from repro.daemon.delta import free_base_names
 from repro.errors import AnalysisBudgetExceeded, ScopeError
 from repro.export import result_to_dict
-from repro.lang.parser import parse, parse_expr
+from repro.flow.audit import audit_linearity
+from repro.lang.parser import parse_expr
 from repro.serve.worker import _lint_section
 
 # Binder-free and single-binder bodies; {ref} is replaced with an
@@ -38,6 +40,15 @@ TEMPLATES = (
     "fn z => {ref} z",
     "{ref} (fn[a{i}] w => w)",
     "fn[r{i}] x => {ref} ({ref} x)",
+    # Typing edge cases for the per-definition inference memo: a print
+    # helper and its uses, a flex record projection and a pair to
+    # apply it to, and a redefinition that changes a scheme.
+    "fn[p{i}] x => print x",
+    "{ref} 1",
+    "{ref} true",
+    "fn r => #1 r",
+    "{ref} (1, 2)",
+    "fn x => x + 1",
 )
 
 ops = st.lists(
@@ -123,22 +134,23 @@ def run_sequence(sequence):
             # A fresh name never clashes; rejections leave the state
             # exact (checked below).
             assert verb != "define", error
+        rendered = pa.render_source()
+        cold_cfa = ProjectAnalysis.cold_cfa(rendered)
         warm = envelope_json(pa.cfa())
-        cold = envelope_json(ProjectAnalysis.cold_cfa(pa.render_source()))
-        assert warm == cold, (verb, name, pa.render_source())
+        assert warm == envelope_json(cold_cfa), (verb, name, rendered)
         report = pa.sanitize()
         assert report["ok"], report["violations"]
+        cold_program = cold_cfa.sub.program
+        assert pa.linearity_audit().to_dict() == audit_linearity(
+            cold_program
+        ).to_dict(), (verb, name, rendered)
+        assert json.dumps(pa.lint(), sort_keys=True) == json.dumps(
+            _lint_section(cold_program, cold_cfa), sort_keys=True
+        ), (verb, name, rendered)
         previous = warm
     for reason, count in pa.fallbacks.items():
         assert reason in FALLBACK_REASONS
         assert count >= 0
-    rendered = pa.render_source()
-    cold_lint = _lint_section(
-        parse(rendered), ProjectAnalysis.cold_cfa(rendered)
-    )
-    assert json.dumps(pa.lint(), sort_keys=True) == json.dumps(
-        cold_lint, sort_keys=True
-    )
 
 
 # d6 = fn[r6] x => d3 (d4 x) on top of d0 = fn x => x,
@@ -156,11 +168,32 @@ BUDGET_GRIND = [
 ]
 
 
+# d1 = d0 (1, 2) over d0 = fn r => #1 r: d1 must instantiate d0's
+# scheme as it stood before d0's own projection was resolved.
+FLEX_RECORD = [("define", 12, 0), ("define", 13, 0)]
+
+# d0 = fn[p0] x => print x, used at int (d1) and at bool (d2).
+PRINT_AT_TWO_TYPES = [("define", 9, 0), ("define", 10, 0), ("define", 11, 0)]
+
+# d1 = d0 (fn[a1] w => w) names d0 = fn x => x, which then turns
+# recursive (d0 = fn z => d0 z): a letrec flip that changes d0's
+# scheme, and with it the sizes of d1's types.
+LETREC_FLIP = [("define", 0, 0), ("define", 7, 0), ("redefine", 6, 0)]
+
+# d1 = fn x => x x makes the program untypeable; undefining it makes
+# it typeable again.
+UNTYPEABLE_AND_BACK = [("define", 0, 0), ("define", 1, 0), ("undefine", 0, 1)]
+
+
 # The one (CSR) graph; the name keeps the test's id. This test alone
 # carries the random-sequence coverage, hence 80 examples.
 @settings(max_examples=80, deadline=None)
 @given(sequence=ops)
 @example(sequence=BUDGET_GRIND)
+@example(sequence=FLEX_RECORD)
+@example(sequence=PRINT_AT_TWO_TYPES)
+@example(sequence=LETREC_FLIP)
+@example(sequence=UNTYPEABLE_AND_BACK)
 def test_random_sequences_csr_backend(sequence):
     run_sequence(sequence)
 

@@ -5,8 +5,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TypeInferenceError
 from repro.lang import parse
+from repro.lang.ast import Let, Letrec
 from repro.types.infer import infer_types
-from repro.types.types import BOOL, INT, TData, TFun, TRecord, TRef, UNIT
+from repro.types.measure import type_size
+from repro.types.types import (
+    BOOL,
+    INT,
+    TData,
+    TFun,
+    TRecord,
+    TRef,
+    TScheme,
+    TVar,
+    UNIT,
+    prune,
+)
+from repro.types.unify import unify
 from repro.workloads.generators import random_typed_program
 
 DT = "datatype intlist = Nil | Cons of int * intlist;\n"
@@ -195,3 +209,116 @@ class TestGeneratedProgramsAreTypeable:
         # Every occurrence got an annotation.
         for node in prog.nodes:
             inference.type_of(node)
+
+
+PRINT_HELPER = (
+    "let p = fn[p] x => print x in let a = p 1 in let b = p true in ()"
+)
+
+
+class TestPrintGeneralises:
+    """``print``'s argument variable sits at the use's level, so a
+    let-bound function that prints its argument is generalised."""
+
+    def test_helper_used_at_int_and_bool(self):
+        inference = infer_types(parse(PRINT_HELPER))
+        assert not inference.schemes["p"].is_mono
+
+    def test_helper_after_a_datatype(self):
+        # Used to fail with "cannot unify int with bool".
+        infer_types(parse("datatype nat = Z | S of nat;\n" + PRINT_HELPER))
+
+    def test_later_use_leaves_the_helper_alone(self):
+        prog = parse(
+            "let p = fn[p] x => print x in let q = p (fn y => y) in ()"
+        )
+        ty = prune(infer_types(prog).type_of(prog.label_table["p"]))
+        assert isinstance(prune(ty.param), TVar)
+        assert prune(ty.result) == UNIT
+
+
+def chain(src):
+    """The program and its top-level let/letrec nodes."""
+    prog = parse(src)
+    nodes, node = [], prog.root
+    while isinstance(node, (Let, Letrec)):
+        nodes.append(node)
+        node = node.body
+    return prog, nodes
+
+
+class TestPerDefinition:
+    """``infer_types(program, definition=..., env=...)`` types one
+    top-level binding as whole-program inference does."""
+
+    FLEX = "let g = fn[g] r => #1 r in let h = g (1, 2) in ()"
+
+    def test_matches_whole_program_sizes(self):
+        prog, (g, h) = chain(self.FLEX)
+        first = infer_types(prog, definition=g)
+        second = infer_types(
+            prog, definition=h, env={g.name: first.schemes[g.name]}
+        )
+        whole = infer_types(prog)
+        for node, part in [(n, first) for n in g.bound.walk()] + [
+            (n, second) for n in h.bound.walk()
+        ]:
+            assert type_size(part.type_of(node)) == type_size(
+                whole.type_of(node)
+            )
+        scheme = second.schemes[h.name]
+        assert len(scheme.quantified) == 1
+        assert prune(scheme.body) is scheme.quantified[0]
+
+    def test_scheme_is_taken_before_projections_resolve(self):
+        # g's resolved scheme ('t) -> 't would reject the pair.
+        prog, (g, h) = chain(self.FLEX)
+        resolved = infer_types(prog).schemes[g.name]
+        with pytest.raises(TypeInferenceError, match="arities differ"):
+            infer_types(prog, definition=h, env={g.name: resolved})
+
+    def test_letrec_definition(self):
+        prog, (f, u) = chain(
+            "letrec f = fn[f] x => if true then x else f x in "
+            "let u = f 1 in ()"
+        )
+        first = infer_types(prog, definition=f)
+        assert not first.schemes[f.name].is_mono
+        second = infer_types(
+            prog, definition=u, env={f.name: first.schemes[f.name]}
+        )
+        assert prune(second.type_of(u.bound)) == INT
+
+    def test_untypeable_definition_raises(self):
+        prog, (w,) = chain("let w = fn x => x x in ()")
+        with pytest.raises(TypeInferenceError):
+            infer_types(prog, definition=w)
+
+
+class TestSchemeHelpers:
+    def scheme(self, src, name):
+        return infer_types(parse(src)).schemes[name]
+
+    def test_copy_is_alpha_equal_and_detached(self):
+        scheme = self.scheme("let id = fn x => x in ()", "id")
+        copy = scheme.copy()
+        assert copy.alpha_equal(scheme) and scheme.alpha_equal(copy)
+        unify(scheme.quantified[0], INT)
+        assert not copy.alpha_equal(scheme)
+        assert copy.is_closed
+
+    def test_alpha_equal_compares_shapes(self):
+        first = self.scheme("let k = fn x => fn y => x in ()", "k")
+        second = self.scheme("let k = fn x => fn y => y in ()", "k")
+        again = self.scheme("let k = fn a => fn b => a in ()", "k")
+        assert first.alpha_equal(again)
+        assert not first.alpha_equal(second)
+        assert not first.alpha_equal(
+            self.scheme("let k = fn x => x + 1 in ()", "k")
+        )
+
+    def test_closed_only_when_every_variable_is_quantified(self):
+        free = TVar()
+        assert not TScheme((), TFun(free, UNIT)).is_closed
+        assert TScheme((free,), TFun(free, UNIT)).is_closed
+        assert TScheme((), INT).is_closed
