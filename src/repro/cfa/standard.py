@@ -55,6 +55,7 @@ from repro.lang.ast import (
     Ref,
     Var,
 )
+from repro.obs.events import span
 
 
 class StandardCFAResult(CFAResult):
@@ -250,9 +251,10 @@ def analyze_standard(
     label set. The default (paper-standard) analyses everything.
     """
     ensure_recursion_limit()
-    solver = _Solver(program, live_only=live_only)
-    solver.generate()
-    solver.solve()
+    with span("cfa.standard"):
+        solver = _Solver(program, live_only=live_only)
+        solver.generate()
+        solver.solve()
     return StandardCFAResult(
         program, solver.sets, solver.work, len(solver.edges)
     )

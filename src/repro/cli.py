@@ -144,9 +144,9 @@ def _write_metrics(path: str, document) -> None:
 def _sanitize_result(result, path: str) -> int:
     """Run the graph sanitizer against an analysis result; returns
     the exit status contribution (0 clean, 1 otherwise)."""
-    from repro.serve.worker import _sub_of
+    from repro.core import subtransitive_graph_of
 
-    sub = _sub_of(result)
+    sub = subtransitive_graph_of(result)
     if sub is None:
         print(
             f"{path}: --sanitize requires a subtransitive graph "
@@ -159,16 +159,27 @@ def _sanitize_result(result, path: str) -> int:
     return 0 if report.ok else 1
 
 
+def _audit_class(section) -> str:
+    """A linearity-audit section's ``P_k`` verdict: ``bounded``,
+    ``unbounded`` (a type tree over the threshold) or ``untypeable``."""
+    if section["bounded"]:
+        return "bounded"
+    return "unbounded" if section["typeable"] else "untypeable"
+
+
 def _audit_verdict(section) -> str:
     """One-line human verdict for a linearity-audit section."""
-    if section["forecast"] is None:
+    if section["forecast"] is not None:
+        verdict = f"LC' fallback forecast ({section['forecast']})"
+    elif section["typeable"]:
         verdict = (
-            f"bounded (max type size {section['max_type_size']}, "
-            f"predicted {section['predicted_nodes']} nodes within "
-            f"budget {section['node_budget']})"
+            f"{_audit_class(section)} (max type size "
+            f"{section['max_type_size']}, predicted "
+            f"{section['predicted_nodes']} nodes within budget "
+            f"{section['node_budget']})"
         )
     else:
-        verdict = f"LC' fallback forecast ({section['forecast']})"
+        verdict = "untypeable (outside every P_k)"
     actual = section.get("actual")
     if actual is not None:
         verdict += (
@@ -364,7 +375,7 @@ def _cmd_batch(args) -> int:
         audit_section = envelope.get("audit")
         if audit_section is not None:
             detail = append_detail(
-                "audit bounded"
+                f"audit {_audit_class(audit_section)}"
                 if audit_section["forecast"] is None
                 else f"audit forecast: {audit_section['forecast']}"
             )
@@ -492,9 +503,9 @@ def _cmd_lint(args) -> int:
                     explain=args.explain,
                 )
                 if args.sanitize:
-                    from repro.serve.worker import _sub_of
+                    from repro.core import subtransitive_graph_of
 
-                    sub = _sub_of(analysis)
+                    sub = subtransitive_graph_of(analysis)
                     if sub is None:
                         print(
                             f"{path}: sanitize skipped (LC' fell back "
@@ -575,6 +586,11 @@ def _cmd_lint(args) -> int:
 
 def _cmd_query(args) -> int:
     program = _read_program(args.file)
+    if args.expr is not None and not 0 <= args.expr < program.size:
+        raise ReproError(
+            f"--expr {args.expr}: no such expression (this program's "
+            f"nids are 0..{program.size - 1})"
+        )
     cfa = repro.analyze(program, algorithm=args.algorithm)
     status = 0
     if args.sanitize:
@@ -807,15 +823,14 @@ def _cmd_obs_diff(args) -> int:
 
 
 def _cmd_obs_flame(args) -> int:
-    from repro.obs import SpanProfiler, validate_folded
+    from repro.obs import SpanProfiler, bind_request, validate_folded
 
-    program = _read_program(args.file)
     profiler = SpanProfiler()
-    analysis = repro.analyze(
-        program, algorithm=args.algorithm, profiler=profiler
-    )
-    if args.lint:
-        run_lints(program, analysis, profiler=profiler)
+    with bind_request(profiler=profiler):
+        program = _read_program(args.file)
+        analysis = repro.analyze(program, algorithm=args.algorithm)
+        if args.lint:
+            run_lints(program, analysis)
     lines = profiler.folded()
     validate_folded(lines)
     if args.tree:
@@ -1155,14 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         default="subtransitive",
-        choices=[
-            "subtransitive",
-            "standard",
-            "dtc",
-            "equality",
-            "hybrid",
-            "polyvariant",
-        ],
+        choices=list(repro._ALGORITHMS),
     )
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument(
@@ -1309,7 +1317,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--label", help="abstraction label")
     p.add_argument("--expr", type=int, help="expression nid")
-    p.add_argument("--algorithm", default="subtransitive")
+    p.add_argument(
+        "--algorithm",
+        default="subtransitive",
+        choices=list(repro._ALGORITHMS),
+    )
     add_sanitize(p)
     p.set_defaults(run=_cmd_query)
 
@@ -1365,7 +1377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run the program")
     add_common(p)
-    p.add_argument("--fuel", type=int, default=1_000_000)
+    p.add_argument("--fuel", type=_positive_int, default=1_000_000)
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("dot", help="export the graph as Graphviz DOT")

@@ -21,7 +21,11 @@ from repro.core.datatypes import (
     TypeCongruence,
     make_congruence,
 )
-from repro.core.hybrid import HybridResult, analyze_hybrid
+from repro.core.hybrid import (
+    HybridResult,
+    analyze_hybrid,
+    subtransitive_graph_of,
+)
 from repro.core.lc import (
     LCEngine,
     LCStatistics,
@@ -56,5 +60,6 @@ __all__ = [
     "build_subtransitive_graph",
     "choose_polyvariant_binders",
     "make_congruence",
+    "subtransitive_graph_of",
     "summarize_fragment",
 ]

@@ -22,6 +22,7 @@ from repro.errors import AnalysisBudgetExceeded, TypeInferenceError
 from repro.lang.ast import Program
 from repro.types.infer import try_infer_types
 
+from repro.core.lc import SubtransitiveGraph
 from repro.core.queries import SubtransitiveCFA, analyze_subtransitive
 
 #: Node budget multiplier for the LC' attempt. Bounded-type programs
@@ -69,27 +70,40 @@ class HybridResult:
         return f"<HybridResult engine={self.engine}>"
 
 
+def subtransitive_graph_of(result) -> Optional[SubtransitiveGraph]:
+    """The LC' graph inside an analysis result: a
+    :class:`SubtransitiveGraph`, a :class:`SubtransitiveCFA` or a
+    :class:`HybridResult` that kept LC'. ``None`` for anything else
+    (the standard/cubic engines build none)."""
+    if isinstance(result, HybridResult):
+        result = result.result
+    if isinstance(result, SubtransitiveCFA):
+        return result.sub
+    if isinstance(result, SubtransitiveGraph):
+        return result
+    return None
+
+
 def analyze_hybrid(
     program: Program,
     budget_factor: int = HYBRID_BUDGET_FACTOR,
     node_budget: Optional[int] = None,
     registry=None,
     events=None,
-    profiler=None,
 ) -> HybridResult:
     """Try LC' with a linear node budget; fall back to the cubic
     standard algorithm if the budget trips.
 
     Always terminates: LC' either reaches a fixpoint within budget
     (and is exact — Propositions 1-2 hold regardless of typing) or the
-    standard algorithm provides the answer. ``registry``/``events``/
-    ``profiler`` (see :mod:`repro.obs`) instrument the LC' attempt; a
-    fallback is recorded on the registry (``hybrid.fallbacks``) and
-    the event log, so metrics consumers can see the abandoned attempt's
-    budget burn — and the profiler keeps the abandoned attempt's spans
-    (the engine's try/finally span sites stay balanced across the
-    budget trip), so a flamegraph shows the burn next to the
-    ``hybrid.fallback`` span of the cubic re-run.
+    standard algorithm provides the answer. ``registry``/``events``
+    (see :mod:`repro.obs`) instrument the LC' attempt; a fallback is
+    recorded on the registry (``hybrid.fallbacks``) and the event log,
+    so metrics consumers can see the abandoned attempt's budget burn.
+    A bound profiler keeps the abandoned attempt's spans (the engine's
+    try/finally span sites stay balanced across the budget trip), so a
+    flamegraph shows the burn next to the ``cfa.standard`` span of the
+    cubic re-run.
     """
     if node_budget is None:
         node_budget = budget_factor * max(program.size, 16)
@@ -101,7 +115,6 @@ def analyze_hybrid(
             node_budget=node_budget,
             registry=registry,
             events=events,
-            profiler=profiler,
         )
         return HybridResult(
             "subtransitive", result, registry=registry, inference=inference
@@ -121,16 +134,9 @@ def analyze_hybrid(
         if events is not None:
             events.emit("budget", resource="hybrid", action="fallback",
                         reason=reason)
-        if profiler is not None:
-            profiler.push("hybrid.fallback")
-        try:
-            standard = analyze_standard(program)
-        finally:
-            if profiler is not None:
-                profiler.pop()
         return HybridResult(
             "standard",
-            standard,
+            analyze_standard(program),
             fallback_reason=reason,
             registry=registry,
             inference=inference,

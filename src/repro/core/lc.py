@@ -42,6 +42,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro._util import ensure_recursion_limit
 from repro.errors import AnalysisBudgetExceeded
+from repro.obs.events import current_profiler, span
 from repro.obs.metrics import MetricsRegistry
 from repro.graph.csr import CSRDigraph
 from repro.lang.ast import (
@@ -250,7 +251,6 @@ class LCEngine:
         max_depth: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         events=None,
-        profiler=None,
     ):
         if congruence is not None and congruence.requires_types:
             if inference is None:
@@ -271,11 +271,12 @@ class LCEngine:
         #: default) is the no-op mode — every emission site guards on
         #: it, so uninstrumented runs pay one pointer test.
         self.events = events
-        #: Optional :class:`repro.obs.profile.SpanProfiler`; same
-        #: opt-in contract as ``events`` (one ``is not None`` test per
-        #: span site). Span sites are coarse — phases, demand sweeps,
-        #: rule-family loops — never per rule firing.
-        self.profiler = profiler
+        #: The bound request's :class:`repro.obs.profile.SpanProfiler`
+        #: while :meth:`close` runs, else ``None``: read once per call
+        #: and dropped on return, since a warm engine outlives the
+        #: request. Span sites are coarse — demand sweeps, rule-family
+        #: loops — never per rule firing.
+        self.profiler = None
         #: Edges whose first insertion came from a closure rule, in
         #: insertion order. Only genuinely-new edges are recorded
         #: (``_edge`` appends after ``add_edge`` reports the edge as
@@ -318,18 +319,11 @@ class LCEngine:
         ensure_recursion_limit()
         registry = self.stats.registry
         events = self.events
-        profiler = self.profiler
         build_timer = registry.timer("phase.build")
         if events is not None:
             events.emit("phase", phase="build", action="start")
-        if profiler is not None:
-            profiler.push("phase.build")
-        try:
-            with build_timer:
-                self.build()
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        with build_timer:
+            self.build()
         self.stats.build_seconds = build_timer.last_seconds
         self.stats.build_nodes = self.factory.node_count
         self.stats.build_edges = self.graph.edge_count
@@ -344,14 +338,8 @@ class LCEngine:
         close_timer = registry.timer("phase.close")
         if events is not None:
             events.emit("phase", phase="close", action="start")
-        if profiler is not None:
-            profiler.push("phase.close")
-        try:
-            with close_timer:
-                self.close()
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        with close_timer:
+            self.close()
         self.stats.close_seconds = close_timer.last_seconds
         self.stats.close_nodes = (
             self.factory.node_count - self.stats.build_nodes
@@ -395,9 +383,10 @@ class LCEngine:
 
     def build(self) -> None:
         """Add the program-structure edges (a linear pass)."""
-        if self.polyvariant_lets:
-            self._collect_poly_bindings()
-        self._build_expr(self.program.root, ())
+        with span("core.build"):
+            if self.polyvariant_lets:
+                self._collect_poly_bindings()
+            self._build_expr(self.program.root, ())
 
     def _collect_poly_bindings(self) -> None:
         recursive = set()
@@ -578,6 +567,19 @@ class LCEngine:
         whose operator node is depth-capped away) do not change the
         graph and must not inflate the Table 1/2 accounting.
         """
+        profiler = current_profiler()
+        if profiler is None:
+            self._close_pending()
+            return
+        self.profiler = profiler
+        profiler.push("core.close")
+        try:
+            self._close_pending()
+        finally:
+            profiler.pop()
+            self.profiler = None
+
+    def _close_pending(self) -> None:
         pending = self.pending
         popleft = pending.popleft
         cov = self._c_close_cov
@@ -738,7 +740,6 @@ def build_subtransitive_graph(
     polyvariant_lets: Optional[frozenset] = None,
     registry: Optional[MetricsRegistry] = None,
     events=None,
-    profiler=None,
 ) -> SubtransitiveGraph:
     """Run LC' on ``program`` and return the subtransitive graph.
 
@@ -783,7 +784,6 @@ def build_subtransitive_graph(
         else None,
         registry=registry,
         events=events,
-        profiler=profiler,
     )
     sub = engine.run()
     sub.inference = outcome

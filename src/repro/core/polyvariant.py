@@ -96,7 +96,6 @@ def analyze_polyvariant(
     node_budget: Optional[int] = None,
     registry=None,
     events=None,
-    profiler=None,
 ) -> SubtransitiveCFA:
     """Polyvariant subtransitive CFA.
 
@@ -116,7 +115,6 @@ def analyze_polyvariant(
         instance_budget=instance_budget,
         registry=registry,
         events=events,
-        profiler=profiler,
     )
     return SubtransitiveCFA(engine.run())
 

@@ -371,12 +371,11 @@ def analyze_subtransitive(
     polyvariant_lets: Optional[frozenset] = None,
     registry=None,
     events=None,
-    profiler=None,
 ) -> SubtransitiveCFA:
     """Convenience: run LC' and wrap the result in the query layer.
 
-    ``registry``/``events``/``profiler`` (see :mod:`repro.obs`)
-    instrument the run; all default to off.
+    ``registry``/``events`` (see :mod:`repro.obs`) instrument the run;
+    both default to off.
     """
     from repro.core.lc import build_subtransitive_graph
 
@@ -388,6 +387,5 @@ def analyze_subtransitive(
         polyvariant_lets=polyvariant_lets,
         registry=registry,
         events=events,
-        profiler=profiler,
     )
     return SubtransitiveCFA(sub)

@@ -89,6 +89,14 @@ from repro.lang.rename import _Renamer
 #: The delta engine's fallback taxonomy (see module docstring).
 FALLBACK_REASONS = ("rename-shift", "node-budget", "internal-error")
 
+#: A guarded mutation's report ``mode`` -> its span's layer
+#: (:data:`repro.obs.profile.LAYERS`); ``replay`` is ``delta.replay``.
+_MODE_LAYERS = {
+    "splice": "delta.splice",
+    "delta": "delta.dred",
+    "append": "delta.append",
+}
+
 #: The daemon's operator depth cap: fixed (not per-program) so the
 #: warm graph's node identities are stable across edits. It bounds the
 #: demand cascade on untypeable flows exactly as the cold reference
@@ -953,7 +961,7 @@ class ProjectAnalysis:
         updated) definition list, and if even that fails restore the
         pre-operation program before re-raising."""
         try:
-            with _span(f"delta.{mode}"):
+            with _span(_MODE_LAYERS[mode]):
                 sizes = self._apply_delta(retracted, inserted)
         except Exception as error:
             reason = (
@@ -1060,13 +1068,7 @@ class ProjectAnalysis:
 
     def sanitize(self) -> Dict[str, object]:
         """The graph well-formedness report (timings dropped)."""
-        report = self.subgraph().sanitize()
-        return {
-            "ok": report.ok,
-            "checks": list(report.checks),
-            "violations": [dict(v) for v in report.violations],
-            "dtc_checked": report.dtc_checked,
-        }
+        return self.subgraph().sanitize().section()
 
     def query_name(self, name: str) -> Dict[str, object]:
         """The label set of a binding on the warm graph."""

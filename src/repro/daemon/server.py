@@ -280,7 +280,8 @@ class DaemonServer:
                     if key in request
                 },
             )
-            profiler.push(f"verb.{verb}")
+            profiler.push("daemon.dispatch")
+            profiler.push(verb)
             try:
                 response = await self._dispatch(request)
             except ReproError as error:
@@ -292,6 +293,7 @@ class DaemonServer:
                     rid, verb, f"internal error: {error}"
                 )
             finally:
+                profiler.pop()
                 profiler.pop()
             elapsed = time.perf_counter() - start
             self.registry.histogram(f"daemon.latency.{verb}").observe(

@@ -115,9 +115,7 @@ def _engine_section(cfa) -> Dict[str, Optional[str]]:
     result (either branch); ``fallback_reason`` mirrors
     :class:`~repro.core.hybrid.HybridResult.fallback_reason`.
     """
-    from repro.core.hybrid import HybridResult
-    from repro.core.lc import SubtransitiveGraph
-    from repro.core.queries import SubtransitiveCFA
+    from repro.core.hybrid import HybridResult, subtransitive_graph_of
 
     driver = "lc"
     fallback_reason = None
@@ -126,7 +124,7 @@ def _engine_section(cfa) -> Dict[str, Optional[str]]:
         driver = "hybrid"
         fallback_reason = cfa.fallback_reason
         result = cfa.result
-    if isinstance(result, (SubtransitiveCFA, SubtransitiveGraph)):
+    if subtransitive_graph_of(result) is not None:
         name = "subtransitive"
     else:
         name = (

@@ -54,9 +54,12 @@ class LinearityAudit:
     outside every ``P_k``); ``predicted_nodes`` is the Section 4
     position-count bound on demanded LC' nodes (``None`` when
     untypeable); ``forecast`` predicts the hybrid driver's outcome:
-    ``None`` (LC' expected to win), ``"inference"`` (certain
-    fallback), or ``"budget"`` (predicted node budget exceeds the
-    hybrid allowance).
+    ``None`` (no fallback foreseen), ``"inference"`` (certain
+    fallback: an untypeable program that declares datatypes, for which
+    no congruence can be picked), or ``"budget"`` (predicted node
+    budget exceeds the hybrid allowance). An untypeable program
+    without datatypes gets no forecast: LC' runs on it uncapped under
+    the node budget alone, and may well finish.
     """
 
     def __init__(
@@ -91,7 +94,7 @@ class LinearityAudit:
     @property
     def forecast(self) -> Optional[str]:
         if not self.typeable:
-            return "inference"
+            return "inference" if self.program.datatypes else None
         if (
             self.predicted_nodes is not None
             and self.predicted_nodes > self.node_budget
@@ -115,9 +118,14 @@ class LinearityAudit:
 
     def render(self) -> str:
         if not self.typeable:
+            outcome = (
+                "the hybrid driver will fall back to standard CFA"
+                if self.forecast is not None
+                else "LC' runs uncapped under the hybrid node budget"
+            )
             return (
                 "linearity audit: untypeable — outside every P_k; "
-                "the hybrid driver will fall back to standard CFA"
+                + outcome
             )
         lines = [
             f"linearity audit: P_{self.max_type_size} "
@@ -201,31 +209,15 @@ def audit_linearity(
     return audit_of_share(program, share, size_threshold)
 
 
-def _graph_of(analysis):
-    """The LC' graph inside an analysis result, or None (the
-    standard/cubic engines build none)."""
-    from repro.core.hybrid import HybridResult
-    from repro.core.lc import SubtransitiveGraph
-    from repro.core.queries import SubtransitiveCFA
-
-    if isinstance(analysis, HybridResult):
-        analysis = analysis.result
-    if isinstance(analysis, SubtransitiveCFA):
-        return analysis.sub
-    if isinstance(analysis, SubtransitiveGraph):
-        return analysis
-    return None
-
-
 def inference_of(analysis):
     """The type-inference outcome an analysis result kept (LC' and
     the hybrid keep theirs, a hybrid fallback included), or ``None``
     when it ran none."""
-    from repro.core.hybrid import HybridResult
+    from repro.core.hybrid import HybridResult, subtransitive_graph_of
 
     if isinstance(analysis, HybridResult):
         return analysis.inference
-    sub = _graph_of(analysis)
+    sub = subtransitive_graph_of(analysis)
     return sub.inference if sub is not None else None
 
 
@@ -244,12 +236,14 @@ def audit_section(
     time. Deterministic by construction (counts only, no wall-clock),
     so envelopes carrying it stay byte-stable and cacheable.
     """
+    from repro.core.hybrid import subtransitive_graph_of
+
     if audit is None:
         audit = audit_linearity(
             program, inference_of(analysis), size_threshold
         )
     section = audit.to_dict()
-    sub = _graph_of(analysis)
+    sub = subtransitive_graph_of(analysis)
     if sub is None:
         section["actual"] = None
         section["within_budget"] = None

@@ -39,7 +39,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.errors import AnalysisBudgetExceeded
 from repro.obs import MetricsRegistry
-from repro.obs.events import emit_event, tally
+from repro.obs.events import emit_event, span, tally
 
 Item = Hashable
 
@@ -60,7 +60,7 @@ class FlowContext:
     once, lazily, and cached here.
     """
 
-    def __init__(self, program=None, sub=None, registry=None, profiler=None):
+    def __init__(self, program=None, sub=None, registry=None):
         self.program = program
         self.sub = sub
         self.graph = sub.graph if sub is not None else None
@@ -72,10 +72,6 @@ class FlowContext:
                 else MetricsRegistry()
             )
         self.registry = registry
-        #: Optional :class:`repro.obs.profile.SpanProfiler`; every
-        #: ``run_flow``/``run_fused`` pass on this context records one
-        #: ``flow.<name>`` span (same opt-in contract as the engine's).
-        self.profiler = profiler
         self._parent_of = None
         self._lambda_nodes = None
         self._sink_args = None
@@ -271,21 +267,16 @@ def run_flow(
     ``flow.pass.<name>`` wall-clock, ``flow.steps.<name>`` edge
     propagations, ``flow.updates.<name>`` value changes, and — when a
     budget was set — ``flow.fuel.budget.<name>`` /
-    ``flow.fuel.used.<name>`` gauges.
+    ``flow.fuel.used.<name>`` gauges. A bound profiler records the
+    pass as ``flow;<name>``.
     """
     if ctx is None:
         ctx = FlowContext()
     if registry is None:
         registry = ctx.registry
-    profiler = ctx.profiler
-    if profiler is not None:
-        profiler.push(f"flow.{analysis.name}")
-    try:
+    with span("flow"), span(analysis.name):
         with registry.timer(f"flow.pass.{analysis.name}"):
             result, steps, updates = _fixpoint([analysis], ctx, fuel)
-    finally:
-        if profiler is not None:
-            profiler.pop()
     registry.counter(f"flow.steps.{analysis.name}").inc(steps)
     registry.counter(f"flow.updates.{analysis.name}").inc(
         updates[0]
@@ -319,19 +310,14 @@ def run_fused(
 
     Metrics: ``flow.pass.fused`` / ``flow.steps.fused`` for the sweep,
     plus per-analysis ``flow.updates.<name>`` so the fused run remains
-    attributable.
+    attributable. A bound profiler records the sweep as
+    ``flow;fused``.
     """
     if registry is None:
         registry = ctx.registry
-    profiler = ctx.profiler
-    if profiler is not None:
-        profiler.push("flow.fused")
-    try:
+    with span("flow"), span("fused"):
         with registry.timer("flow.pass.fused"):
             values, steps, updates = _fixpoint(list(analyses), ctx, fuel)
-    finally:
-        if profiler is not None:
-            profiler.pop()
     registry.counter("flow.steps.fused").inc(steps)
     registry.gauge("flow.fused.analyses").set(len(analyses))
     for analysis, changed in zip(analyses, updates):

@@ -62,6 +62,7 @@ from repro.lang.ast import (
 )
 from repro.lang.lexer import Token, tokenize
 from repro.lang.prims import INFIX_TO_PRIM, PREFIX_PRIMS
+from repro.obs.events import span
 from repro.types.types import BOOL, INT, TData, TFun, TRecord, TRef, Type, UNIT
 
 #: Token kinds that may begin a `prefix` expression (used to detect
@@ -395,15 +396,17 @@ class _Parser:
 def parse_expr(source: str) -> Expr:
     """Parse a single expression (no datatype declarations)."""
     ensure_recursion_limit()
-    parser = _Parser(tokenize(source))
-    expr = parser.parse_expr()
-    parser.expect("EOF")
+    with span("lang.parse"):
+        parser = _Parser(tokenize(source))
+        expr = parser.parse_expr()
+        parser.expect("EOF")
     return expr
 
 
 def parse(source: str, rename: bool = True) -> Program:
     """Parse a full program (datatype declarations + expression)."""
     ensure_recursion_limit()
-    parser = _Parser(tokenize(source))
-    expr, decls = parser.parse_program()
-    return Program(expr, decls, rename=rename)
+    with span("lang.parse"):
+        parser = _Parser(tokenize(source))
+        expr, decls = parser.parse_program()
+        return Program(expr, decls, rename=rename)

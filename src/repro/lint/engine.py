@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
+from repro.core.hybrid import HybridResult, subtransitive_graph_of
 from repro.lint.findings import Finding, LintResult
 from repro.lint.passes import (
     ALL_PASSES,
@@ -27,6 +28,7 @@ from repro.lint.passes import (
     LintPass,
     primitive_sink_args,
 )
+from repro.obs.events import span
 
 
 def _normalise_passes(passes) -> List[LintPass]:
@@ -38,27 +40,6 @@ def _normalise_passes(passes) -> List[LintPass]:
     return resolved
 
 
-def _graph_of(result):
-    """The subtransitive graph of any accepted input other than a
-    hybrid fallback (``None`` when there is none yet)."""
-    from repro.core.hybrid import HybridResult
-    from repro.core.lc import SubtransitiveGraph
-    from repro.core.queries import SubtransitiveCFA
-
-    if result is None:
-        return None
-    if isinstance(result, HybridResult):
-        return result.result.sub
-    if isinstance(result, SubtransitiveCFA):
-        return result.sub
-    if isinstance(result, SubtransitiveGraph):
-        return result
-    raise TypeError(
-        "run_lints expects a SubtransitiveGraph, SubtransitiveCFA, "
-        f"HybridResult or None, got {type(result).__name__}"
-    )
-
-
 def run_lints(
     program,
     result=None,
@@ -66,7 +47,6 @@ def run_lints(
     registry=None,
     scope: Optional[Set[int]] = None,
     events=None,
-    profiler=None,
     explain: bool = False,
     audit=None,
 ) -> LintResult:
@@ -77,20 +57,27 @@ def run_lints(
     LinearityAudit`) if given, else one made from the type inference
     the analysis already ran; ``scope`` restricts incremental passes
     to a set of nids;
-    ``registry``/``events``/``profiler`` instrument the run
-    (defaulting to the graph's own registry so one metrics document
-    covers everything; the profiler records one ``lint.<code>`` span
-    per pass, with the shared rule evaluation's ``rules.eval`` span
-    nested under whichever pass demanded it first).
+    ``registry``/``events`` instrument the run (defaulting to the
+    graph's own registry so one metrics document covers everything).
+    A bound profiler records the run as the ``lint`` span with one
+    child per pass code; the shared rule evaluation's ``rules.eval``
+    span nests under whichever pass demanded it first.
 
     ``explain=True`` runs the rule programs with provenance and
     attaches each L/F finding's derivation chain. It only applies on
     the subtransitive engine — the standard-CFA fallback has no graph
     for a rule program to run on.
     """
-    from repro.core.hybrid import HybridResult
+    with span("lint"):
+        return _run_lints(
+            program, result, _normalise_passes(passes), registry,
+            scope, events, explain, audit,
+        )
 
-    lint_passes = _normalise_passes(passes)
+
+def _run_lints(
+    program, result, lint_passes, registry, scope, events, explain, audit
+) -> LintResult:
     if isinstance(result, HybridResult) and result.engine == "standard":
         return _fallback_lints(
             program,
@@ -100,33 +87,31 @@ def run_lints(
             scope=scope,
             audit=audit,
         )
-    sub = _graph_of(result)
+    sub = subtransitive_graph_of(result)
     if sub is None:
+        if result is not None:
+            raise TypeError(
+                "run_lints expects a SubtransitiveGraph, "
+                "SubtransitiveCFA, HybridResult or None, got "
+                f"{type(result).__name__}"
+            )
         from repro.core.lc import build_subtransitive_graph
 
         sub = build_subtransitive_graph(
-            program, registry=registry, events=events,
-            profiler=profiler,
+            program, registry=registry, events=events
         )
     if registry is None:
         registry = sub.stats.registry
     ctx = LintContext(
-        program, sub, registry=registry, profiler=profiler,
-        explain=explain, audit=audit,
+        program, sub, registry=registry, explain=explain, audit=audit
     )
     findings: List[Finding] = []
     pass_seconds: Dict[str, float] = {}
     for lint_pass in lint_passes:
         pass_scope = scope if lint_pass.incremental else None
         timer = registry.timer(f"lint.pass.{lint_pass.code}")
-        if profiler is not None:
-            profiler.push(f"lint.{lint_pass.code}")
-        try:
-            with timer:
-                found = lint_pass.run(ctx, pass_scope)
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        with span(lint_pass.code), timer:
+            found = lint_pass.run(ctx, pass_scope)
         pass_seconds[lint_pass.code] = timer.last_seconds
         registry.counter(f"lint.findings.{lint_pass.code}").inc(
             len(found)

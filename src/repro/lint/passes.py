@@ -54,7 +54,6 @@ class LintContext:
         program,
         sub,
         registry=None,
-        profiler=None,
         explain=False,
         audit=None,
     ):
@@ -64,7 +63,6 @@ class LintContext:
         self.registry = (
             registry if registry is not None else sub.stats.registry
         )
-        self.profiler = profiler
         #: When True, the rule programs run with provenance recording
         #: and the passes attach derivations to findings.
         self.explain = explain
@@ -84,10 +82,7 @@ class LintContext:
             from repro.flow.framework import FlowContext
 
             self._flow = FlowContext(
-                self.program,
-                self.sub,
-                registry=self.registry,
-                profiler=self.profiler,
+                self.program, self.sub, registry=self.registry
             )
         return self._flow
 

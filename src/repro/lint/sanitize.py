@@ -74,14 +74,18 @@ class SanitizeReport:
     def add(self, check: str, message: str) -> None:
         self.violations.append({"check": check, "message": message})
 
-    def to_dict(self) -> Dict[str, object]:
+    def section(self) -> Dict[str, object]:
+        """The result envelope's ``sanitize`` section: :meth:`to_dict`
+        without the wall-clock ``seconds``, so it is byte-stable."""
         return {
             "ok": self.ok,
             "checks": list(self.checks),
             "violations": [dict(v) for v in self.violations],
             "dtc_checked": self.dtc_checked,
-            "seconds": self.seconds,
         }
+
+    def to_dict(self) -> Dict[str, object]:
+        return {**self.section(), "seconds": self.seconds}
 
     def render(self) -> str:
         if self.ok:

@@ -13,8 +13,11 @@ single home for that accounting:
   analysis result, and :func:`validate_metrics`, the structural
   validator that freezes the contract;
 * :mod:`repro.obs.profile` — :class:`SpanProfiler`, a hierarchical
-  span profiler (phase → rule family → flow pass) with folded-stack
-  flamegraph export; opt-in exactly like the engine's event log;
+  span profiler (layer → rule family or pass) with folded-stack
+  flamegraph export, and :data:`LAYERS`, the one vocabulary of layer
+  names; a profiler records while it is bound to the current request
+  (:func:`bind_request`), so unprofiled runs pay one pointer test per
+  span site;
 * :mod:`repro.obs.baseline` — the ``repro.obs-diff/1`` regression
   report: diff two metrics documents against per-metric thresholds
   and noise floors, with an exit-code verdict for CI gates;
@@ -53,6 +56,7 @@ from repro.obs.events import (
     EventLog,
     RequestContext,
     bind_request,
+    current_profiler,
     current_request,
     emit_event,
     new_request_id,
@@ -74,7 +78,7 @@ from repro.obs.live import (
     request_chain,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
-from repro.obs.profile import Span, SpanProfiler, validate_folded
+from repro.obs.profile import LAYERS, Span, SpanProfiler, validate_folded
 from repro.obs.tracetools import (
     demand_waterfall,
     node_hotspots,
@@ -90,6 +94,7 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
+    "LAYERS",
     "MetricsRegistry",
     "RequestContext",
     "SCHEMA",
@@ -98,6 +103,7 @@ __all__ = [
     "Timer",
     "bind_request",
     "collect_metrics",
+    "current_profiler",
     "current_request",
     "demand_waterfall",
     "diff_documents",

@@ -18,12 +18,14 @@ between the socket and the fused sweep:
   :class:`RequestContext` (request id, event log, span profiler,
   tally dict) into a :mod:`contextvars` variable for the dynamic
   extent of one request;
-* :func:`emit_event` / :func:`tally` / :func:`span` — module-level
-  helpers deep layers (:mod:`repro.daemon.delta`,
-  :mod:`repro.flow.framework`, :mod:`repro.serve.pool`) call
-  unconditionally; they are no-ops when no request is bound, so the
-  batch/CLI fast paths pay one ``ContextVar.get`` when telemetry is
-  off.
+* :func:`emit_event` / :func:`tally` / :func:`span` /
+  :func:`current_profiler` — module-level helpers deep layers
+  (:mod:`repro.daemon.delta`, :mod:`repro.flow.framework`,
+  :mod:`repro.serve.pool`, the LC' engine) call unconditionally; they
+  are no-ops when no request is bound, so the batch/CLI fast paths
+  pay one ``ContextVar.get`` when telemetry is off. The bound
+  profiler is the only way spans reach a
+  :class:`~repro.obs.profile.SpanProfiler`.
 
 ``contextvars`` makes this correct under the daemon's concurrency
 model: each asyncio task carries its own context, so two in-flight
@@ -320,10 +322,23 @@ def bind_request(
     log: Optional[EventLog] = None,
     profiler=None,
 ):
-    """Bind a request context for the dynamic extent of a ``with``."""
+    """Bind a request context for the dynamic extent of a ``with``.
+
+    Inside an already-bound request, every field not given is the
+    enclosing request's: binding only a profiler (a profiled batch
+    job, ``repro obs flame``) keeps the request's id, event log and
+    tallies, so the layers below stay on its event chain.
+    """
+    outer = _current.get()
+    if outer is not None:
+        request_id = request_id or outer.request_id
+        log = outer.log if log is None else log
+        profiler = outer.profiler if profiler is None else profiler
     ctx = RequestContext(
         request_id or new_request_id(), log=log, profiler=profiler
     )
+    if outer is not None and ctx.request_id == outer.request_id:
+        ctx.tallies = outer.tallies
     token = _current.set(ctx)
     try:
         yield ctx
@@ -361,19 +376,21 @@ def tally(name: str, amount: float = 1) -> None:
     ctx.tallies[name] = ctx.tallies.get(name, 0) + amount
 
 
-@contextlib.contextmanager
-def span(name: str):
-    """Profile a section on the bound request's SpanProfiler, if any."""
+def current_profiler():
+    """The bound request's SpanProfiler, or None (hot span sites read
+    it once per call and guard ``push``/``pop`` on it)."""
     ctx = _current.get()
-    profiler = ctx.profiler if ctx is not None else None
-    if profiler is None:
-        yield
-        return
-    profiler.push(name)
-    try:
-        yield
-    finally:
-        profiler.pop()
+    return None if ctx is None else ctx.profiler
+
+
+_NO_SPAN = contextlib.nullcontext()
+
+
+def span(name: str):
+    """Profile a ``with`` block on the bound request's SpanProfiler,
+    if any (a shared no-op context otherwise)."""
+    profiler = current_profiler()
+    return _NO_SPAN if profiler is None else profiler.span(name)
 
 
 # -- validation ------------------------------------------------------------

@@ -128,14 +128,13 @@ def collect_metrics(result) -> Dict[str, object]:
     document with ``null`` engine sections (they have no LC'
     instrumentation to report).
     """
-    from repro.core.hybrid import HybridResult
-    from repro.core.lc import SubtransitiveGraph
-    from repro.core.queries import SubtransitiveCFA
+    from repro.core.hybrid import HybridResult, subtransitive_graph_of
 
     driver = "lc"
     fallback = False
     fallback_reason = None
     attempt_registry = None
+    sub = subtransitive_graph_of(result)
     if isinstance(result, HybridResult):
         driver = "hybrid"
         fallback = result.engine != "subtransitive"
@@ -143,16 +142,11 @@ def collect_metrics(result) -> Dict[str, object]:
         attempt_registry = result.registry
         result = result.result
 
-    queries = {"count": 0, "visited_nodes": 0}
-    sub = None
-    if isinstance(result, SubtransitiveCFA):
-        sub = result.sub
-        queries = {
-            "count": result.query_count,
-            "visited_nodes": result.query_visited_nodes,
-        }
-    elif isinstance(result, SubtransitiveGraph):
-        sub = result
+    # Only the query layer (SubtransitiveCFA) counts queries.
+    queries = {
+        "count": getattr(result, "query_count", 0),
+        "visited_nodes": getattr(result, "query_visited_nodes", 0),
+    }
 
     document: Dict[str, object] = {
         "schema": SCHEMA,

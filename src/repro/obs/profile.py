@@ -4,27 +4,30 @@ Where :mod:`repro.obs.metrics` answers "how many" and the engine's
 event log (:mod:`repro.obs.events`) answers "in what order", the
 profiler answers
 "*where did the time go*": it records a tree of named spans —
-phase → rule-family → flow-pass — with per-span call counts,
+layer → rule-family or pass → ... — with per-span call counts,
 cumulative seconds and (derived) self seconds, and exports the tree in
 the standard folded-stack format consumed by flamegraph renderers
 (``a;b;c 123``, one line per stack, integer sample weight).
 
-This is the per-phase attribution CFA-at-scale work (Vardoulakis &
+This is the per-layer attribution CFA-at-scale work (Vardoulakis &
 Shivers' CFA2, Van Horn & Mairson's complexity analyses) leans on to
 diagnose closure blowups: a cubic-family run whose flame is dominated
-by ``phase.close;sweep;rule.CLOSE-COV`` tells a very different story
-from one stuck in ``flow.fused``.
+by ``core.close;sweep;rule.CLOSE-COV`` tells a very different story
+from one stuck in ``lint;L001;rules.eval;flow;fused``.
 
 Design constraints, matching the engine event log's:
 
-* **Strictly opt-in.** Every instrumented call site holds
-  ``profiler=None`` by default and guards emission with a single
-  ``is not None`` test, so unprofiled runs pay one pointer comparison
-  per span site.
+* **One span path.** A profiler records only while it is bound to
+  the current request (:func:`repro.obs.events.bind_request`); every
+  span site reads it from there
+  (:func:`repro.obs.events.current_profiler`) and guards emission with
+  a single ``is not None`` test, so unprofiled runs pay one pointer
+  comparison per span site. A span opened at the top of a stack is
+  named after its layer (:data:`LAYERS`).
 * **Cheap when on.** Spans are ``__slots__`` objects interned per
   (parent, name); entering a re-visited span is two dict-free
   attribute reads, one dict ``get`` and one ``perf_counter`` call.
-  Span sites are deliberately coarse — phases, demand sweeps,
+  Span sites are deliberately coarse — layers, demand sweeps,
   rule-family loops, whole flow passes — never per rule firing, so a
   profiled run stays within a few percent of an unprofiled one.
 * **Re-entrancy.** The same name under the same parent accumulates
@@ -34,14 +37,31 @@ Design constraints, matching the engine event log's:
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
+    "LAYERS",
     "Span",
     "SpanProfiler",
     "validate_folded",
 ]
+
+#: The stack's layers: the name of every span a package span site can
+#: open at the top of a stack. Finer spans (``sweep``,
+#: ``rule.CLOSE-COV``, a lint pass code, ``rules.eval``, a flow pass
+#: name, a daemon verb) nest under one of them. Each layer's span sits
+#: in the function layerbench wraps for it, under the same name
+#: (``layerbench/spans.py`` ``LAYER_TIMES``); some layers have no
+#: package span site yet.
+LAYERS = (
+    "lang.tokenize", "lang.parse", "lang.rename", "types.infer",
+    "core.build", "core.close", "queries", "export", "flow", "lint",
+    "cfa.standard", "serve.job",
+    "delta.splice", "delta.dred", "delta.append", "delta.replay",
+    "daemon.dispatch", "daemon.protocol", "events.flush",
+)
 
 
 def _safe_symbol(name: str) -> str:
@@ -89,8 +109,9 @@ class SpanProfiler:
 
     Imperative API (the engine's hot sites use this directly)::
 
+        profiler = current_profiler()
         if profiler is not None:
-            profiler.push("phase.close")
+            profiler.push("core.close")
         try:
             ...
         finally:
@@ -98,10 +119,9 @@ class SpanProfiler:
                 profiler.pop()
 
     or, where allocation cost does not matter, the context-manager
-    sugar ``with profiler.span("phase.close"): ...``.
+    sugar ``with span("core.close"): ...``
+    (:func:`repro.obs.events.span`).
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.root = Span("", None)
@@ -127,9 +147,14 @@ class SpanProfiler:
         span.seconds += time.perf_counter() - span._start
         self._current = span.parent
 
-    def span(self, name: str) -> "_SpanScope":
+    @contextlib.contextmanager
+    def span(self, name: str):
         """Context-manager sugar over :meth:`push`/:meth:`pop`."""
-        return _SpanScope(self, name)
+        self.push(name)
+        try:
+            yield
+        finally:
+            self.pop()
 
     @property
     def depth(self) -> int:
@@ -169,25 +194,6 @@ class SpanProfiler:
             for path, span in self.walk()
         ]
 
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """The span tree as plain JSON-safe nested dicts."""
-
-        def node(span: Span) -> Dict[str, object]:
-            return {
-                "count": span.count,
-                "seconds": span.seconds,
-                "self_seconds": span.self_seconds,
-                "children": {
-                    name: node(child)
-                    for name, child in sorted(span.children.items())
-                },
-            }
-
-        return {
-            name: node(child)
-            for name, child in sorted(self.root.children.items())
-        }
-
     def total_seconds(self) -> float:
         """Cumulative seconds across the top-level spans."""
         return sum(c.seconds for c in self.root.children.values())
@@ -216,23 +222,6 @@ class SpanProfiler:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         spans = sum(1 for _ in self.walk())
         return f"<SpanProfiler spans={spans} depth={self.depth}>"
-
-
-class _SpanScope:
-    """Tiny reusable context manager for :meth:`SpanProfiler.span`."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: SpanProfiler, name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_SpanScope":
-        self._profiler.push(self._name)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._profiler.pop()
 
 
 def validate_folded(lines: List[str]) -> List[str]:

@@ -45,6 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.flow.analyses import BoundedSetAnalysis, ReachabilityAnalysis
 from repro.flow.framework import FlowContext, run_fused
+from repro.obs.events import span
 from repro.rules.check import CheckedRules, RelationPlan, check_programs
 from repro.rules.dsl import NODE, Rel, Rule, RuleProgram, Var, fingerprint
 from repro.rules.eval import (
@@ -679,19 +680,12 @@ class CompiledRuleSet:
         world = World(source, extents) if explain else None
         joined = 0
 
-        profiler = ctx.profiler
-        if profiler is not None:
-            profiler.push("rules.eval")
-        try:
-            with registry.timer("rules.eval"):
-                for level in self.checked.levels:
-                    joined += self._run_level(
-                        level, ctx, source, world, extents,
-                        fuel, registry, provenance, parents,
-                    )
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        with span("rules.eval"), registry.timer("rules.eval"):
+            for level in self.checked.levels:
+                joined += self._run_level(
+                    level, ctx, source, world, extents,
+                    fuel, registry, provenance, parents,
+                )
 
         registry.counter("rules.join.derived").inc(joined)
         registry.counter("rules.facts").inc(extents.size())

@@ -94,37 +94,7 @@ def _apply_faults(fault: Dict[str, object]) -> None:
         raise RuntimeError(str(message))
 
 
-class _NoSpan:
-    """No-op stand-in for a profiler span (profile not requested)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-
-_NO_SPAN = _NoSpan()
-
-
-def _sub_of(analysis):
-    """The SubtransitiveGraph inside an analysis result, or None."""
-    from repro.core.hybrid import HybridResult
-    from repro.core.lc import SubtransitiveGraph
-    from repro.core.queries import SubtransitiveCFA
-
-    if isinstance(analysis, HybridResult):
-        analysis = analysis.result
-    if isinstance(analysis, SubtransitiveCFA):
-        return analysis.sub
-    if isinstance(analysis, SubtransitiveGraph):
-        return analysis
-    return None
-
-
-def _lint_section(
-    program, analysis, profiler=None, audit=None
-) -> Dict[str, object]:
+def _lint_section(program, analysis, audit=None) -> Dict[str, object]:
     """Run the lint passes and shape them for the result envelope.
 
     ``audit`` is the T-series' linearity audit when the caller already
@@ -133,15 +103,17 @@ def _lint_section(
     byte-stable for equal inputs, and wall-clock numbers never are.
     Findings keep their full structure including ``via``.
     """
-    from repro.core.hybrid import HybridResult
+    from repro.core.hybrid import HybridResult, subtransitive_graph_of
     from repro.lint import run_lints
 
-    if _sub_of(analysis) is None and not isinstance(analysis, HybridResult):
+    if subtransitive_graph_of(analysis) is None and not isinstance(
+        analysis, HybridResult
+    ):
         # A bare standard/cubic result (requested explicitly, or the
         # timeout-degrade re-run): route it through the lint driver's
         # standard-CFA fallback path.
         analysis = HybridResult("standard", analysis)
-    result = run_lints(program, analysis, profiler=profiler, audit=audit)
+    result = run_lints(program, analysis, audit=audit)
     counts: Dict[str, int] = {}
     for finding in result.findings:
         counts[finding.rule] = counts.get(finding.rule, 0) + 1
@@ -157,24 +129,11 @@ def _sanitize_section(analysis) -> Optional[Dict[str, object]]:
     """Run the graph sanitizer, envelope-shaped (no timings); ``None``
     when there is no subtransitive graph to check (standard-engine
     results)."""
+    from repro.core.hybrid import subtransitive_graph_of
     from repro.lint.sanitize import sanitize
 
-    sub = _sub_of(analysis)
-    if sub is None:
-        return None
-    report = sanitize(sub)
-    return {
-        "ok": report.ok,
-        "checks": list(report.checks),
-        "violations": [dict(v) for v in report.violations],
-        "dtc_checked": report.dtc_checked,
-    }
-
-
-#: Algorithms whose drivers accept the ``profiler=`` kwarg. The
-#: standard/cubic algorithms have no span sites; profiled jobs running
-#: them still get the job-stage spans (parse/analyze/lint/...).
-_PROFILED_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
+    sub = subtransitive_graph_of(analysis)
+    return None if sub is None else sanitize(sub).section()
 
 
 def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
@@ -183,35 +142,23 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     from repro.errors import AnalysisBudgetExceeded, TypeInferenceError
     from repro.export import result_fingerprint, result_to_dict
     from repro.flow.audit import audit_linearity, audit_section, inference_of
+    from repro.obs.events import span
     from repro.types.infer import try_infer_types
 
     options: Dict[str, object] = payload["options"]
-    profiler = None
-    if payload.get("profile"):
-        from repro.obs.profile import SpanProfiler
-
-        profiler = SpanProfiler()
-
-    def stage(name):
-        return profiler.span(name) if profiler is not None else _NO_SPAN
-
-    with stage("job.parse"):
-        program = repro.parse(payload["source"])
+    program = repro.parse(payload["source"])
     status = "ok"
     fallback_reason = None
     analyze_kwargs = {}
-    if profiler is not None and options["algorithm"] in _PROFILED_ALGORITHMS:
-        analyze_kwargs["profiler"] = profiler
     inference = None
     try:
-        with stage("job.analyze"):
-            if options["algorithm"] == "subtransitive":
-                # Inferred here so a degraded result keeps it too.
-                inference = try_infer_types(program)
-                analyze_kwargs["inference"] = inference
-            analysis = repro.analyze(
-                program, algorithm=options["algorithm"], **analyze_kwargs
-            )
+        if options["algorithm"] == "subtransitive":
+            # Inferred here so a degraded result keeps it too.
+            inference = try_infer_types(program)
+            analyze_kwargs["inference"] = inference
+        analysis = repro.analyze(
+            program, algorithm=options["algorithm"], **analyze_kwargs
+        )
     except (AnalysisBudgetExceeded, TypeInferenceError) as error:
         # Graceful degradation: the LC' attempt blew its budget (or
         # no congruence could be inferred); the cubic standard
@@ -235,23 +182,19 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
     envelope = result_to_dict(analysis)
     audit = None
     if options.get("lint"):
-        with stage("job.lint"):
-            # One inference per job: the T-series and the audit
-            # section share this audit, made from the inference the
-            # analysis already ran (or from one run, when its
-            # algorithm runs none).
-            audit = audit_linearity(program, inference_of(analysis))
-            envelope["lint"] = _lint_section(
-                program, analysis, profiler=profiler, audit=audit
-            )
+        # One inference per job: the T-series and the audit section
+        # share this audit, made from the inference the analysis
+        # already ran (or from one run, when its algorithm runs none).
+        audit = audit_linearity(program, inference_of(analysis))
+        envelope["lint"] = _lint_section(program, analysis, audit=audit)
     if options.get("sanitize"):
-        with stage("job.sanitize"):
+        with span("sanitize"):
             envelope["sanitize"] = _sanitize_section(analysis)
     if options.get("audit"):
         # The linearity-audit section: predicted LC' budget
         # (Proposition 3/4 preconditions) next to the actual graph
         # growth, deterministic for equal inputs.
-        with stage("job.audit"):
+        with span("audit"):
             envelope["audit"] = audit_section(program, analysis, audit)
     response: Dict[str, object] = {
         "status": status,
@@ -260,12 +203,6 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
         "fingerprint": result_fingerprint(envelope),
         "error": None,
     }
-    if profiler is not None:
-        # The profile rides the *response*, never the envelope: the
-        # envelope is content-addressed and must stay byte-stable for
-        # equal inputs, and wall-clock spans never are. Cache hits
-        # therefore carry no profile (documented in docs/SERVICE.md).
-        response["profile"] = profiler.folded()
     section = envelope.get("sanitize")
     if section is not None and not section["ok"]:
         # A sanitizer violation means the engine produced a graph it
@@ -274,6 +211,24 @@ def _analyze(payload: Dict[str, object]) -> Dict[str, object]:
         response["error"] = (
             f"sanitizer violations: {len(section['violations'])}"
         )
+    return response
+
+
+def _profiled(payload: Dict[str, object]) -> Dict[str, object]:
+    """:func:`_analyze` under a bound profiler, every stack rooted at
+    ``serve.job``.
+
+    The profile rides the *response*, never the envelope: the envelope
+    is content-addressed and must stay byte-stable for equal inputs,
+    and wall-clock spans never are. Cache hits therefore carry no
+    profile (documented in docs/SERVICE.md)."""
+    from repro.obs.events import bind_request, span
+    from repro.obs.profile import SpanProfiler
+
+    profiler = SpanProfiler()
+    with bind_request(profiler=profiler), span("serve.job"):
+        response = _analyze(payload)
+    response["profile"] = profiler.folded()
     return response
 
 
@@ -293,7 +248,10 @@ def run_job(payload: Dict[str, object]) -> Dict[str, object]:
         fault = payload.get("fault") or {}
         if fault:
             _apply_faults(fault)
-        response = _analyze(payload)
+        if payload.get("profile"):
+            response = _profiled(payload)
+        else:
+            response = _analyze(payload)
     except WorkerTimeout:
         response = {
             "status": "timeout",

@@ -55,6 +55,34 @@ class TestAnalyze:
         assert main(["analyze", "/nonexistent.ml"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, verdict, detail",
+        [
+            (DEMO, "audit: bounded (max type size", "audit bounded"),
+            # Untypeable and datatype-free: LC' answers it, so there is
+            # no forecast, and the verdict must not read "bounded".
+            (
+                "let w = fn[w] x => x x in w (fn[i] y => y)",
+                "audit: untypeable (outside every P_k); actual",
+                "audit untypeable",
+            ),
+            (
+                "datatype box = Box of int;\n(fn[w] x => x x) Box(1)",
+                "audit: LC' fallback forecast (inference)",
+                "audit forecast: inference",
+            ),
+        ],
+    )
+    def test_audit_verdict(self, tmp_path, capsys, source, verdict, detail):
+        path = tmp_path / "prog.ml"
+        path.write_text(source)
+        assert main(
+            ["analyze", str(path), "--algorithm", "hybrid", "--audit"]
+        ) == 0
+        assert verdict in capsys.readouterr().err
+        assert main(["batch", str(path), "--audit"]) == 0
+        assert detail in capsys.readouterr().out
+
     def test_parse_error_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.ml"
         path.write_text("let = ")
@@ -79,6 +107,37 @@ class TestQuery:
 
     def test_query_without_args_fails(self, demo_file, capsys):
         assert main(["query", demo_file]) == 1
+
+    @pytest.mark.parametrize("nid", ["7", "999", "-1"])
+    def test_expr_outside_the_program_is_an_error(
+        self, demo_file, nid, capsys
+    ):
+        # DEMO has nids 0..6; a negative nid must not index from the end.
+        assert main(["query", demo_file, "--expr", nid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: --expr {nid}:")
+        assert "0..6" in line
+
+    def test_last_nid_is_accepted(self, demo_file, capsys):
+        assert main(["query", demo_file, "--expr", "6"]) == 0
+
+    def test_unknown_algorithm_is_a_usage_error(self, demo_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", demo_file, "--expr", "0", "--algorithm", "bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("algorithm", ["standard", "hybrid"])
+    def test_algorithm_choices_match_analyze(
+        self, demo_file, algorithm, capsys
+    ):
+        assert main(
+            ["query", demo_file, "--label", "g", "--algorithm", algorithm]
+        ) == 0
 
 
 class TestApps:
@@ -135,6 +194,15 @@ class TestEvalAndDot:
         path = tmp_path / "loop.ml"
         path.write_text("letrec f = fn x => f x in f 0")
         assert main(["eval", str(path), "--fuel", "100"]) == 1
+
+    @pytest.mark.parametrize("fuel", ["0", "-5", "lots"])
+    def test_fuel_must_be_a_positive_int(self, demo_file, fuel, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", demo_file, "--fuel", fuel])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fuel" in err
+        assert "Traceback" not in err
 
     def test_dot_stdout(self, demo_file, capsys):
         assert main(["dot", demo_file]) == 0

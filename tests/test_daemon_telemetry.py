@@ -16,7 +16,13 @@ import threading
 import pytest
 
 from repro.daemon import DaemonClient, DaemonServer
-from repro.obs import request_chain, validate_event, validate_telemetry
+from repro.obs import (
+    LAYERS,
+    request_chain,
+    validate_event,
+    validate_folded,
+    validate_telemetry,
+)
 from repro.obs.live import render_prometheus, render_request
 
 
@@ -180,11 +186,39 @@ class TestTelemetryVerb:
         for entry in slow:
             assert entry["seconds"] >= 0
             assert entry["verb"]
-            # The attached span profile is folded-stack formatted.
+            # The attached span profile is folded-stack formatted and
+            # rooted at the dispatch layer, the verb as its child.
+            validate_folded(entry["profile"])
             assert any(
-                line.startswith(f"verb.{entry['verb']}")
+                line.startswith(f"daemon.dispatch;{entry['verb']}")
                 for line in entry["profile"]
             ), entry
+
+    def test_slow_capture_names_the_layers(self, endpoint):
+        path, _, _ = endpoint
+        with DaemonClient(socket_path=path) as client:
+            client.define("demo", "id", "fn x => x")
+            client.define("demo", "use", "id (fn[l1] y => y)")
+            # One more application node: the DRed path, not a splice.
+            report = client.define("demo", "use", "id (id (fn[l1] y => y))")
+            dred = client.last_request_id
+            client.lint("demo")
+            lint = client.last_request_id
+            slow = {e["request_id"]: e for e in client.telemetry()["slow"]}
+        assert report["mode"] == "delta"
+
+        def frames(request_id):
+            # Every frame below the dispatch layer and the verb.
+            lines = validate_folded(slow[request_id]["profile"])
+            out = set()
+            for line in lines:
+                stack = line.rpartition(" ")[0].split(";")
+                assert stack[0] in LAYERS, line
+                out.update(stack[2:])
+            return out
+
+        assert {"delta.dred", "core.close"} <= frames(dred)
+        assert {"lint", "flow"} <= frames(lint)
 
     def test_status_uptime_events_hits(self, endpoint):
         path, _, _ = endpoint

@@ -3,8 +3,10 @@
 The auditor is the static pre-flight check of the Proposition 3/4
 preconditions: the cubic family must audit as bounded (it lives in
 P_7), the let-polymorphic doubling family must be flagged (typeable
-but with Θ(2^n) type trees), and untypeable programs must forecast the
-hybrid driver's "inference" fallback.
+but with Θ(2^n) type trees), and untypeable programs that declare
+datatypes must forecast the hybrid driver's "inference" fallback —
+without datatypes LC' runs on them uncapped, so no fallback is
+forecast.
 """
 
 import pytest
@@ -59,14 +61,35 @@ class TestBoundedVerdicts:
         assert parsed.bounded == built.bounded
         assert parsed.forecast == built.forecast
 
-    def test_untypeable_program_forecasts_inference(self):
-        # Self-application defeats Hindley-Milner inference.
-        audit = audit_linearity(parse("fn[w] x => x x"))
+    def test_untypeable_program_without_datatypes_has_no_forecast(self):
+        # Self-application defeats Hindley-Milner inference; with no
+        # datatypes the hybrid still runs LC' (uncapped) and answers.
+        program = parse("let w = fn[w] x => x x in w (fn[i] y => y)")
+        audit = audit_linearity(program)
         assert not audit.typeable
         assert not audit.bounded
         assert audit.max_type_size is None
         assert audit.predicted_nodes is None
+        assert audit.forecast is None
+        assert "uncapped" in audit.render()
+        hybrid = analyze_hybrid(program)
+        assert hybrid.engine == "subtransitive"
+        assert hybrid.fallback_reason is None
+
+    def test_untypeable_program_with_datatypes_forecasts_inference(self):
+        # No congruence can be picked without types: the hybrid falls
+        # back to standard CFA, exactly as forecast.
+        program = parse(
+            "datatype box = Box of int;\n"
+            "let w = fn[w] x => x x in w (fn[i] y => y)"
+        )
+        audit = audit_linearity(program)
+        assert not audit.typeable
         assert audit.forecast == "inference"
+        assert "fall back to standard CFA" in audit.render()
+        hybrid = analyze_hybrid(program)
+        assert hybrid.engine == "standard"
+        assert hybrid.fallback_reason == "inference"
 
     def test_type_size_doubles_per_generation(self):
         sizes = [

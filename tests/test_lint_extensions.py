@@ -11,7 +11,7 @@ import pathlib
 import pytest
 
 from repro.cfa.standard import analyze_standard
-from repro.core.hybrid import HybridResult
+from repro.core.hybrid import HybridResult, analyze_hybrid
 from repro.lang import parse
 from repro.lint import run_lints
 from repro.workloads.cubic import make_unbounded_source
@@ -129,10 +129,21 @@ class TestLinearityRules:
         assert not {"T001", "T002", "T003"} & fired(result)
 
     def test_untypeable_program_fires_t001(self):
+        # Datatype-free: LC' still answers it, so no fallback forecast.
         _, result = lint_source("(fn[w] x => x x) (fn[v] y => y y)")
         codes = fired(result)
         assert "T001" in codes
-        assert "T003" in codes
+        assert "T003" not in codes
+
+    def test_untypeable_program_with_datatypes_fires_t003(self):
+        # The hybrid abandons LC' on it, and the lints say so.
+        program = parse(
+            "datatype box = Box of int;\n"
+            "(fn[w] x => x x) (fn[v] y => y y)"
+        )
+        result = run_lints(program, analyze_hybrid(program))
+        assert result.fallback_reason == "inference"
+        assert {"T001", "T003"} <= fired(result)
 
     def test_fallback_engine_agrees(self):
         src = make_unbounded_source(8)

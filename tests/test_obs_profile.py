@@ -1,12 +1,19 @@
-"""The span profiler: tree mechanics, folded-stack export, engine
-threading, exception balance, and the serve-layer plumbing.
+"""The span profiler: tree mechanics, folded-stack export, the one
+span path, exception balance, and the serve-layer plumbing.
 
-The profiler's contract mirrors the tracer's: strictly opt-in
-(``profiler=None`` everywhere, one ``is not None`` test per site), so
-the acceptance criterion is structural — profiled runs must produce a
-well-formed folded-stack export whose top-level spans are the engine
-phases, while unprofiled runs never touch a profiler at all.
+Spans reach a profiler one way only: it is bound to the current
+request (``bind_request(profiler=...)``) and every span site reads it
+from there, one ``is not None`` test per site. The acceptance
+criterion is structural — profiled runs must produce a well-formed
+folded-stack export whose top-level spans are layers
+(:data:`repro.obs.LAYERS`), while unprofiled runs never touch a
+profiler at all.
 """
+
+import importlib.util
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,8 +23,32 @@ from repro.core.queries import analyze_subtransitive
 from repro.errors import AnalysisBudgetExceeded
 from repro.lang import parse
 from repro.lint import run_lints
-from repro.obs import Span, SpanProfiler, validate_folded
+from repro.obs import (
+    LAYERS,
+    EventLog,
+    Span,
+    SpanProfiler,
+    bind_request,
+    current_request,
+    validate_folded,
+)
 from repro.workloads.cubic import make_cubic_program
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def first_frames(lines):
+    """The set of top-level frames of validated folded lines."""
+    validate_folded(lines)
+    return {line.rpartition(" ")[0].split(";")[0] for line in lines}
+
+
+def profiled(run):
+    """``run()`` under a freshly bound profiler; returns the profiler."""
+    profiler = SpanProfiler()
+    with bind_request(profiler=profiler):
+        run()
+    return profiler
 
 SOURCE = (
     "let twice = fn[twice] f => fn[inner] x => f (f x) in "
@@ -75,18 +106,18 @@ class TestSpanTree:
 class TestFoldedExport:
     def test_folded_lines_validate(self):
         profiler = SpanProfiler()
-        with profiler.span("phase.build"):
+        with profiler.span("core.build"):
             pass
-        with profiler.span("phase.close"):
+        with profiler.span("core.close"):
             with profiler.span("sweep"):
                 pass
         lines = profiler.folded()
         assert validate_folded(lines) is lines
         stacks = {line.rpartition(" ")[0] for line in lines}
         assert stacks == {
-            "phase.build",
-            "phase.close",
-            "phase.close;sweep",
+            "core.build",
+            "core.close",
+            "core.close;sweep",
         }
 
     def test_weights_are_scaled_self_time(self):
@@ -121,15 +152,18 @@ class TestFoldedExport:
 
 class TestEngineProfile:
     def test_profiled_run_has_phase_spans(self):
-        profiler = SpanProfiler()
         program = make_cubic_program(8)
-        cfa = analyze_subtransitive(program, profiler=profiler)
-        for site in program.nontrivial_applications():
-            cfa.may_call(site)
+
+        def run():
+            cfa = analyze_subtransitive(program)
+            for site in program.nontrivial_applications():
+                cfa.may_call(site)
+
+        profiler = profiled(run)
         paths = {path for path, _ in profiler.walk()}
-        assert ("phase.build",) in paths
-        assert ("phase.close",) in paths
-        assert ("phase.close", "sweep") in paths
+        assert ("core.build",) in paths
+        assert ("core.close",) in paths
+        assert ("core.close", "sweep") in paths
         # Rule-family attribution under the sweep.
         assert any(
             path[-1] in ("rule.CLOSE-COV", "rule.CLOSE-CONTRA")
@@ -145,41 +179,137 @@ class TestEngineProfile:
         engine = LCEngine(parse(SOURCE))
         assert engine.profiler is None
         engine.run()  # the None default must not be touched by a run
+        assert engine.profiler is None
+
+    def test_engine_drops_the_profiler_after_close(self):
+        # A warm (daemon) engine outlives its request: a profiler kept
+        # past close() would receive a later request's spans.
+        from repro.core.lc import LCEngine
+
+        engine = LCEngine(parse(SOURCE))
+        profiler = profiled(engine.run)
+        assert engine.profiler is None
+        assert ("core.close",) in dict(profiler.walk())
 
     def test_lint_spans(self):
-        profiler = SpanProfiler()
         program = parse(SOURCE)
-        cfa = analyze_subtransitive(program, profiler=profiler)
-        run_lints(program, cfa, profiler=profiler)
+        profiler = profiled(
+            lambda: run_lints(program, analyze_subtransitive(program))
+        )
         paths = {path for path, _ in profiler.walk()}
-        assert any(path[0].startswith("lint.") for path in paths)
+        # One child per pass code under the lint layer, the rule
+        # evaluation and its fused flow sweep nested below a pass.
+        assert ("lint", "L001") in paths
+        assert any(
+            path[:1] == ("lint",) and path[-2:] == ("flow", "fused")
+            for path in paths
+        ), paths
         validate_folded(profiler.folded())
 
     def test_budget_trip_leaves_profiler_balanced(self):
-        profiler = SpanProfiler()
-        with pytest.raises(AnalysisBudgetExceeded):
-            analyze_subtransitive(
-                make_cubic_program(8), node_budget=5, profiler=profiler
-            )
+        def run():
+            with pytest.raises(AnalysisBudgetExceeded):
+                analyze_subtransitive(make_cubic_program(8), node_budget=5)
+
+        profiler = profiled(run)
         assert profiler.depth == 0
         validate_folded(profiler.folded())
 
     def test_hybrid_fallback_profiles_both_attempts(self):
-        profiler = SpanProfiler()
-        hybrid = analyze_hybrid(
-            make_cubic_program(8), node_budget=5, profiler=profiler
-        )
-        assert hybrid.engine == "standard"
+        box = {}
+
+        def run():
+            box["hybrid"] = analyze_hybrid(
+                make_cubic_program(8), node_budget=5
+            )
+
+        profiler = profiled(run)
+        assert box["hybrid"].engine == "standard"
         paths = {path for path, _ in profiler.walk()}
         # The abandoned LC' attempt and the fallback both show up.
-        assert ("phase.build",) in paths
-        assert ("hybrid.fallback",) in paths
+        assert ("core.build",) in paths
+        assert ("cfa.standard",) in paths
         assert profiler.depth == 0
 
-    def test_analyze_kwarg_dispatch(self):
-        profiler = SpanProfiler()
-        repro.analyze(parse(SOURCE), profiler=profiler)
+    def test_bound_profiler_reaches_analyze(self):
+        profiler = profiled(lambda: repro.analyze(parse(SOURCE)))
         assert profiler.total_seconds() > 0.0
+
+
+class TestLayerVocabulary:
+    """Every producer's stacks open with a layer name."""
+
+    def test_layers_are_layerbenchs_less_graph_freeze(self):
+        path = os.path.join(ROOT, "layerbench", "spans.py")
+        spec = importlib.util.spec_from_file_location("_layer_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert LAYERS == tuple(
+            name for name in spans.LAYER_TIMES if name != "graph.freeze"
+        )
+
+    def test_obs_flame_first_frames_are_layers(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        output = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "obs", "flame",
+                os.path.join(ROOT, "examples", "lint_showcase.lam"),
+                "--lint",
+            ],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        frames = first_frames(output.splitlines())
+        assert frames <= set(LAYERS), frames
+        assert {"lang.parse", "core.build", "core.close", "lint"} <= frames
+
+    def test_batch_job_stacks_are_rooted_at_serve_job(self):
+        from repro.serve import BatchRunner, jobs_from_sources
+
+        runner = BatchRunner(
+            jobs=1, profile=True,
+            options={"lint": True, "sanitize": True, "audit": True},
+        )
+        (result,) = runner.run(jobs_from_sources([SOURCE])).results
+        assert first_frames(result.profile) == {"serve.job"}
+        stacks = {line.rpartition(" ")[0] for line in result.profile}
+        for child in ("lang.parse", "core.close", "lint", "sanitize"):
+            assert f"serve.job;{child}" in stacks, stacks
+
+    def test_old_span_names_are_gone(self):
+        program = parse(SOURCE)
+        profiler = profiled(
+            lambda: run_lints(program, analyze_hybrid(program))
+        )
+        for path, _ in profiler.walk():
+            for frame in path:
+                assert not frame.startswith(("phase.", "job.", "verb.")), path
+                assert frame not in ("hybrid.fallback", "delta.delta"), path
+
+
+class TestRequestNesting:
+    def test_nested_profiler_keeps_request_id_and_log(self):
+        log = EventLog()
+        profiler = SpanProfiler()
+        with bind_request("outer-id", log=log) as outer:
+            with bind_request(profiler=profiler) as inner:
+                assert current_request() is inner
+                assert inner.request_id == "outer-id"
+                assert inner.log is log
+                assert inner.tallies is outer.tallies
+                assert inner.profiler is profiler
+            assert current_request() is outer
+            assert outer.profiler is None
+
+    def test_jobs1_batch_flow_events_reach_the_enclosing_log(self):
+        from repro.serve import BatchRunner, jobs_from_sources
+
+        log = EventLog()
+        runner = BatchRunner(jobs=1, profile=True, options={"lint": True})
+        with bind_request("batch-id", log=log):
+            (result,) = runner.run(jobs_from_sources([SOURCE])).results
+        assert result.profile is not None
+        flow = [e for e in log.events() if e["kind"] == "flow"]
+        assert flow and all(e["request_id"] == "batch-id" for e in flow)
 
 
 class TestServeProfile:
