@@ -236,8 +236,12 @@ def main(quick: bool = False, metrics_path=None) -> None:
     print("E13 (extra) — front-end decomposition (traversal cost)")
     print("=" * 72)
     table, rows = bench_frontend.run_report()
-    record("E13", "front-end decomposition (traversal cost)", rows)
+    scaling_table, scaling_rows = bench_frontend.scaling_report()
+    record(
+        "E13", "front-end decomposition (traversal cost)", rows + scaling_rows
+    )
     print(table.render())
+    print(scaling_table.render())
 
     print("\n" + "=" * 72)
     print("E14 (extra) — lint passes over the subtransitive graph")

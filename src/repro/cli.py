@@ -107,7 +107,8 @@ def _expand_cli_inputs(paths: List[str]) -> List[str]:
 
 
 #: Algorithms whose drivers accept ``registry``/``events`` plumbing
-#: and whose results carry LC' statistics for the metrics document.
+#: and whose results carry LC' statistics for the metrics document
+#: (and an LC' graph for ``obs flame --lint``).
 _INSTRUMENTED_ALGORITHMS = ("subtransitive", "hybrid", "polyvariant")
 
 
@@ -825,6 +826,10 @@ def _cmd_obs_diff(args) -> int:
 def _cmd_obs_flame(args) -> int:
     from repro.obs import SpanProfiler, bind_request, validate_folded
 
+    if args.lint and args.algorithm not in _INSTRUMENTED_ALGORITHMS:
+        raise ReproError(
+            "--lint requires one of: " + ", ".join(_INSTRUMENTED_ALGORITHMS)
+        )
     profiler = SpanProfiler()
     with bind_request(profiler=profiler):
         program = _read_program(args.file)
@@ -1458,7 +1463,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--algorithm",
         default="subtransitive",
-        choices=list(_INSTRUMENTED_ALGORITHMS),
+        choices=list(repro._ALGORITHMS),
     )
     q.add_argument(
         "--lint",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.daemon.delta import free_base_names
 from repro.errors import TypeInferenceError
 from repro.flow.audit import (
     LinearityAudit,
@@ -45,6 +44,7 @@ from repro.flow.audit import (
     type_share,
 )
 from repro.lang.ast import Program
+from repro.lang.rename import free_variables
 from repro.types.infer import infer_types
 from repro.types.types import TScheme
 
@@ -88,9 +88,11 @@ def infer_definition(
     program: Program, entry, schemes: Dict[str, TScheme]
 ) -> DefinitionTyping:
     """Infer one definition under the schemes of those before it."""
-    names = free_base_names(entry.bound)
-    names.discard(entry.fresh)  # a letrec's own name
-    deps = {name: schemes[name] for name in names}
+    deps = {
+        name: schemes[name]
+        for name in free_variables(entry.bound)
+        if name != entry.fresh  # a letrec's own name
+    }
     try:
         result = infer_types(program, definition=entry.spine, env=deps)
     except TypeInferenceError:

@@ -81,10 +81,10 @@ from repro.lang.ast import (
     Letrec,
     Lit,
     Program,
-    Var,
 )
 from repro.lang.parser import parse_expr
-from repro.lang.rename import _Renamer
+from repro.lang.rename import _Renamer, fresh_name
+from repro.lang.rename import free_variables as free_base_names
 
 #: The delta engine's fallback taxonomy (see module docstring).
 FALLBACK_REASONS = ("rename-shift", "node-budget", "internal-error")
@@ -108,39 +108,6 @@ DAEMON_MAX_DEPTH = 24
 EdgePair = Tuple[Node, Node]
 
 
-def free_base_names(expr: Expr) -> Set[str]:
-    """The free variable names of an unrenamed expression."""
-    out: Set[str] = set()
-
-    def go(node: Expr, env: frozenset) -> None:
-        if isinstance(node, Var):
-            if node.name not in env:
-                out.add(node.name)
-            return
-        if isinstance(node, Lam):
-            go(node.body, env | {node.param})
-            return
-        if isinstance(node, Let):
-            go(node.bound, env)
-            go(node.body, env | {node.name})
-            return
-        if isinstance(node, Letrec):
-            inner = env | {node.name}
-            go(node.bound, inner)
-            go(node.body, inner)
-            return
-        if isinstance(node, Case):
-            go(node.scrutinee, env)
-            for branch in node.branches:
-                go(branch.body, env | set(branch.params))
-            return
-        for child in node.children():
-            go(child, env)
-
-    go(expr, frozenset())
-    return out
-
-
 class _RecordingRenamer(_Renamer):
     """An alpha-renamer that records its fresh-name consumption.
 
@@ -159,20 +126,6 @@ class _RecordingRenamer(_Renamer):
         name = super().fresh(base)
         self.consumed.append((base, name))
         return name
-
-
-def _simulate_fresh(used: Set[str], base: str) -> str:
-    """What ``_Renamer.fresh`` would return against ``used`` (and the
-    mutation it would make), without building a renamer."""
-    if base not in used:
-        used.add(base)
-        return base
-    counter = 1
-    while f"{base}_{counter}" in used:
-        counter += 1
-    name = f"{base}_{counter}"
-    used.add(name)
-    return name
 
 
 class DefEntry:
@@ -339,9 +292,10 @@ class ProjectAnalysis:
         """Would later definitions re-rename to the same fresh names
         against ``pool``? (The no-``rename-shift`` proof.)"""
         used = set(pool)
+        counters: Dict[str, int] = {}
         for entry in self.defs[start:]:
             for base, fresh in entry.consumed:
-                if _simulate_fresh(used, base) != fresh:
+                if fresh_name(base, used, counters) != fresh:
                     return False
         return True
 

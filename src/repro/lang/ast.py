@@ -19,9 +19,19 @@ node belonging to a :class:`Program` carries a unique integer ``nid``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import ScopeError, UnknownConstructorError
+from repro.lang.prims import PRIMITIVES
 
 if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
     from repro.types.types import Type
@@ -268,8 +278,6 @@ class Prim(Expr):
 
     def __init__(self, name: str, args: Sequence[Expr]):
         super().__init__()
-        from repro.lang.prims import PRIMITIVES
-
         if name not in PRIMITIVES:
             raise ScopeError(f"unknown primitive {name!r}")
         spec = PRIMITIVES[name]
@@ -286,8 +294,6 @@ class Prim(Expr):
 
     @property
     def effectful(self) -> bool:
-        from repro.lang.prims import PRIMITIVES
-
         return PRIMITIVES[self.name].effectful
 
 
@@ -355,12 +361,13 @@ class Program:
 
     Construction normalises the term for analysis:
 
-    1. scope-checks the expression (it must be closed);
-    2. alpha-renames so every bound variable is distinct (the paper
-       assumes this in Section 3);
+    1. alpha-renames so every bound variable is distinct (the paper
+       assumes this in Section 3), which also checks that the
+       expression is closed; with ``rename=False`` it only checks
+       that;
+    2. indexes every node with a unique ``nid`` (preorder);
     3. assigns a unique label to every unlabelled abstraction and
-       checks label uniqueness;
-    4. indexes every node with a unique ``nid`` (preorder).
+       checks label uniqueness.
 
     The resulting object is immutable from the analyses' point of view
     and offers the node/label lookup tables they all share.
@@ -386,8 +393,10 @@ class Program:
                 self.constructor_owner[cname] = decl
 
         if rename:
+            # The renamer raises the ScopeError check_scopes would.
             root = alpha_rename(root)
-        check_scopes(root)
+        else:
+            check_scopes(root)
         self.root = root
 
         self.nodes: List[Expr] = []
@@ -409,50 +418,71 @@ class Program:
         return parse(source)
 
     def _index(self) -> None:
-        fresh = iter(range(10**9))
-        taken = {
-            node.label
-            for node in self.root.walk()
-            if isinstance(node, Lam) and node.label is not None
-        }
-        for node in self.root.walk():
-            node.nid = len(self.nodes)
-            self.nodes.append(node)
-            if isinstance(node, Lam):
-                if node.label is None:
-                    node.label = self._fresh_label(fresh, taken)
-                if node.label in self.label_table:
-                    raise ScopeError(f"duplicate label {node.label!r}")
-                self.label_table[node.label] = node
-                self._bind(node.param, node)
-                self.abstractions.append(node)
-            elif isinstance(node, App):
+        """Number, check and table every node in one preorder walk,
+        then label the unlabelled abstractions ``l0``, ``l1``, ... in
+        preorder, skipping the labels the program writes itself."""
+        nodes = self.nodes
+        abstractions = self.abstractions
+        taken: Set[str] = set()
+        stack: List[Expr] = [self.root]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            node.nid = len(nodes)
+            nodes.append(node)
+            cls = type(node)
+            if cls is Var or cls is Lit:
+                continue
+            if cls is App:
                 self.applications.append(node)
-            elif isinstance(node, (Let, Letrec)):
+                push(node.arg)
+                push(node.fn)
+            elif cls is Lam:
+                if node.label is not None:
+                    if node.label in taken:
+                        raise ScopeError(f"duplicate label {node.label!r}")
+                    taken.add(node.label)
+                self._bind(node.param, node)
+                abstractions.append(node)
+                push(node.body)
+            elif cls is Let or cls is Letrec:
                 self._bind(node.name, node)
-            elif isinstance(node, Case):
-                for branch in node.branches:
-                    if branch.cname not in self.constructor_owner:
-                        raise UnknownConstructorError(branch.cname)
-                    decl = self.constructor_owner[branch.cname]
-                    want = len(decl.constructors[branch.cname])
-                    if len(branch.params) != want:
+                push(node.body)
+                push(node.bound)
+            else:
+                if cls is Case:
+                    for branch in node.branches:
+                        if branch.cname not in self.constructor_owner:
+                            raise UnknownConstructorError(branch.cname)
+                        decl = self.constructor_owner[branch.cname]
+                        want = len(decl.constructors[branch.cname])
+                        if len(branch.params) != want:
+                            raise ScopeError(
+                                f"constructor {branch.cname!r} has {want} "
+                                "argument(s), pattern binds "
+                                f"{len(branch.params)}"
+                            )
+                        for p in branch.params:
+                            self._bind(p, node)
+                elif cls is Con:
+                    if node.cname not in self.constructor_owner:
+                        raise UnknownConstructorError(node.cname)
+                    decl = self.constructor_owner[node.cname]
+                    want = len(decl.constructors[node.cname])
+                    if len(node.args) != want:
                         raise ScopeError(
-                            f"constructor {branch.cname!r} has {want} "
-                            f"argument(s), pattern binds {len(branch.params)}"
+                            f"constructor {node.cname!r} expects {want} "
+                            f"argument(s), got {len(node.args)}"
                         )
-                    for p in branch.params:
-                        self._bind(p, node)
-            elif isinstance(node, Con):
-                if node.cname not in self.constructor_owner:
-                    raise UnknownConstructorError(node.cname)
-                decl = self.constructor_owner[node.cname]
-                want = len(decl.constructors[node.cname])
-                if len(node.args) != want:
-                    raise ScopeError(
-                        f"constructor {node.cname!r} expects {want} "
-                        f"argument(s), got {len(node.args)}"
-                    )
+                stack.extend(reversed(node.children()))
+        counter = 0
+        for lam in abstractions:
+            if lam.label is None:
+                while f"l{counter}" in taken:
+                    counter += 1
+                lam.label = f"l{counter}"
+                counter += 1
+            self.label_table[lam.label] = lam
 
     def _bind(self, name: str, site: Expr) -> None:
         if name in self.binders:
@@ -460,13 +490,6 @@ class Program:
                 f"bound variable {name!r} is not distinct after renaming"
             )
         self.binders[name] = site
-
-    def _fresh_label(self, counter, taken) -> str:
-        while True:
-            label = f"l{next(counter)}"
-            if label not in taken:
-                taken.add(label)
-                return label
 
     # ------------------------------------------------------------------
     # Accessors

@@ -2,21 +2,32 @@
 
 Token kinds:
 
-* ``IDENT`` — lowercase-initial identifiers (variables, primitives);
-* ``CONID`` — uppercase-initial identifiers (datatype constructors);
-* ``INT`` — nonnegative integer literals;
+* ``IDENT`` — identifiers starting with a lowercase letter or ``_``
+  (variables, primitives);
+* ``CONID`` — identifiers starting with an uppercase letter (datatype
+  constructors);
+* ``INT`` — nonnegative integer literals (decimal digits);
 * keywords — ``fn let letrec in if then else case of end datatype ref
   true false``;
 * symbols — ``=> -> := == <= < = + - * ( ) , ; | # ! [ ]``.
 
-Comments are ML-style ``(* ... *)`` and nest.
+An identifier starts with a letter (``str.isalpha``) or ``_`` and goes
+on with letters, digits (``str.isalnum``), ``_`` or ``'``, so Unicode
+letters are identifiers too. Comments are ML-style ``(* ... *)`` and
+nest.
+
+The source is scanned in one pass: each stretch between comments goes
+through one compiled pattern, and line and column numbers come from
+the offsets of the newlines passed.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+import re
+from typing import List, NamedTuple
 
 from repro.errors import LexError
+from repro.obs.events import span
 
 KEYWORDS = frozenset(
     [
@@ -73,84 +84,97 @@ class Token(NamedTuple):
         return f"{self.kind}({self.value!r})@{self.line}:{self.column}"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+#: One match per token: the blanks before it, then one alternative
+#: per token class, tried in order. ``\d`` is a Unicode decimal digit
+#: (what ``int()`` reads) and ``\w`` is ``str.isalnum()`` or ``_``.
+#: ``word`` and ``con`` take the ASCII identifiers; ``uni`` takes one
+#: that starts with any other word character that is not a digit, and
+#: the scanner checks that it is a letter. Anything else is ``bad``.
+#: A newline is its own match (the scanner counts lines), and blanks
+#: at the end of the scanned stretch match ``\Z``, so the blanks are
+#: never matched twice. Comments never reach the pattern.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<nl>\n)|(?P<int>\d+)|(?P<word>[a-z_][\w']*)"
+    r"|(?P<con>[A-Z][\w']*)|(?P<uni>[^\W\d][\w']*)|(?P<sym>"
+    + "|".join(re.escape(sym) for sym in SYMBOLS)
+    + r")|(?P<bad>.)|\Z)",
+    re.DOTALL,
+)
 
+_COMMENT_DELIMITER = re.compile(r"\(\*|\*\)")
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
+#: A keyword's or symbol's spelling -> the one string object that is
+#: both its kind and its value, so the parser compares kinds by
+#: identity and hashes each only once.
+_KEYWORD_KINDS = {word: word for word in KEYWORDS}
+_SYMBOL_KINDS = {sym: sym for sym in SYMBOLS}
+
+#: Builds a Token without NamedTuple's Python-level ``__new__``.
+_new_token = tuple.__new__
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenise ``source``; raises :class:`LexError` on bad input."""
-    return list(_tokens(source))
+    with span("lang.tokenize"):
+        return _tokens(source)
 
 
-def _tokens(source: str) -> Iterator[Token]:
-    i = 0
+def _tokens(source: str) -> List[Token]:
+    tokens: List[Token] = []
+    append = tokens.append
+    keywords = _KEYWORD_KINDS
+    symbols = _SYMBOL_KINDS
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
+    line_start = 0  # offset of the current line's first character
+    pos = 0
+    while True:
+        comment = source.find("(*", pos)
+        stretch_end = len(source) if comment < 0 else comment
+        for match in _TOKEN.finditer(source, pos, stretch_end):
+            group = match.lastgroup
+            if group is None:  # the blanks at the end
+                continue
+            if group == "nl":
                 line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("(*", i):
-            depth = 1
-            start_line, start_col = line, col
-            advance(2)
-            while depth:
-                if i >= n:
-                    raise LexError(
-                        "unterminated comment", start_line, start_col
-                    )
-                if source.startswith("(*", i):
-                    depth += 1
-                    advance(2)
-                elif source.startswith("*)", i):
-                    depth -= 1
-                    advance(2)
+                line_start = match.end()
+                continue
+            text = match.group(group)
+            column = match.end() - len(text) - line_start + 1
+            if group == "word":
+                kind = keywords.get(text)
+                if kind is None:
+                    kind = "IDENT"
                 else:
-                    advance(1)
-            continue
-        if ch.isdigit():
-            start = i
-            start_line, start_col = line, col
-            while i < n and source[i].isdigit():
-                advance(1)
-            yield Token("INT", source[start:i], start_line, start_col)
-            continue
-        if _is_ident_start(ch):
-            start = i
-            start_line, start_col = line, col
-            while i < n and _is_ident_char(source[i]):
-                advance(1)
-            word = source[start:i]
-            if word in KEYWORDS:
-                yield Token(word, word, start_line, start_col)
-            elif word[0].isupper():
-                yield Token("CONID", word, start_line, start_col)
+                    text = kind
+            elif group == "sym":
+                text = kind = symbols[text]
+            elif group == "int":
+                kind = "INT"
+            elif group == "con":
+                kind = "CONID"
+            elif group == "uni" and text[0].isalpha():
+                kind = "CONID" if text[0].isupper() else "IDENT"
             else:
-                yield Token("IDENT", word, start_line, start_col)
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                start_line, start_col = line, col
-                advance(len(sym))
-                yield Token(sym, sym, start_line, start_col)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    yield Token("EOF", "", line, col)
+                raise LexError(
+                    f"unexpected character {text[0]!r}", line, column
+                )
+            append(_new_token(Token, (kind, text, line, column)))
+        if comment < 0:
+            break
+        depth = 1
+        pos = comment + 2
+        while depth:
+            delimiter = _COMMENT_DELIMITER.search(source, pos)
+            if delimiter is None:
+                raise LexError(
+                    "unterminated comment", line, comment - line_start + 1
+                )
+            depth += 1 if delimiter.group() == "(*" else -1
+            pos = delimiter.end()
+        newlines = source.count("\n", comment, pos)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", comment, pos) + 1
+    column = len(source) - line_start + 1
+    append(_new_token(Token, ("EOF", "", line, column)))
+    return tokens

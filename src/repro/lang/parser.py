@@ -79,6 +79,11 @@ _BASE_TYPES = {"int": INT, "bool": BOOL, "unit": UNIT}
 MAX_NESTING = 10_000
 
 
+#: Binary operator token kind -> precedence level: ``cmp`` (1),
+#: ``add`` (2) and ``mul`` (3) of the grammar.
+_BINARY_LEVEL = {"<": 1, "<=": 1, "==": 1, "+": 2, "-": 2, "*": 3}
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -92,20 +97,16 @@ class _Parser:
 
     # -- token plumbing -------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
     def peek(self, kind: str) -> bool:
-        return self.current.kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def take(self) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         self.pos += 1
         return token
 
     def expect(self, kind: str) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind != kind:
             raise ParseError(
                 f"expected {kind!r}, found {token.kind!r}"
@@ -113,10 +114,11 @@ class _Parser:
                 token.line,
                 token.column,
             )
-        return self.take()
+        self.pos += 1
+        return token
 
     def error(self, message: str) -> ParseError:
-        token = self.current
+        token = self.tokens[self.pos]
         return ParseError(message, token.line, token.column)
 
     def open_bracket(self) -> Token:
@@ -181,7 +183,7 @@ class _Parser:
         return left
 
     def parse_atype(self) -> Type:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind == "IDENT":
             self.take()
             ty = _BASE_TYPES.get(token.value, None) or TData(token.value)
@@ -203,19 +205,20 @@ class _Parser:
     # -- expressions -----------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        token = self.current
-        if token.kind == "fn":
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "fn":
             return self.parse_fn()
-        if token.kind == "let":
-            self.take()
+        if kind == "let":
+            self.pos += 1
             name = self.expect("IDENT").value
             self.expect("=")
             bound = self.parse_expr()
             self.expect("in")
             body = self.parse_expr()
             return Let(name, bound, body).at(token.line, token.column)
-        if token.kind == "letrec":
-            self.take()
+        if kind == "letrec":
+            self.pos += 1
             name = self.expect("IDENT").value
             self.expect("=")
             bound = self.parse_expr()
@@ -228,24 +231,34 @@ class _Parser:
             self.expect("in")
             body = self.parse_expr()
             return Letrec(name, bound, body).at(token.line, token.column)
-        if token.kind == "if":
-            self.take()
+        if kind == "if":
+            self.pos += 1
             cond = self.parse_expr()
             self.expect("then")
             then = self.parse_expr()
             self.expect("else")
             orelse = self.parse_expr()
             return If(cond, then, orelse).at(token.line, token.column)
-        if token.kind == "case":
+        if kind == "case":
             return self.parse_case()
-        return self.parse_assign()
+        # assign := cmp (':=' assign)?
+        left = self.parse_binary(1)
+        token = self.tokens[self.pos]
+        if token.kind == ":=":
+            self.pos += 1
+            # The right-hand side is a full expression, so
+            # `c := fn x => ...` needs no parentheses (and chains
+            # `a := b := e` associate to the right).
+            right = self.parse_expr()
+            return Assign(left, right).at(token.line, token.column)
+        return left
 
     def parse_fn(self) -> Expr:
         token = self.expect("fn")
         label: Optional[str] = None
         if self.peek("["):
             self.take()
-            label_token = self.current
+            label_token = self.tokens[self.pos]
             if label_token.kind not in ("IDENT", "CONID", "INT"):
                 raise self.error("expected a label inside [...]")
             label = self.take().value
@@ -281,114 +294,93 @@ class _Parser:
         self.expect("=>")
         return Branch(cname, params, self.parse_expr())
 
-    def parse_assign(self) -> Expr:
-        left = self.parse_cmp()
-        if self.peek(":="):
-            token = self.take()
-            # The right-hand side is a full expression, so
-            # `c := fn x => ...` needs no parentheses (and chains
-            # `a := b := e` associate to the right).
-            right = self.parse_expr()
-            return Assign(left, right).at(token.line, token.column)
-        return left
-
-    def parse_cmp(self) -> Expr:
-        left = self.parse_add()
-        if self.current.kind in ("<", "<=", "=="):
-            token = self.take()
-            right = self.parse_add()
-            return Prim(INFIX_TO_PRIM[token.kind], [left, right]).at(
-                token.line, token.column
-            )
-        return left
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while self.current.kind in ("+", "-"):
-            token = self.take()
-            right = self.parse_mul()
+    def parse_binary(self, level: int) -> Expr:
+        """The ``cmp``, ``add`` and ``mul`` rules by precedence
+        climbing: operands of operators at ``level`` or tighter.
+        ``+ - *`` associate to the left; a comparison takes one
+        operator and leaves a second one to the caller."""
+        left = self.parse_app()
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            op_level = _BINARY_LEVEL.get(token.kind, 0)
+            if op_level < level:
+                return left
+            self.pos += 1
+            right = self.parse_binary(op_level + 1)
             left = Prim(INFIX_TO_PRIM[token.kind], [left, right]).at(
                 token.line, token.column
             )
-        return left
-
-    def parse_mul(self) -> Expr:
-        left = self.parse_app()
-        while self.peek("*"):
-            token = self.take()
-            right = self.parse_app()
-            left = Prim("mul", [left, right]).at(token.line, token.column)
-        return left
+            if op_level == 1:
+                return left
 
     def parse_app(self) -> Expr:
         expr = self.parse_prefix()
-        while self.current.kind in _EXPR_START:
+        tokens = self.tokens
+        while tokens[self.pos].kind in _EXPR_START:
             arg = self.parse_prefix()
             expr = App(expr, arg).at(expr.line, expr.column)
         return expr
 
     def parse_prefix(self) -> Expr:
-        token = self.current
-        if token.kind == "!":
-            self.take()
-            return Deref(self.parse_prefix()).at(token.line, token.column)
-        if token.kind == "ref":
-            self.take()
-            return Ref(self.parse_prefix()).at(token.line, token.column)
-        if token.kind == "#":
-            self.take()
-            index = int(self.expect("INT").value)
-            return Proj(index, self.parse_prefix()).at(
-                token.line, token.column
-            )
-        if token.kind == "IDENT" and token.value in PREFIX_PRIMS:
-            self.take()
-            return Prim(token.value, [self.parse_prefix()]).at(
-                token.line, token.column
-            )
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        token = self.current
-        if token.kind == "IDENT":
-            self.take()
+        """The ``prefix`` and ``atom`` rules."""
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "IDENT":
+            self.pos += 1
+            if token.value in PREFIX_PRIMS:
+                return Prim(token.value, [self.parse_prefix()]).at(
+                    token.line, token.column
+                )
             return Var(token.value).at(token.line, token.column)
-        if token.kind == "INT":
-            self.take()
-            return Lit(int(token.value)).at(token.line, token.column)
-        if token.kind == "true":
-            self.take()
-            return Lit(True).at(token.line, token.column)
-        if token.kind == "false":
-            self.take()
-            return Lit(False).at(token.line, token.column)
-        if token.kind == "CONID":
-            self.take()
-            args: List[Expr] = []
-            takes_args = self.con_arity.get(token.value, 1) > 0
-            if takes_args and self.peek("("):
-                self.open_bracket()
-                args.append(self.parse_expr())
-                while self.peek(","):
-                    self.take()
-                    args.append(self.parse_expr())
-                self.close_bracket()
-            return Con(token.value, args).at(token.line, token.column)
-        if token.kind == "(":
+        if kind == "(":
             self.open_bracket()
             if self.peek(")"):
                 self.close_bracket()
                 return Lit(None).at(token.line, token.column)
             exprs = [self.parse_expr()]
             while self.peek(","):
-                self.take()
+                self.pos += 1
                 exprs.append(self.parse_expr())
             self.close_bracket()
             if len(exprs) == 1:
                 return exprs[0]
             return Record(exprs).at(token.line, token.column)
+        if kind == "INT":
+            self.pos += 1
+            return Lit(int(token.value)).at(token.line, token.column)
+        if kind == "CONID":
+            self.pos += 1
+            args: List[Expr] = []
+            takes_args = self.con_arity.get(token.value, 1) > 0
+            if takes_args and self.peek("("):
+                self.open_bracket()
+                args.append(self.parse_expr())
+                while self.peek(","):
+                    self.pos += 1
+                    args.append(self.parse_expr())
+                self.close_bracket()
+            return Con(token.value, args).at(token.line, token.column)
+        if kind == "!":
+            self.pos += 1
+            return Deref(self.parse_prefix()).at(token.line, token.column)
+        if kind == "ref":
+            self.pos += 1
+            return Ref(self.parse_prefix()).at(token.line, token.column)
+        if kind == "#":
+            self.pos += 1
+            index = int(self.expect("INT").value)
+            return Proj(index, self.parse_prefix()).at(
+                token.line, token.column
+            )
+        if kind == "true":
+            self.pos += 1
+            return Lit(True).at(token.line, token.column)
+        if kind == "false":
+            self.pos += 1
+            return Lit(False).at(token.line, token.column)
         raise self.error(
-            f"expected an expression, found {token.kind!r}"
+            f"expected an expression, found {kind!r}"
             + (f" ({token.value!r})" if token.value else "")
         )
 

@@ -8,7 +8,7 @@ because analysis tools routinely meet garbage input.
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import (
     LexError,
@@ -72,6 +72,16 @@ class TestParserFuzz:
     @settings(max_examples=200, deadline=None)
     @given(source=st.text(alphabet=_alphabet, max_size=120))
     def test_parse_never_crashes_on_soup(self, source):
+        try:
+            parse(source)
+        except FRONTEND_ERRORS:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(source=st.text(max_size=60))
+    @example("²")
+    @example("let x = ² in x")
+    def test_parse_never_crashes_on_arbitrary_unicode(self, source):
         try:
             parse(source)
         except FRONTEND_ERRORS:

@@ -1,9 +1,13 @@
 """Unit tests for the mini-ML lexer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import LexError
+from repro.lang import parse_expr
 from repro.lang.lexer import Token, tokenize
+from tests.lexer_oracle import tokenize as oracle_tokenize
+from tests.test_fuzz_frontend import _alphabet
 
 
 def kinds(source):
@@ -115,3 +119,74 @@ class TestErrors:
             tokenize("ok\n  ?")
         assert excinfo.value.line == 2
         assert excinfo.value.column == 3
+
+
+class TestUnicode:
+    def test_non_decimal_digit_is_a_lex_error(self):
+        # '²'.isdigit() holds, but int() rejects it: it starts no token.
+        with pytest.raises(LexError) as excinfo:
+            tokenize("let x = ² in x")
+        assert str(excinfo.value) == "1:9: unexpected character '²'"
+        assert (excinfo.value.line, excinfo.value.column) == (1, 9)
+
+    def test_non_decimal_digit_continues_an_identifier(self):
+        assert tokenize("x²") == [
+            Token("IDENT", "x²", 1, 1),
+            Token("EOF", "", 1, 3),
+        ]
+
+    def test_decimal_digits_of_any_script_are_an_int(self):
+        assert tokenize("٣")[0] == Token("INT", "٣", 1, 1)
+        assert parse_expr("٣").value == 3
+
+    def test_uppercase_numeral_is_a_lex_error(self):
+        # 'Ⅷ'.isupper() holds, but it is no letter: not a CONID.
+        with pytest.raises(LexError) as excinfo:
+            tokenize("Ⅷ")
+        assert str(excinfo.value) == "1:1: unexpected character 'Ⅷ'"
+
+
+def _lex(lexer, source):
+    try:
+        return lexer(source)
+    except LexError as error:
+        return str(error), error.line, error.column
+
+
+def _non_decimal_digit(ch):
+    return ch.isdigit() and not ch.isdecimal()
+
+
+#: Source fragments: the fuzzers' alphabet, keywords and symbols,
+#: Unicode letters and decimal digits, comments (nested, unterminated,
+#: over lines), CRLF line ends and any other character.
+_fragments = st.one_of(
+    st.sampled_from(list(_alphabet)),
+    st.sampled_from(
+        ["fn", "let", "in", "=>", ":=", "==", "<=", "x'", "Cons", "42"]
+    ),
+    st.sampled_from(
+        ["é", "ß", "Ω", "字", "ǅ", "Ⅷ", "٣", "۷", "५", "０"]
+    ),
+    st.sampled_from(
+        ["(*", "*)", "(* c *)", "(* (* n *) *)", "(* a\nb *)", "(*)",
+         "\r\n", "\n", "\x0b", "\u2028"]
+    ),
+    st.characters().filter(lambda ch: not _non_decimal_digit(ch)),
+)
+
+
+class TestOracle:
+    """The pattern lexer against the character-by-character lexer it
+    replaced (tests/lexer_oracle.py)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(source=st.lists(_fragments, max_size=40).map("".join))
+    def test_same_tokens_and_errors(self, source):
+        assert _lex(tokenize, source) == _lex(oracle_tokenize, source)
+
+    @pytest.mark.parametrize("source", ["²", "1²", "x ³ y", "①"])
+    def test_only_non_decimal_digits_differ(self, source):
+        assert isinstance(_lex(oracle_tokenize, source), list)
+        message, _, _ = _lex(tokenize, source)
+        assert "unexpected character" in message

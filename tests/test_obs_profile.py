@@ -261,6 +261,33 @@ class TestLayerVocabulary:
         frames = first_frames(output.splitlines())
         assert frames <= set(LAYERS), frames
         assert {"lang.parse", "core.build", "core.close", "lint"} <= frames
+        # The front end splits the way layerbench splits it.
+        stacks = {line.rpartition(" ")[0] for line in output.splitlines()}
+        assert {"lang.parse;lang.tokenize", "lang.parse;lang.rename"} <= stacks
+
+    @pytest.mark.parametrize("algorithm", sorted(repro._ALGORITHMS))
+    def test_obs_flame_takes_every_algorithm(self, algorithm, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "flame.folded"
+        main([
+            "obs", "flame",
+            os.path.join(ROOT, "examples", "lint_showcase.lam"),
+            "--algorithm", algorithm, "-o", str(out),
+        ])
+        frames = first_frames(out.read_text().splitlines())
+        assert "lang.parse" in frames
+        assert frames <= set(LAYERS), frames
+        if algorithm == "standard":
+            assert frames == {"lang.parse", "cfa.standard"}
+
+    def test_obs_flame_lint_needs_an_lc_algorithm(self, capsys):
+        from repro.cli import main
+
+        path = os.path.join(ROOT, "examples", "lint_showcase.lam")
+        argv = ["obs", "flame", path, "--algorithm", "dtc", "--lint"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: --lint requires")
 
     def test_batch_job_stacks_are_rooted_at_serve_job(self):
         from repro.serve import BatchRunner, jobs_from_sources

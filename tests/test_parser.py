@@ -121,6 +121,16 @@ class TestOperators:
             expr = parse_expr(src)
             assert isinstance(expr, Prim) and expr.name == prim
 
+    def test_comparison_binds_loosest_and_does_not_chain(self):
+        expr = parse_expr("1 + 2 * 3 < 4 - 5")
+        assert expr.name == "less"
+        assert [arg.name for arg in expr.args] == ["add", "sub"]
+        with pytest.raises(ParseError) as excinfo:
+            parse_expr("1 < 2 + 3 == 4")
+        assert str(excinfo.value) == (
+            "1:11: expected 'EOF', found '==' ('==')"
+        )
+
     def test_prefix_not(self):
         expr = parse_expr("not true")
         assert isinstance(expr, Prim) and expr.name == "not"
