@@ -8,6 +8,10 @@ call all n of the b_i).
 
 Called-once (the abstract's third application) rides the same engine
 in the reverse direction.
+
+The shape assert reads exact work counts, not wall-clock: the exact
+comparator's query visits (``queries.visited_nodes``) against
+k-limited CFA's fused sweep steps (``flow.steps.fused``), both per run.
 """
 
 import pytest
@@ -29,6 +33,8 @@ def run_report(sizes=SIZES, k=3):
             "nodes",
             "k-lim t",
             "exact t",
+            "k-lim steps",
+            "exact visits",
             "many sites",
             "once fns",
             "once t",
@@ -41,17 +47,24 @@ def run_report(sizes=SIZES, k=3):
         sub = build_subtransitive_graph(program)
         cfa = SubtransitiveCFA(sub)
         sites = program.applications
+        steps = sub.stats.registry.counter("flow.steps.fused")
 
         klim_box = {}
 
         def run_klim():
+            before = steps.value
             klim_box["r"] = k_limited_cfa(program, k=k, sub=sub)
+            klim_box["steps"] = steps.value - before
 
         klim_time = time_call(run_klim, repeat=3)
 
+        exact_box = {}
+
         def run_exact():
+            before = cfa.query_visited_nodes
             for site in sites:
                 cfa.may_call(site)
+            exact_box["visits"] = cfa.query_visited_nodes - before
 
         exact_time = time_call(run_exact, repeat=3)
 
@@ -70,6 +83,8 @@ def run_report(sizes=SIZES, k=3):
             program.size,
             klim_time,
             exact_time,
+            klim_box["steps"],
+            exact_box["visits"],
             many,
             len(once_box["r"].once_labels),
             once_time,
@@ -79,6 +94,8 @@ def run_report(sizes=SIZES, k=3):
                 "size": program.size,
                 "klim": klim_time,
                 "exact": exact_time,
+                "klim_steps": klim_box["steps"],
+                "exact_visits": exact_box["visits"],
                 "many": many,
             }
         )
@@ -115,10 +132,11 @@ def test_called_once_time(benchmark, n):
 def test_klimited_shape():
     _, rows = run_report(sizes=[8, 16, 32], k=3)
     sizes = [r["size"] for r in rows]
-    klim_exp = fit_exponent(sizes, [r["klim"] for r in rows])
-    exact_exp = fit_exponent(sizes, [r["exact"] for r in rows])
+    klim_exp = fit_exponent(sizes, [r["klim_steps"] for r in rows])
+    exact_exp = fit_exponent(sizes, [r["exact_visits"] for r in rows])
     # k-limited stays ~linear while exact enumeration trends
-    # quadratic on this family.
+    # quadratic on this family (exact work counts, so machine load
+    # cannot move the fit).
     assert klim_exp < 1.6, klim_exp
     assert exact_exp > 1.5, exact_exp
     # The y-sites all exceed k=3 once n > 3: they report MANY.

@@ -5,7 +5,7 @@ Usage::
     python benchmarks/run_all.py [--quick] [--metrics PATH | --no-metrics]
 
 Prints the reproduction of each experiment indexed in DESIGN.md (E1 -
-E21; E16, the retired hand-written lint sweep, is folded into E18,
+E22; E16, the retired hand-written lint sweep, is folded into E18,
 and E17, the retired object-vs-CSR comparison, is history in
 EXPERIMENTS.md), in order. ``--quick`` shrinks the sweeps for a fast
 smoke run.
@@ -33,6 +33,7 @@ import bench_constant_factor
 import bench_daemon
 import bench_equality_cfa
 import bench_frontend
+import bench_gc
 import bench_hybrid
 import bench_joinpoint
 import bench_lint
@@ -66,11 +67,13 @@ def _jsonable(value):
     return str(value)
 
 
-def engine_metrics_document(quick: bool = False):
+def engine_metrics_document(quick: bool = False, cyclic_garbage: int = 0):
     """An instrumented LC' run over the cubic family, including the
     Table 1 query sweep and a full lint pass (so ``lint.pass.*``
     timers land next to build/close cost), as a validated
-    ``repro.metrics/1`` document."""
+    ``repro.metrics/1`` document. E22's cyclic-garbage total rides
+    along as the counter ``gc.cyclic_garbage``, so the count gate
+    pins it."""
     from repro.core.queries import analyze_subtransitive
     from repro.lint import run_lints
     from repro.obs import collect_metrics, validate_metrics
@@ -84,6 +87,7 @@ def engine_metrics_document(quick: bool = False):
     for site in program.nontrivial_applications():
         cfa.may_call(site)
     run_lints(program, cfa)
+    cfa.sub.stats.registry.counter("gc.cyclic_garbage").inc(cyclic_garbage)
     return validate_metrics(collect_metrics(cfa))
 
 
@@ -98,7 +102,10 @@ def write_metrics(path, experiments, quick: bool) -> None:
         "quick": quick,
         "experiments": experiments,
         "environment": environment_provenance(),
-        "engine_metrics": engine_metrics_document(quick),
+        "engine_metrics": engine_metrics_document(
+            quick,
+            bench_gc.total_cyclic_garbage(experiments["E22"]["rows"]),
+        ),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
@@ -307,6 +314,14 @@ def main(quick: bool = False, metrics_path=None) -> None:
     record("E21", "event-log overhead on warm redefines", rows)
     print(table.render())
     print(bench_obs_events.render_verdict(rows))
+
+    print("\n" + "=" * 72)
+    print("E22 (extra) — a finished job is freed by reference counting")
+    print("=" * 72)
+    table, collector, report = bench_gc.run_report(quick=quick)
+    record("E22", "a finished job is freed by reference counting", report)
+    print(table.render())
+    print(collector.render())
 
     if metrics_path is not None:
         write_metrics(metrics_path, experiments, quick)

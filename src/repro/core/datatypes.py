@@ -45,10 +45,6 @@ class Congruence:
     #: Whether this congruence needs type information.
     requires_types = False
 
-    def attach(self, factory) -> None:
-        """Called once by the factory that adopts this congruence."""
-        self.factory = factory
-
     def canon_base(self, ty: Optional[Type]) -> Optional[tuple]:
         """Class key for a base (expression/variable) node, or None."""
         return None
@@ -102,7 +98,7 @@ class BaseTypeCongruence(Congruence):
             return None
         if opkey[0] != "con" and not inner.has_decon:
             return None
-        return ("class2", inner.base.uid, ty.name)
+        return ("class2", inner.base_uid, ty.name)
 
 
 #: Congruence registry keyed by the names the public API accepts.

@@ -310,7 +310,6 @@ class LCEngine:
         #: nids of recursive occurrences (a letrec binder used inside
         #: its own bound expression) — these stay in-instance.
         self._recursive_occurrences: frozenset = frozenset()
-        self.factory.on_member = self.register_member_sweep
 
     # -- public driver -------------------------------------------------------
 
@@ -412,7 +411,7 @@ class LCEngine:
     def _build_one(self, node: Expr, ctx: Context) -> None:
         make = self.factory.expr_node
         mkvar = self.factory.var_node
-        mkop = self.factory.op_node
+        mkop = self._op_former()
         if isinstance(node, Var):
             if (
                 node.name in self._poly_bound
@@ -584,7 +583,8 @@ class LCEngine:
         popleft = pending.popleft
         cov = self._c_close_cov
         contra = self._c_close_contra
-        mkop = self.factory.op_node
+        mkop = self._op_former()
+        ops_of = self.factory._ops.get
         edge = self._edge
         # Without a congruence, ``op_node`` only ever touches the ops
         # dict of the node it is formed over — never the one the
@@ -599,7 +599,7 @@ class LCEngine:
             src, dst = popleft()
             # Premise-1 of the covariant rule: src is n1, dst is n2;
             # fire for every demanded covariant operator over src.
-            ops = src.ops
+            ops = ops_of(src.uid)
             if ops:
                 for opkey, opnode in (
                     list(ops.items()) if snapshot else ops.items()
@@ -609,7 +609,7 @@ class LCEngine:
                             cov.value += 1
             # Premise-1 of the contravariant rule: fire for every
             # demanded contravariant operator over dst.
-            ops = dst.ops
+            ops = ops_of(dst.uid)
             if ops:
                 for opkey, opnode in (
                     list(ops.items()) if snapshot else ops.items()
@@ -632,7 +632,7 @@ class LCEngine:
         if profiler is not None:
             profiler.push("sweep")
         try:
-            for opkey, inner in node.members:
+            for opkey, inner in self.factory.members(node):
                 self._sweep_member(node, opkey, inner)
         finally:
             if profiler is not None:
@@ -643,7 +643,7 @@ class LCEngine:
     ) -> None:
         cov = self._c_close_cov
         contra = self._c_close_contra
-        mkop = self.factory.op_node
+        mkop = self._op_former()
         profiler = self.profiler
         if self.events is not None:
             self.events.emit(
@@ -675,13 +675,25 @@ class LCEngine:
                     if profiler is not None:
                         profiler.pop()
 
-    def register_member_sweep(
-        self, node: Node, opkey: OpKey, inner: Node
-    ) -> None:
-        """Hook used by the factory when a new member joins an
-        already-demanded class node."""
-        if node.demanded:
-            self._sweep_member(node, opkey, inner)
+    def _op_former(self):
+        """The operator-forming function the rules call: the factory's
+        own, unless a congruence can make a new term join a class
+        node that is already demanded — then :meth:`_form_op`, which
+        sweeps the closure rules for that late member. (A newly made
+        operator node is never demanded, so without a congruence there
+        is nothing to sweep.)"""
+        if self.factory.congruence is None:
+            return self.factory.op_node
+        return self._form_op
+
+    def _form_op(self, opkey: OpKey, inner: Node) -> Optional[Node]:
+        factory = self.factory
+        node = factory.find_op(opkey, inner)
+        if node is None:
+            node = factory.op_node(opkey, inner)
+            if node is not None and node.demanded:
+                self._sweep_member(node, opkey, inner)
+        return node
 
 
 def default_congruence(
@@ -765,7 +777,10 @@ def build_subtransitive_graph(
         outcome = try_infer_types(program)
     if isinstance(outcome, TypeInferenceError):
         if program.datatypes and congruence is None:
-            raise outcome  # auto-congruence needs types; hybrid handles
+            # Auto-congruence needs types; the hybrid handles this.
+            # Raise a copy: raising the kept error would tie its
+            # traceback to the frames (this one included) that hold it.
+            raise _copy_error(outcome)
         inference = None
     else:
         inference = outcome
@@ -788,3 +803,12 @@ def build_subtransitive_graph(
     sub = engine.run()
     sub.inference = outcome
     return sub
+
+
+def _copy_error(error: Exception) -> Exception:
+    """A new exception of ``error``'s class with its message and
+    attributes (its ``__init__`` signature may differ, so it is not
+    called)."""
+    copy = type(error).__new__(type(error), *error.args)
+    copy.__dict__.update(vars(error))
+    return copy

@@ -30,7 +30,8 @@ Section 7 to instantiate a binding's graph fragment per use.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisBudgetExceeded
 from repro.lang.ast import Con, Expr, Lam, Program, Record, Ref
@@ -59,6 +60,9 @@ OP = "op"
 #: Shared empty occurrence bucket (callers must not mutate).
 _NO_NODES: List["Node"] = []
 
+#: Shared empty operator map of a node nothing was formed over.
+_NO_OPS: Mapping[OpKey, "Node"] = MappingProxyType({})
+
 
 #: Operator heads participating in the covariant closure rule (the
 #: engine's close loop tests these inline — set membership on the
@@ -82,10 +86,13 @@ def op_is_contravariant(opkey: OpKey) -> bool:
 class Node:
     """One node of the subtransitive graph.
 
-    ``kind`` is ``expr`` / ``var`` / ``op``. ``ops`` maps each opkey to
-    the operator node already formed over this node (the engine's
-    premise-1 lookup). ``members`` lists the ``(opkey, inner)`` pairs
-    this node canonicalises — more than one only under a congruence.
+    ``kind`` is ``expr`` / ``var`` / ``op``. A node refers only to what
+    it was built from: an operator node to its ``inner`` node, and
+    every node to its base node by uid (``base_uid``). The operators
+    formed over a node and the extra members a congruence class picks
+    up live in the :class:`NodeFactory` (:meth:`NodeFactory.find_op`,
+    :meth:`NodeFactory.members`), so the node graph holds no reference
+    cycle and a dropped graph is freed by reference counting.
     """
 
     __slots__ = (
@@ -95,13 +102,11 @@ class Node:
         "name",
         "opkey",
         "inner",
-        "base",
+        "base_uid",
         "depth",
         "has_decon",
         "ty",
         "context",
-        "ops",
-        "members",
         "demanded",
         "absorbed",
     )
@@ -113,15 +118,15 @@ class Node:
         self.name: Optional[str] = None
         self.opkey: Optional[OpKey] = None
         self.inner: Optional["Node"] = None
-        self.base: "Node" = self
+        self.base_uid = uid
         self.depth = 0
         self.has_decon = False
         self.ty: Optional[Type] = None
         self.context: Context = ()
-        self.ops: Dict[OpKey, "Node"] = {}
-        self.members: List[Tuple[OpKey, "Node"]] = []
         self.demanded = False
-        self.absorbed: List[Expr] = []
+        #: Expressions a congruence class node stands for (a list
+        #: once the node absorbs one; the shared empty tuple before).
+        self.absorbed: Sequence[Expr] = ()
 
     def __hash__(self) -> int:
         return self.uid
@@ -196,8 +201,8 @@ class NodeFactory:
         self.max_depth = max_depth if max_depth is not None else 64
         #: Count of operator creations suppressed by the depth cap.
         self.depth_truncations = 0
-        #: Variable, operator and congruence-class keys — none of them
-        #: mentions an expression's nid.
+        #: Variable and congruence-class keys — neither mentions an
+        #: expression's nid.
         self._intern: Dict[tuple, Node] = {}
         #: ``(nid, context) -> node``: every expression occurrence, in
         #: a table of its own so a re-index (the daemon's) re-keys it
@@ -221,12 +226,17 @@ class NodeFactory:
         #: are ``expr`` kind, exactly as when filtering :attr:`nodes`).
         self.var_nodes: List[Node] = []
         self.nodes: List[Node] = []
-        #: Callback invoked when a new (opkey, inner) member joins an
-        #: existing node; the LC engine uses it to sweep the closure
-        #: rules for members that register after the node is demanded.
-        self.on_member = None
-        if congruence is not None:
-            congruence.attach(self)
+        #: ``inner uid -> {opkey: node}``: the operator node formed over
+        #: each node, per opkey (under a congruence, the class node the
+        #: term resolved to). Owned here rather than by ``inner`` so
+        #: that nodes point only down, at what they were built from.
+        #: It is also the intern table of structural operator nodes.
+        self._ops: Dict[int, Dict[OpKey, Node]] = {}
+        #: ``node uid -> [(opkey, inner), ...]``: the terms that joined
+        #: an existing class node after the one it was formed from
+        #: (congruences only; a term may be the class node's own
+        #: ``inner``).
+        self._joined: Dict[int, List[Tuple[OpKey, Node]]] = {}
 
     # -- creation ----------------------------------------------------------
 
@@ -280,7 +290,10 @@ class NodeFactory:
             canon = self.congruence.canon_base(ty)
             if canon is not None:
                 node = self._class_node(canon, ty)
-                node.absorbed.append(expr)
+                if node.absorbed:
+                    node.absorbed.append(expr)
+                else:
+                    node.absorbed = [expr]
                 self.record_expr(expr, context, node)
                 return node
         node = self._new_node(EXPR)
@@ -327,7 +340,11 @@ class NodeFactory:
         the bearing index."""
         self._exprs[(expr.nid, context)] = node
         self._record_occurrence(EXPR, expr.nid, node)
-        self._bearing.setdefault(type(expr), []).append(node)
+        bucket = self._bearing.get(type(expr))
+        if bucket is None:
+            self._bearing[type(expr)] = [node]
+        else:
+            bucket.append(node)
 
     def nodes_bearing(self, expr_type) -> List[Node]:
         """Nodes whose expression — their own or a congruence-absorbed
@@ -373,20 +390,41 @@ class NodeFactory:
 
     def find_op(self, opkey: OpKey, inner: Node) -> Optional[Node]:
         """The operator node over ``inner``, if it was ever formed."""
-        return inner.ops.get(opkey)
+        ops = self._ops.get(inner.uid)
+        return None if ops is None else ops.get(opkey)
+
+    def ops_over(self, inner: Node) -> Mapping[OpKey, Node]:
+        """Every operator node formed over ``inner``, by opkey, in
+        formation order. Do not mutate the returned mapping."""
+        return self._ops.get(inner.uid, _NO_OPS)
+
+    def members(self, node: Node) -> Iterator[Tuple[OpKey, Node]]:
+        """The ``(opkey, inner)`` terms ``node`` canonicalises: the one
+        it was formed from, then those that joined it under a
+        congruence, in joining order. Terms that join while the
+        iterator runs are yielded too."""
+        if node.opkey is not None:
+            yield node.opkey, node.inner
+        joined = self._joined.get(node.uid)
+        if joined is not None:
+            yield from joined
 
     def op_node(self, opkey: OpKey, inner: Node) -> Optional[Node]:
         """Form (or fetch) the operator node ``opkey`` over ``inner``.
 
-        Registers the ``(opkey, inner)`` membership on the resolved
-        node so demand sweeps cover every congruent spelling of the
-        term. Returns ``None`` when the tower would exceed the type-
-        template depth bound (the suppressed node cannot correspond to
-        a type position, so no well-typed flow needs it).
+        Under a congruence the term may resolve to an existing class
+        node, which it then joins as a member (:meth:`members`), so
+        demand sweeps cover every congruent spelling of the term. A
+        caller that has demanded that node sweeps the new member (the
+        LC' engine does). Returns ``None`` when the tower would exceed
+        the type-template depth bound (the suppressed node cannot
+        correspond to a type position, so no well-typed flow needs it).
         """
-        existing = inner.ops.get(opkey)
-        if existing is not None:
-            return existing
+        ops = self._ops.get(inner.uid)
+        if ops is not None:
+            existing = ops.get(opkey)
+            if existing is not None:
+                return existing
         # Template depth: positions inside a datatype constructor
         # argument belong to the argument type's *own* template, so
         # de-constructor operators reset the depth (their potential
@@ -404,38 +442,39 @@ class NodeFactory:
                 )
             return None
         ty = self._op_type(opkey, inner)
-        node: Optional[Node] = None
         canon_key: Optional[tuple] = None
         if self.congruence is not None:
             canon_key = self.congruence.canon_op(opkey, inner, ty)
-        if canon_key is not None:
+        if canon_key is None:
+            node = self._make_op(opkey, inner, ty, new_depth)
+        else:
             node = self._intern.get(canon_key)
             if node is None:
-                node = self._make_op(canon_key, opkey, inner, ty, new_depth)
+                node = self._make_op(opkey, inner, ty, new_depth)
+                self._intern[canon_key] = node
+            else:
+                joined = self._joined.get(node.uid)
+                if joined is None:
+                    self._joined[node.uid] = [(opkey, inner)]
+                else:
+                    joined.append((opkey, inner))
+        if ops is None:
+            self._ops[inner.uid] = {opkey: node}
         else:
-            key = (OP, opkey, inner.uid)
-            node = self._intern.get(key)
-            if node is None:
-                node = self._make_op(key, opkey, inner, ty, new_depth)
-        inner.ops[opkey] = node
-        node.members.append((opkey, inner))
-        if self.on_member is not None:
-            self.on_member(node, opkey, inner)
+            ops[opkey] = node
         return node
 
     def _make_op(
         self,
-        key: tuple,
         opkey: OpKey,
         inner: Node,
         ty: Optional[Type],
         depth: int,
     ) -> Node:
         node = self._new_node(OP)
-        self._intern[key] = node
         node.opkey = opkey
         node.inner = inner
-        node.base = inner.base
+        node.base_uid = inner.base_uid
         node.depth = depth
         node.has_decon = inner.has_decon or opkey[0] == "con"
         node.ty = ty

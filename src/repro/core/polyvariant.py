@@ -171,8 +171,7 @@ def summarize_fragment(
         out = list(graph.successors(node))
         # "we must generalise reachable so that if n is reachable,
         # then so is dom(n) and ran(n)".
-        for opkey, opnode in node.ops.items():
-            out.append(opnode)
+        out.extend(factory.ops_over(node).values())
         return out
 
     live = reachable_from(graph, critical, follow=follow)

@@ -44,7 +44,6 @@ from repro.flow.audit import (
     type_share,
 )
 from repro.lang.ast import Program
-from repro.lang.rename import free_variables
 from repro.types.infer import infer_types
 from repro.types.types import TScheme
 
@@ -90,7 +89,7 @@ def infer_definition(
     """Infer one definition under the schemes of those before it."""
     deps = {
         name: schemes[name]
-        for name in free_variables(entry.bound)
+        for name in entry.free
         if name != entry.fresh  # a letrec's own name
     }
     try:

@@ -83,7 +83,7 @@ from repro.lang.ast import (
     Program,
 )
 from repro.lang.parser import parse_expr
-from repro.lang.rename import _Renamer, fresh_name
+from repro.lang.rename import alpha_rename, fresh_name
 from repro.lang.rename import free_variables as free_base_names
 
 #: The delta engine's fallback taxonomy (see module docstring).
@@ -108,26 +108,6 @@ DAEMON_MAX_DEPTH = 24
 EdgePair = Tuple[Node, Node]
 
 
-class _RecordingRenamer(_Renamer):
-    """An alpha-renamer that records its fresh-name consumption.
-
-    A cold parse of the rendered program runs one renamer over the
-    whole definition chain; the recorded ``(base, fresh)`` sequence is
-    exactly the slice of that run belonging to one definition, which
-    is what lets a redefinition *prove* that re-renaming it leaves
-    every later definition's names untouched (no ``rename-shift``).
-    """
-
-    def __init__(self, used: Optional[Set[str]] = None) -> None:
-        super().__init__(used)
-        self.consumed: List[Tuple[str, str]] = []
-
-    def fresh(self, base: str) -> str:
-        name = super().fresh(base)
-        self.consumed.append((base, name))
-        return name
-
-
 class DefEntry:
     """One top-level definition of a project program."""
 
@@ -140,6 +120,7 @@ class DefEntry:
         "spine",
         "recursive",
         "consumed",
+        "free",
         "refs",
         "auto_lams",
         "nlines",
@@ -157,6 +138,7 @@ class DefEntry:
         spine: Expr,
         recursive: bool,
         consumed: List[Tuple[str, str]],
+        free: Dict[str, None],
     ) -> None:
         self.name = name
         #: The alpha-renamed binder name (the graph's variable node).
@@ -171,8 +153,17 @@ class DefEntry:
         #: The chain's Let/Letrec node for this definition.
         self.spine = spine
         self.recursive = recursive
-        #: ``(base, fresh)`` pairs in renamer-consumption order.
+        #: ``(base, fresh)`` pairs in renamer-consumption order. A
+        #: cold parse of the rendered program runs one renamer over the
+        #: whole chain, and this is exactly its slice for this
+        #: definition, which is what lets a redefinition *prove* that
+        #: re-renaming it leaves every later definition's names
+        #: untouched (no ``rename-shift``).
         self.consumed = consumed
+        #: The free variables of ``bound`` (the fresh names of the
+        #: definitions it uses, its own if recursive), as keys in
+        #: first-occurrence order: ``free_variables(bound)``.
+        self.free = free
         #: Build-edge emission counts for this definition's subtree.
         self.refs: Dict[EdgePair, int] = {}
         #: Abstractions whose label is auto-assigned; reset before
@@ -273,20 +264,29 @@ class ProjectAnalysis:
     ):
         """Alpha-rename one definition exactly as the cold chain parse
         would at its position: bound first then binder for ``let``,
-        binder first (in scope) for ``letrec``."""
-        recursive = name in free_base_names(raw) and name not in env
+        binder first (in scope) for ``letrec``. Returns the fresh
+        binder, the renamed body, the ``(base, fresh)`` consumption,
+        whether it is recursive and the body's free names."""
+        raw_free = free_base_names(raw)
+        recursive = name in raw_free and name not in env
         if recursive and not isinstance(raw, Lam):
             raise ScopeError(
                 "letrec requires the bound expression to be an abstraction"
             )
-        renamer = _RecordingRenamer(pool)
+        consumed: List[Tuple[str, str]] = []
         if recursive:
-            fresh = renamer.fresh(name)
-            bound = renamer.rename(raw, {**env, name: fresh})
+            fresh = fresh_name(name, pool, {})
+            consumed.append((name, fresh))
+            env = {**env, name: fresh}
+            bound = alpha_rename(raw, env, pool, consumed)
         else:
-            bound = renamer.rename(raw, env)
-            fresh = renamer.fresh(name)
-        return fresh, bound, renamer.consumed, recursive
+            bound = alpha_rename(raw, env, pool, consumed)
+            fresh = fresh_name(name, pool, {})
+            consumed.append((name, fresh))
+        # Renaming maps each free name through ``env`` (it raised
+        # otherwise) and binds nothing already in ``pool``.
+        free = dict.fromkeys(env[base] for base in raw_free)
+        return fresh, bound, consumed, recursive, free
 
     def _replay_matches(self, pool: Set[str], start: int) -> bool:
         """Would later definitions re-rename to the same fresh names
@@ -304,9 +304,7 @@ class ProjectAnalysis:
         binder ``fresh``? (Free variables of a stored body are exactly
         the fresh names of the globals it uses.)"""
         for index, entry in enumerate(self.defs):
-            if index == skip:
-                continue
-            if fresh in free_base_names(entry.bound):
+            if index != skip and fresh in entry.free:
                 return True
         return False
 
@@ -387,6 +385,7 @@ class ProjectAnalysis:
         bound: Expr,
         consumed: List[Tuple[str, str]],
         recursive: bool,
+        free: Dict[str, None],
     ) -> bool:
         """Same-shape redefinition fast path: splice the new bound
         subtree into the live :class:`Program` tables in place of the
@@ -461,7 +460,8 @@ class ProjectAnalysis:
             spine.name = fresh
             spine.bound = bound
             self.defs[index] = DefEntry(
-                name, fresh, source, raw, bound, spine, recursive, consumed
+                name, fresh, source, raw, bound, spine, recursive, consumed,
+                free,
             )
             self._drop_retired(old_nodes, nid_start)
         except Exception:
@@ -585,6 +585,8 @@ class ProjectAnalysis:
         processed; survivors are re-demanded in phase two."""
         graph = self.engine.graph
         stats = self.engine.stats
+        find_op = self.engine.factory.find_op
+        ops_over = self.engine.factory.ops_over
         work = deque(seeds)
         scan = deque()
         deleted_close: List[EdgePair] = []
@@ -618,14 +620,14 @@ class ProjectAnalysis:
             # (demand flags are ignored: the conclusion may have been
             # derived under demand support that is itself being
             # retracted).
-            for opkey, opnode in src.ops.items():
+            for opkey, opnode in ops_over(src).items():
                 if opkey[0] in COVARIANT_HEADS:
-                    other = dst.ops.get(opkey)
+                    other = find_op(opkey, dst)
                     if other is not None and (opnode, other) in self.close:
                         work.append((opnode, other))
-            for opkey, opnode in dst.ops.items():
+            for opkey, opnode in ops_over(dst).items():
                 if opkey[0] in CONTRAVARIANT_HEADS:
-                    other = src.ops.get(opkey)
+                    other = find_op(opkey, src)
                     if other is not None and (opnode, other) in self.close:
                         work.append((opnode, other))
         return deleted_close, undemanded
@@ -821,13 +823,13 @@ class ProjectAnalysis:
         Raises (state unchanged) on scope/label errors."""
         env = self._env(len(self.defs))
         pool = self._pool(len(self.defs))
-        fresh, bound, consumed, recursive = self._rename_def(
+        fresh, bound, consumed, recursive, free = self._rename_def(
             name, raw, env, pool
         )
         cls = Letrec if recursive else Let
         spine = cls(fresh, bound, self.terminal)
         entry = DefEntry(
-            name, fresh, source, raw, bound, spine, recursive, consumed
+            name, fresh, source, raw, bound, spine, recursive, consumed, free
         )
         if self.defs:
             self.defs[-1].spine.body = spine
@@ -858,7 +860,7 @@ class ProjectAnalysis:
         pool = self._pool(index)
         # Rename against the pool as it stands *before* this
         # definition — exactly the cold renamer's state at its slot.
-        fresh, bound, consumed, recursive = self._rename_def(
+        fresh, bound, consumed, recursive, free = self._rename_def(
             name, raw, env, pool
         )
         eligible = self._replay_matches(pool, index + 1)
@@ -871,7 +873,8 @@ class ProjectAnalysis:
             self._fallback(specs, "rename-shift")
             return self._report("define", name, "rename-shift", {})
         if self._splice_same_shape(
-            index, old, name, fresh, source, raw, bound, consumed, recursive
+            index, old, name, fresh, source, raw, bound, consumed,
+            recursive, free,
         ):
             return self._apply_guarded(
                 "define",
@@ -885,7 +888,7 @@ class ProjectAnalysis:
         cls = Letrec if recursive else Let
         spine = cls(fresh, bound, old.spine.body)
         entry = DefEntry(
-            name, fresh, source, raw, bound, spine, recursive, consumed
+            name, fresh, source, raw, bound, spine, recursive, consumed, free
         )
         if index > 0:
             self.defs[index - 1].spine.body = spine

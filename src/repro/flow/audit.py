@@ -149,7 +149,8 @@ def type_share(nodes: Iterable, inference) -> TypeShare:
     """The :data:`TypeShare` of ``nodes`` under ``inference``."""
     from repro.types.measure import type_size
 
-    sizes = [type_size(inference.type_of(node)) for node in nodes]
+    memo: Dict[int, int] = {}
+    sizes = [type_size(inference.type_of(node), memo) for node in nodes]
     return sum(sizes), max(sizes, default=0), len(sizes)
 
 

@@ -14,7 +14,7 @@ name instead of copying a set at each one.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ScopeError
 from repro.lang.ast import (
@@ -70,17 +70,26 @@ class _Renamer:
 
     ``used`` may be shared across invocations (the incremental
     analysis session threads one pool through every definition so
-    binders stay distinct session-wide).
+    binders stay distinct session-wide). ``consumed``, when given,
+    collects each ``(base, fresh)`` pair in the order names are taken.
     """
 
-    def __init__(self, used: Optional[Set[str]] = None) -> None:
+    def __init__(
+        self,
+        used: Optional[Set[str]] = None,
+        consumed: Optional[List[Tuple[str, str]]] = None,
+    ) -> None:
         self._used: Set[str] = used if used is not None else set()
         self._counters: Dict[str, int] = {}
+        self._consumed = consumed
         #: Source name -> renamed name for the binders in scope.
         self._scope: Dict[str, str] = {}
 
     def fresh(self, base: str) -> str:
-        return fresh_name(base, self._used, self._counters)
+        name = fresh_name(base, self._used, self._counters)
+        if self._consumed is not None:
+            self._consumed.append((base, name))
+        return name
 
     def rename(self, expr: Expr, env: Dict[str, str]) -> Expr:
         """Rename ``expr`` whose free variables ``env`` maps to the
@@ -173,16 +182,20 @@ def alpha_rename(
     expr: Expr,
     free: Optional[Dict[str, str]] = None,
     used: Optional[Set[str]] = None,
+    consumed: Optional[List[Tuple[str, str]]] = None,
 ) -> Expr:
     """Return a copy of ``expr`` in which all bound variables are
     distinct (and human-readable).
 
     ``free`` maps variable names that may occur free (e.g. session
     globals) to the names to use for them; ``used`` is an optional
-    shared pool of already-taken binder names.
+    shared pool of already-taken binder names. ``consumed``, when
+    given, gets the ``(base, fresh)`` pair of every binder renamed, in
+    renaming order (the daemon checks later definitions' names with
+    it).
     """
     with span("lang.rename"):
-        return _Renamer(used).rename(expr, free or {})
+        return _Renamer(used, consumed).rename(expr, free or {})
 
 
 def free_variables(expr: Expr) -> Dict[str, None]:
@@ -190,45 +203,44 @@ def free_variables(expr: Expr) -> Dict[str, None]:
     returned dict, in the order of their first occurrence (preorder,
     the order :func:`alpha_rename` meets them)."""
     free: Dict[str, None] = {}
-    #: How many binders of each name enclose the current node.
-    depth: Dict[str, int] = {}
-
-    def bind(name: str) -> None:
-        depth[name] = depth.get(name, 0) + 1
-
-    def go(node: Expr) -> None:
-        cls = type(node)
-        if cls is Var:
-            if not depth.get(node.name):
-                free[node.name] = None
-        elif cls is Lam:
-            bind(node.param)
-            go(node.body)
-            depth[node.param] -= 1
-        elif cls is Let:
-            go(node.bound)
-            bind(node.name)
-            go(node.body)
-            depth[node.name] -= 1
-        elif cls is Letrec:
-            bind(node.name)
-            go(node.bound)
-            go(node.body)
-            depth[node.name] -= 1
-        elif cls is Case:
-            go(node.scrutinee)
-            for branch in node.branches:
-                for param in branch.params:
-                    bind(param)
-                go(branch.body)
-                for param in branch.params:
-                    depth[param] -= 1
-        else:
-            for child in node.children():
-                go(child)
-
-    go(expr)
+    _collect_free(expr, free, {})
     return free
+
+
+def _collect_free(
+    node: Expr, free: Dict[str, None], depth: Dict[str, int]
+) -> None:
+    """Add the free variables of ``node`` to ``free``; ``depth`` counts
+    the binders of each name around ``node``."""
+    cls = type(node)
+    if cls is Var:
+        if not depth.get(node.name):
+            free[node.name] = None
+    elif cls is Lam:
+        depth[node.param] = depth.get(node.param, 0) + 1
+        _collect_free(node.body, free, depth)
+        depth[node.param] -= 1
+    elif cls is Let:
+        _collect_free(node.bound, free, depth)
+        depth[node.name] = depth.get(node.name, 0) + 1
+        _collect_free(node.body, free, depth)
+        depth[node.name] -= 1
+    elif cls is Letrec:
+        depth[node.name] = depth.get(node.name, 0) + 1
+        _collect_free(node.bound, free, depth)
+        _collect_free(node.body, free, depth)
+        depth[node.name] -= 1
+    elif cls is Case:
+        _collect_free(node.scrutinee, free, depth)
+        for branch in node.branches:
+            for param in branch.params:
+                depth[param] = depth.get(param, 0) + 1
+            _collect_free(branch.body, free, depth)
+            for param in branch.params:
+                depth[param] -= 1
+    else:
+        for child in node.children():
+            _collect_free(child, free, depth)
 
 
 def check_scopes(expr: Expr) -> None:

@@ -106,7 +106,7 @@ class EscapingRefPass(LintPass):
         for node in ctx.extent("escaping_ref"):
             if getattr(node, "kind", None) != "expr":
                 continue
-            for expr in [node.expr] + node.absorbed:
+            for expr in (node.expr, *node.absorbed):
                 if isinstance(expr, Ref):
                     by_nid[expr.nid] = (expr, node)
         findings = []

@@ -107,11 +107,8 @@ class SanitizeReport:
         return f"<SanitizeReport ok={self.ok}>"
 
 
-def _member_opkeys(node) -> set:
-    keys = {opkey for opkey, _ in node.members}
-    if node.opkey is not None:
-        keys.add(node.opkey)
-    return keys
+def _member_opkeys(factory, node) -> set:
+    return {opkey for opkey, _ in factory.members(node)}
 
 
 def _check_close_edges(sub, report: SanitizeReport) -> None:
@@ -142,7 +139,10 @@ def _check_close_edges(sub, report: SanitizeReport) -> None:
                 "close-edge-justification",
                 f"closure edge {where} fired from an undemanded node",
             )
-        if not (_member_opkeys(src) & _member_opkeys(dst)):
+        if not (
+            _member_opkeys(sub.factory, src)
+            & _member_opkeys(sub.factory, dst)
+        ):
             report.add(
                 "close-edge-justification",
                 f"closure edge {where} endpoints share no operator",

@@ -79,14 +79,15 @@ class Span:
 
     ``seconds`` is *cumulative* (includes children); ``self_seconds``
     subtracts the children's cumulative time, clamped at zero so clock
-    jitter can never produce a negative flamegraph weight.
+    jitter can never produce a negative flamegraph weight. A span
+    points only at its children (the profiler's stack knows the open
+    path), so a dropped tree is freed by reference counting.
     """
 
-    __slots__ = ("name", "parent", "children", "count", "seconds", "_start")
+    __slots__ = ("name", "children", "count", "seconds", "_start")
 
-    def __init__(self, name: str, parent: Optional["Span"]):
+    def __init__(self, name: str):
         self.name = _safe_symbol(name)
-        self.parent = parent
         self.children: Dict[str, "Span"] = {}
         self.count = 0
         self.seconds = 0.0
@@ -124,28 +125,28 @@ class SpanProfiler:
     """
 
     def __init__(self) -> None:
-        self.root = Span("", None)
-        self._current = self.root
+        self.root = Span("")
+        #: The open spans, root first.
+        self._open: List[Span] = [self.root]
 
     # -- recording ---------------------------------------------------------
 
     def push(self, name: str) -> None:
         """Enter a span named ``name`` under the current span."""
-        current = self._current
+        current = self._open[-1]
         child = current.children.get(name)
         if child is None:
-            child = current.children[name] = Span(name, current)
+            child = current.children[name] = Span(name)
         child._start = time.perf_counter()
-        self._current = child
+        self._open.append(child)
 
     def pop(self) -> None:
         """Leave the current span, accumulating its elapsed time."""
-        span = self._current
-        if span.parent is None:
+        if len(self._open) == 1:
             raise RuntimeError("SpanProfiler.pop() without matching push()")
+        span = self._open.pop()
         span.count += 1
         span.seconds += time.perf_counter() - span._start
-        self._current = span.parent
 
     @contextlib.contextmanager
     def span(self, name: str):
@@ -159,12 +160,7 @@ class SpanProfiler:
     @property
     def depth(self) -> int:
         """Current nesting depth (0 = at the root)."""
-        depth = 0
-        span = self._current
-        while span.parent is not None:
-            depth += 1
-            span = span.parent
-        return depth
+        return len(self._open) - 1
 
     # -- export ------------------------------------------------------------
 

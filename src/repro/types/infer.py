@@ -363,4 +363,7 @@ def try_infer_types(
     try:
         return infer_types(program)
     except TypeInferenceError as error:
-        return error
+        # Kept without the frames it was raised through: they hold
+        # the callers' locals, which come to hold the error itself.
+        error.__context__ = None
+        return error.with_traceback(None)

@@ -13,38 +13,90 @@ programs.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.lang.ast import Program
 from repro.types.infer import InferenceResult, infer_types
 from repro.types.types import TData, TFun, TRecord, TRef, TVar, Type, prune
 
 
-def type_size(ty: Type) -> int:
+#: Memoised values of one measure, keyed by ``id`` of a pruned type
+#: node. Inference shares type nodes between occurrences (a function's
+#: type contains its body's), so measuring each occurrence afresh is
+#: quadratic on deep types; one memo per call keeps it linear. A memo
+#: must not outlive the types it measured (ids are reused).
+Memo = Dict[int, int]
+
+
+def _measure(ty: Type, memo: Memo, leaf: int, combine) -> int:
+    """The value of ``ty`` under one measure: ``leaf`` at variables and
+    named datatypes, else ``combine(node, child values)``. Every pruned
+    node's value goes into ``memo``; the walk keeps its own stack, so
+    deep types do not recurse."""
+    ty = prune(ty)
+    if isinstance(ty, (TVar, TData)):
+        return leaf
+    value = memo.get(id(ty))
+    if value is not None:
+        return value
+    stack = [ty]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+        elif isinstance(node, (TVar, TData)):
+            memo[id(node)] = leaf
+            stack.pop()
+        else:
+            children = [prune(child) for child in node.children()]
+            missing = [child for child in children if id(child) not in memo]
+            if missing:
+                stack.extend(missing)
+            else:
+                stack.pop()
+                memo[id(node)] = combine(
+                    node, [memo[id(child)] for child in children]
+                )
+    return memo[id(ty)]
+
+
+def _size(node: Type, children: List[int]) -> int:
+    return 1 + sum(children)
+
+
+def _depth(node: Type, children: List[int]) -> int:
+    return 1 + max(children, default=0)
+
+
+def _order(node: Type, children: List[int]) -> int:
+    if isinstance(node, TFun):
+        return max(children[0] + 1, children[1])
+    if isinstance(node, (TRecord, TRef)):
+        return max(children, default=0)
+    return 0
+
+
+def _arity(node: Type, children: List[int]) -> int:
+    return 1 + children[1] if isinstance(node, TFun) else 0
+
+
+def type_size(ty: Type, memo: Optional[Memo] = None) -> int:
     """Tree size of a type (number of nodes).
 
     Named datatypes count as leaves: they are recursive, so unfolding
     would be infinite; the paper handles them separately via the node
-    congruences of Section 6.
+    congruences of Section 6. Pass one ``memo`` to measure many types
+    of one inference in linear time.
     """
-    ty = prune(ty)
-    if isinstance(ty, (TVar, TData)):
-        return 1
-    return 1 + sum(type_size(child) for child in ty.children())
+    return _measure(ty, {} if memo is None else memo, 1, _size)
 
 
-def type_depth(ty: Type) -> int:
+def type_depth(ty: Type, memo: Optional[Memo] = None) -> int:
     """Tree depth of a type (leaves have depth 1; named datatypes are
     leaves). Bounds the operator-tower depth the subtransitive engine
     may need: every node it must consider corresponds to a position in
     some program type tree (paper Section 4)."""
-    ty = prune(ty)
-    if isinstance(ty, (TVar, TData)):
-        return 1
-    children = ty.children()
-    if not children:
-        return 1
-    return 1 + max(type_depth(child) for child in children)
+    return _measure(ty, {} if memo is None else memo, 1, _depth)
 
 
 def max_type_depth(
@@ -53,35 +105,24 @@ def max_type_depth(
     """The deepest type tree over all occurrences of ``program``."""
     if inference is None:
         inference = infer_types(program)
+    memo: Memo = {}
     return max(
-        (type_depth(inference.type_of(node)) for node in program.nodes),
+        (type_depth(inference.type_of(node), memo) for node in program.nodes),
         default=1,
     )
 
 
-def order_of(ty: Type) -> int:
+def order_of(ty: Type, memo: Optional[Memo] = None) -> int:
     """Functional order: 0 for base types, and
     ``max(order(param) + 1, order(result))`` for arrows."""
-    ty = prune(ty)
-    if isinstance(ty, TFun):
-        return max(order_of(ty.param) + 1, order_of(ty.result))
-    if isinstance(ty, TRecord):
-        return max((order_of(f) for f in ty.fields), default=0)
-    if isinstance(ty, TRef):
-        return order_of(ty.content)
-    return 0
+    return _measure(ty, {} if memo is None else memo, 0, _order)
 
 
-def arity_of(ty: Type) -> int:
+def arity_of(ty: Type, memo: Optional[Memo] = None) -> int:
     """Curried arity: the paper defines arity "so that currying
     increases argument count rather than order" — e.g. curried
     ``(int -> int) -> int list -> int list`` has arity 2."""
-    ty = prune(ty)
-    count = 0
-    while isinstance(ty, TFun):
-        count += 1
-        ty = prune(ty.result)
-    return count
+    return _measure(ty, {} if memo is None else memo, 0, _arity)
 
 
 class BoundedTypeReport(NamedTuple):
@@ -117,11 +158,14 @@ def bounded_type_report(
     sizes: Dict[int, int] = {}
     max_order = 0
     max_arity = 0
+    size_memo: Memo = {}
+    order_memo: Memo = {}
+    arity_memo: Memo = {}
     for node in program.nodes:
         ty = inference.type_of(node)
-        sizes[node.nid] = type_size(ty)
-        max_order = max(max_order, order_of(ty))
-        max_arity = max(max_arity, arity_of(ty))
+        sizes[node.nid] = type_size(ty, size_memo)
+        max_order = max(max_order, order_of(ty, order_memo))
+        max_arity = max(max_arity, arity_of(ty, arity_memo))
     total = sum(sizes.values())
     count = max(len(sizes), 1)
     return BoundedTypeReport(

@@ -314,14 +314,11 @@ def occurs_in(var: TVar, ty: Type) -> bool:
 def free_type_vars(ty: Type) -> "list[TVar]":
     """Free unification variables of ``ty``, in first-occurrence order."""
     seen: "dict[int, TVar]" = {}
-
-    def go(t: Type) -> None:
-        t = prune(t)
+    stack = [ty]
+    while stack:
+        t = prune(stack.pop())
         if isinstance(t, TVar):
             seen.setdefault(t.uid, t)
-            return
-        for child in t.children():
-            go(child)
-
-    go(ty)
+        else:
+            stack.extend(reversed(t.children()))
     return list(seen.values())

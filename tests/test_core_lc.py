@@ -20,27 +20,27 @@ class TestBuildEdges:
         prog, sub = build("fn[f] x => x")
         lam_node = sub.node_of(prog.root)
         x = sub.node_of_var("x")
-        dom = lam_node.ops[("dom",)]
+        dom = sub.factory.find_op(("dom",), lam_node)
         assert sub.graph.has_edge(x, dom)
 
     def test_abs2_ran_to_body(self):
         prog, sub = build("fn[f] x => x")
         lam_node = sub.node_of(prog.root)
-        ran = lam_node.ops[("ran",)]
+        ran = sub.factory.find_op(("ran",), lam_node)
         body = sub.node_of(prog.root.body)
         assert sub.graph.has_edge(ran, body)
 
     def test_app1_dom_to_argument(self):
         prog, sub = build("(fn[f] x => x) (fn[g] y => y)")
         fn_node = sub.node_of(prog.root.fn)
-        dom = fn_node.ops[("dom",)]
+        dom = sub.factory.find_op(("dom",), fn_node)
         arg = sub.node_of(prog.root.arg)
         assert sub.graph.has_edge(dom, arg)
 
     def test_app2_application_to_ran(self):
         prog, sub = build("(fn[f] x => x) (fn[g] y => y)")
         fn_node = sub.node_of(prog.root.fn)
-        ran = fn_node.ops[("ran",)]
+        ran = sub.factory.find_op(("ran",), fn_node)
         assert sub.graph.has_edge(sub.node_of(prog.root), ran)
 
     def test_letrec_edges(self):

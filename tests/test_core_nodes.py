@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.datatypes import TypeCongruence
 from repro.core.nodes import (
     NodeFactory,
     op_is_contravariant,
@@ -9,6 +10,7 @@ from repro.core.nodes import (
 )
 from repro.errors import AnalysisBudgetExceeded
 from repro.lang import parse
+from repro.types.infer import infer_types
 
 
 @pytest.fixture()
@@ -55,7 +57,7 @@ class TestInterning:
         first = fac.op_node(("dom",), base)
         second = fac.op_node(("dom",), base)
         assert first is second
-        assert base.ops[("dom",)] is first
+        assert fac.find_op(("dom",), base) is first
 
     def test_find_op(self, factory):
         program, fac = factory
@@ -68,15 +70,33 @@ class TestInterning:
         program, fac = factory
         base = fac.expr_node(program.root)
         node = fac.op_node(("dom",), base)
-        assert (("dom",), base) in node.members
+        assert (("dom",), base) in fac.members(node)
 
-    def test_on_member_hook_fires(self, factory):
+    def test_joined_members_listed_by_factory(self):
+        # Under ≈1 the tail of a list is the list's own class node:
+        # the term joins the node it is formed over.
+        program = parse(
+            "datatype intlist = Nil | Cons of int * intlist;\n"
+            "Cons(1, Nil)"
+        )
+        fac = NodeFactory(
+            program,
+            congruence=TypeCongruence(),
+            inference=infer_types(program),
+        )
+        cls = fac.expr_node(program.root)
+        tail = fac.op_node(("con", "Cons", 2), cls)
+        assert tail is cls
+        assert fac.find_op(("con", "Cons", 2), cls) is cls
+        assert list(fac.members(cls)) == [(("con", "Cons", 2), cls)]
+
+    def test_ops_over_lists_formed_operators(self, factory):
         program, fac = factory
-        calls = []
-        fac.on_member = lambda node, opkey, inner: calls.append(opkey)
         base = fac.expr_node(program.root)
-        fac.op_node(("dom",), base)
-        assert calls == [("dom",)]
+        dom = fac.op_node(("dom",), base)
+        ran = fac.op_node(("ran",), base)
+        assert dict(fac.ops_over(base)) == {("dom",): dom, ("ran",): ran}
+        assert dict(fac.ops_over(dom)) == {}
 
 
 class TestDepthAndBudget:

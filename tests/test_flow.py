@@ -121,7 +121,7 @@ class TestRunFused:
         for node in ctx.factory.nodes_bearing(Con):
             names = {
                 expr.cname
-                for expr in [node.expr] + node.absorbed
+                for expr in (node.expr, *node.absorbed)
                 if isinstance(expr, Con)
             }
             constructors[node] = frozenset(names)

@@ -84,8 +84,8 @@ class TestSpanTree:
         assert dict(profiler.walk())[("outer", "inner")].count == 1
 
     def test_self_seconds_never_negative(self):
-        parent = Span("p", None)
-        child = Span("c", parent)
+        parent = Span("p")
+        child = Span("c")
         parent.children["c"] = child
         parent.seconds = 0.5
         child.seconds = 0.7  # clock jitter: child measured longer

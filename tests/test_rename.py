@@ -177,14 +177,15 @@ class TestFreshNames:
         assert used == reference
 
     def test_recording_renamer_consumption(self):
-        from repro.daemon.delta import _RecordingRenamer
-
-        renamer = _RecordingRenamer({"x", "f_1"})
+        consumed = []
         env = {"g": "g"}
-        renamer.rename(
-            parse_expr("let f = fn x => fn x => x in f (fn f => g f)"), env
+        alpha_rename(
+            parse_expr("let f = fn x => fn x => x in f (fn f => g f)"),
+            env,
+            {"x", "f_1"},
+            consumed,
         )
-        assert renamer.consumed == [
+        assert consumed == [
             ("x", "x_1"), ("x", "x_2"), ("f", "f"), ("f", "f_2"),
         ]
         assert env == {"g": "g"}

@@ -107,3 +107,63 @@ class TestBoundedTypeReport:
     def test_avg_no_larger_than_max(self):
         report = bounded_type_report(make_cubic_program(3))
         assert report.avg_size <= report.max_size
+
+
+def fn_chain(n):
+    """``fn x0 => fn x1 => ... => x0``: an n-deep type on one spine."""
+    return parse("".join(f"fn x{i} => " for i in range(n)) + "x0")
+
+
+class TestLinearOnDeepTypes:
+    """Each occurrence of an n-deep ``fn`` chain has a type of size
+    ~2n that shares its tail with the next occurrence's; measuring
+    every occurrence afresh is quadratic, memoised per type node it is
+    linear."""
+
+    SIZES = (500, 4000)
+
+    def _exponent(self, measure):
+        from repro._util import ensure_recursion_limit
+        from repro.bench.harness import fit_exponent, time_call
+        from repro.types.infer import infer_types
+
+        ensure_recursion_limit()
+        times = []
+        for n in self.SIZES:
+            program = fn_chain(n)
+            inference = infer_types(program)
+            times.append(
+                time_call(lambda: measure(program, inference), repeat=5)
+            )
+        return fit_exponent(self.SIZES, times)
+
+    def test_max_type_depth_is_linear(self):
+        from repro.types.measure import max_type_depth
+
+        assert self._exponent(max_type_depth) < 1.5
+
+    def test_audit_linearity_is_linear(self):
+        from repro.flow.audit import audit_linearity
+
+        assert self._exponent(audit_linearity) < 1.5
+
+    def test_values_on_a_deep_chain(self):
+        from repro._util import ensure_recursion_limit
+        from repro.flow.audit import audit_linearity
+        from repro.types.measure import max_type_depth
+
+        ensure_recursion_limit()
+        program = fn_chain(300)
+        report = bounded_type_report(program)
+        assert report.max_size == 601
+        assert report.max_arity == 300 and report.max_order == 1
+        assert report.avg_size == 301.0
+        assert max_type_depth(program) == 301
+        assert audit_linearity(program).predicted_nodes == 301 * 301
+
+    def test_measures_share_nothing_between_calls(self):
+        shared = TFun(INT, INT)
+        ty = TFun(shared, TFun(shared, INT))
+        assert type_size(ty) == 9
+        assert order_of(ty) == 2
+        assert arity_of(ty) == 2
