@@ -16,14 +16,26 @@ an editor session would:
 The claim: warm cost tracks the *delta's* neighbourhood, not the
 program, so the speedup grows with n while retraction counts stay
 flat. The acceptance floor is 10x at the largest size.
+
+A second table times the **open**: a fresh project that appends every
+binding of cubic-n, against a cold analysis of the same rendered
+program. A mutation splices only its own nid range into the live
+tables and re-keys only the nodes after it (an append moves just the
+terminal ``()``), so the open is linear: the time per definition stays
+flat and each expression occurrence is written to the factory's
+occurrence table once, plus one re-key per append.
 """
 
 import pytest
 
 from repro.bench import Table, time_call
+from repro.core.nodes import NodeFactory
 from repro.daemon import ProjectAnalysis
 
 SIZES = [5, 10, 20, 40]
+
+#: Cubic-n sizes of the open table: 66 to 514 definitions.
+OPEN_SIZES = [16, 32, 64, 128]
 
 #: The warm redefinition target: a binder-free application binding,
 #: always delta-eligible (no fresh-name consumption to shift).
@@ -108,6 +120,74 @@ def run_report(sizes=SIZES):
     return table, rows
 
 
+def occurrence_writes(n):
+    """How many times opening cubic-``n`` writes an expression
+    occurrence into the factory's tables (``record_expr`` calls)."""
+    calls = [0]
+    original = NodeFactory.record_expr
+
+    def counting(self, expr, context, node):
+        calls[0] += 1
+        original(self, expr, context, node)
+
+    NodeFactory.record_expr = counting
+    try:
+        pa = warm_project(n)
+    finally:
+        NodeFactory.record_expr = original
+    return calls[0], pa
+
+
+def open_report(sizes=OPEN_SIZES):
+    """Time the in-process open of cubic-n against a cold analysis of
+    the rendered program; count its occurrence-table writes."""
+    table = Table(
+        [
+            "n",
+            "defs",
+            "size",
+            "open t",
+            "per def",
+            "cold t",
+            "open/cold",
+            "occ writes",
+        ],
+        title="E19 — daemon: opening a project, one append per definition",
+    )
+    rows = []
+    for n in sizes:
+        writes, pa = occurrence_writes(n)
+        source = pa.render_source()
+        open_time = time_call(lambda: warm_project(n), repeat=3)
+        cold_time = time_call(
+            lambda: ProjectAnalysis.cold_cfa(source), repeat=3
+        )
+        defs = len(pa.defs)
+        table.add_row(
+            n,
+            defs,
+            pa.program.size,
+            open_time,
+            open_time / defs,
+            cold_time,
+            f"{open_time / cold_time:.1f}x",
+            writes,
+        )
+        rows.append(
+            {
+                "n": n,
+                "defs": defs,
+                "size": pa.program.size,
+                "open_time": open_time,
+                "per_def": open_time / defs,
+                "cold_time": cold_time,
+                "open_over_cold": open_time / cold_time,
+                "occurrence_writes": writes,
+            }
+        )
+    return table, rows
+
+
 @pytest.mark.parametrize("n", [5, 20])
 def test_warm_redefine(benchmark, n):
     pa = warm_project(n)
@@ -137,8 +217,18 @@ def test_daemon_shape():
     assert last["speedup"] >= 10, rows
 
 
+def test_open_shape():
+    _, rows = open_report(sizes=[8, 16, 32])
+    for row in rows:
+        # Each occurrence is written once, and each append but the
+        # first re-keys the terminal it moved: linear, not quadratic.
+        assert row["occurrence_writes"] == row["size"] + row["defs"] - 1
+
+
 if __name__ == "__main__":
     table, rows = run_report()
+    print(table.render())
+    table, _ = open_report()
     print(table.render())
     last = rows[-1]
     print(

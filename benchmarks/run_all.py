@@ -285,13 +285,28 @@ def main(quick: bool = False, metrics_path=None) -> None:
     table, rows = bench_daemon.run_report(
         sizes=[5, 10, 20] if quick else bench_daemon.SIZES
     )
-    record("E19", "incremental daemon: warm delta vs cold", rows)
     print(table.render())
     last = rows[-1]
     print(
         f"n={last['n']}: warm redefine {last['speedup']:.1f}x faster "
         f"than cold re-analysis, {last['retracted_edges']} edges "
         f"retracted, {last['fallbacks']} fallbacks"
+    )
+    table, open_rows = bench_daemon.open_report()
+    record(
+        "E19",
+        "incremental daemon: warm delta vs cold",
+        {"redefine": rows, "open": open_rows},
+    )
+    print(table.render())
+    ns = [row["defs"] for row in open_rows]
+    times = [row["open_time"] for row in open_rows]
+    writes = [row["occurrence_writes"] for row in open_rows]
+    print(
+        f"open: {open_rows[-1]['open_over_cold']:.1f}x a cold analysis "
+        f"at n={open_rows[-1]['n']}; time exponent "
+        f"{fit_exponent(ns, times):.2f}, occurrence-write exponent "
+        f"{fit_exponent(ns, writes):.2f}"
     )
 
     print("\n" + "=" * 72)

@@ -205,8 +205,8 @@ class NodeFactory:
         #: expression's nid.
         self._intern: Dict[tuple, Node] = {}
         #: ``(nid, context) -> node``: every expression occurrence, in
-        #: a table of its own so a re-index (the daemon's) re-keys it
-        #: without touching :attr:`_intern`.
+        #: a table of its own so the daemon re-keys a renumbered range
+        #: (:meth:`renumber_expr`) without touching :attr:`_intern`.
         self._exprs: Dict[Tuple[int, Context], Node] = {}
         #: ``(kind, ident) -> [node, ...]``: the resolved node of every
         #: occurrence key, across contexts (one entry per distinct
@@ -214,13 +214,12 @@ class NodeFactory:
         #: the same class node). Queries use this instead of scanning
         #: the tables.
         self._occurrences: Dict[tuple, List[Node]] = {}
-        #: ``type(expr) -> [node, ...]``: the node each expression
+        #: ``type(expr) -> {uid: node}``: the node each expression
         #: occurrence resolved to, keyed by the expression's concrete
-        #: class. Under a congruence one class node may recur (once per
-        #: absorbed occurrence); :meth:`nodes_bearing` deduplicates.
-        #: Seed scans (flow analyses, lint) read this instead of
-        #: filtering the full node list.
-        self._bearing: Dict[type, List[Node]] = {}
+        #: class (a class node that absorbed several occurrences is
+        #: one entry). Seed scans (flow analyses, lint, the query
+        #: indexes) read this instead of filtering the full node list.
+        self._bearing: Dict[type, Dict[int, Node]] = {}
         #: Every ``var``-kind node, in creation order (class nodes a
         #: congruence substitutes for a variable are *not* here — they
         #: are ``expr`` kind, exactly as when filtering :attr:`nodes`).
@@ -342,9 +341,34 @@ class NodeFactory:
         self._record_occurrence(EXPR, expr.nid, node)
         bucket = self._bearing.get(type(expr))
         if bucket is None:
-            self._bearing[type(expr)] = [node]
+            self._bearing[type(expr)] = {node.uid: node}
         else:
-            bucket.append(node)
+            bucket[node.uid] = node
+
+    def forget_expr(self, expr: Expr) -> None:
+        """Drop every occurrence of ``expr`` from the expression table,
+        its occurrence bucket and the bearing index, so a lookup by its
+        nid can never resurrect it (the daemon retires a replaced
+        definition's subtree this way). The nodes stay interned. Only
+        for a factory without a congruence, where an occurrence's node
+        is its own and carries its context."""
+        nodes = self._occurrences.pop((EXPR, expr.nid), _NO_NODES)
+        bucket = self._bearing.get(type(expr), {})
+        for node in nodes:
+            del self._exprs[(expr.nid, node.context)]
+            bucket.pop(node.uid, None)
+
+    def renumber_expr(self, expr: Expr, nid: int) -> None:
+        """Move ``expr`` to ``nid``, re-keying its occurrences (one
+        :meth:`record_expr` write each). Same precondition as
+        :meth:`forget_expr`; when a range moves, renumber it in the
+        order that never lands on a key not yet moved."""
+        nodes = self._occurrences.pop((EXPR, expr.nid), _NO_NODES)
+        for node in nodes:
+            del self._exprs[(expr.nid, node.context)]
+        expr.nid = nid
+        for node in nodes:
+            self.record_expr(expr, node.context, node)
 
     def nodes_bearing(self, expr_type) -> List[Node]:
         """Nodes whose expression — their own or a congruence-absorbed
@@ -352,17 +376,13 @@ class NodeFactory:
         classes), deduplicated, in node-creation order. Equivalent to
         filtering :attr:`nodes` but touches only the matching buckets.
         Do not mutate the returned list."""
-        buckets = [
-            bucket
-            for cls, bucket in self._bearing.items()
-            if issubclass(cls, expr_type)
-        ]
-        if not buckets:
+        merged: Dict[int, Node] = {}
+        for cls, bucket in self._bearing.items():
+            if issubclass(cls, expr_type):
+                merged.update(bucket)
+        if not merged:
             return _NO_NODES
-        unique = dict.fromkeys(
-            node for bucket in buckets for node in bucket
-        )
-        return sorted(unique, key=lambda node: node.uid)
+        return [merged[uid] for uid in sorted(merged)]
 
     def occurrences(self, kind: str, ident) -> List[Node]:
         """Every node the ``(kind, ident)`` occurrence resolved to,

@@ -128,57 +128,54 @@ class SubtransitiveCFA(CFAResult):
         """``(id, (token, ...))`` for every token-bearing node the
         graph contains, in id order. Rebuilt whenever the graph grew
         (an incremental update may intern new value nodes)."""
-        graph = self.graph
         if (
             self._token_entries is None
-            or self._token_entries_nodes != graph.node_count
+            or self._token_entries_nodes != self.graph.node_count
         ):
-            entries = []
-            for idx, node in enumerate(graph._interner.values):
-                if node.kind != "expr":
-                    continue
-                if node.expr is not None:
-                    if isinstance(node.expr, (Lam, Record, Con, Ref)):
-                        entries.append((idx, (node.expr,)))
-                else:
-                    absorbed = tuple(
-                        expr
-                        for expr in node.absorbed
-                        if isinstance(expr, (Lam, Record, Con, Ref))
-                    )
-                    if absorbed:
-                        entries.append((idx, absorbed))
-            self._token_entries = entries
-            self._token_entries_nodes = graph.node_count
+            self._token_entries = self._bearing_index(
+                (Lam, Record, Con, Ref), lambda expr: expr
+            )
+            self._token_entries_nodes = self.graph.node_count
         return self._token_entries
 
     def _label_index(self) -> List:
         """``(id, (label, ...))`` for every abstraction-bearing node —
         the label-set projection of :meth:`_token_index`, so
         ``labels_of``/``may_call`` skip token materialisation."""
-        graph = self.graph
         if (
             self._label_entries is None
-            or self._label_entries_nodes != graph.node_count
+            or self._label_entries_nodes != self.graph.node_count
         ):
-            entries = []
-            for idx, node in enumerate(graph._interner.values):
-                if node.kind != "expr":
-                    continue
-                if node.expr is not None:
-                    if isinstance(node.expr, Lam):
-                        entries.append((idx, (node.expr.label,)))
-                else:
-                    labels = tuple(
-                        expr.label
-                        for expr in node.absorbed
-                        if isinstance(expr, Lam)
-                    )
-                    if labels:
-                        entries.append((idx, labels))
-            self._label_entries = entries
-            self._label_entries_nodes = graph.node_count
+            self._label_entries = self._bearing_index(
+                Lam, lambda expr: expr.label
+            )
+            self._label_entries_nodes = self.graph.node_count
         return self._label_entries
+
+    def _bearing_index(self, kinds, project) -> List:
+        """``(id, (project(expr), ...))`` for every graph node bearing
+        an expression of ``kinds`` (its own, or those a congruence
+        class node absorbed), in id order. It reads the factory's
+        bearing index, not every graph row: a warm graph's retired
+        rows never enter it, and the cost is the bearing nodes'."""
+        id_of = self.graph._interner.id_of
+        entries = []
+        for node in self.factory.nodes_bearing(kinds):
+            idx = id_of(node)
+            if idx is None:
+                continue
+            if node.expr is not None:
+                entries.append((idx, (project(node.expr),)))
+            else:
+                items = tuple(
+                    project(expr)
+                    for expr in node.absorbed
+                    if isinstance(expr, kinds)
+                )
+                if items:
+                    entries.append((idx, items))
+        entries.sort(key=lambda entry: entry[0])
+        return entries
 
     def _labels_at(self, starts: List[Node]) -> FrozenSet[str]:
         """Algorithm 2 restricted to labels: byte-mark reachability,

@@ -4,8 +4,13 @@ A :class:`ProjectAnalysis` holds one warm LC' graph for an evolving
 sequence of top-level definitions (the project's *program*: a chain of
 ``let``/``letrec`` bindings ending in unit, exactly what
 :meth:`ProjectAnalysis.render_source` prints). ``define`` and
-``undefine`` mutate the chain **incrementally**: instead of
-re-analysing from scratch, a redefinition
+``undefine`` mutate the chain **incrementally**. A definition occupies
+a contiguous preorder nid range (its chain node, then its bound
+subtree), so every mutation first *splices* the live tables: the
+edited range goes into the :class:`Program` tables, only the nodes
+after it are renumbered and re-keyed, and only the wiring edges around
+the edited slot change. Then, instead of re-analysing from scratch, a
+redefinition
 
 1. *retracts* exactly the edges the old definition justified — build
    edges are reference-counted per definition via the engine's
@@ -58,16 +63,21 @@ analysis of the would-be program would exceed the same budget.
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import AnalysisBudgetExceeded, ScopeError
+from repro.errors import (
+    AnalysisBudgetExceeded,
+    ScopeError,
+    UnknownConstructorError,
+)
 from repro.core.lc import LCEngine, SubtransitiveGraph, default_node_budget
 from repro.obs.events import emit_event, span as _span
 from repro.core.nodes import (
     CONTRAVARIANT_HEADS,
     COVARIANT_HEADS,
-    EXPR,
     Node,
 )
 from repro.core.queries import SubtransitiveCFA
@@ -105,7 +115,40 @@ _MODE_LAYERS = {
 #: alike, so an untypeable definition trips it in milliseconds.
 DAEMON_MAX_DEPTH = 24
 
+#: The labels :class:`Program` gives unlabelled abstractions
+#: (``l0``, ``l1``, ...). Only an explicit label of this form can
+#: change where that allocation lands.
+_AUTO_LABEL = re.compile(r"l(?:0|[1-9][0-9]*)")
+
+#: What a replay rebuilds, and restores when the replay fails.
+_STATE = (
+    "defs",
+    "terminal",
+    "program",
+    "engine",
+    "close",
+    "ground",
+    "by_name",
+    "names",
+    "users",
+    "taken",
+)
+
 EdgePair = Tuple[Node, Node]
+Spec = Tuple[str, str, Expr]
+
+
+def _first_at(items, nid: int, nid_of=attrgetter("nid")) -> int:
+    """The position of the first of ``items`` (ascending by
+    ``nid_of``) whose nid is at least ``nid``."""
+    lo, hi = 0, len(items)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if nid_of(items[mid]) < nid:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class DefEntry:
@@ -122,7 +165,10 @@ class DefEntry:
         "consumed",
         "free",
         "refs",
+        "nodes",
         "auto_lams",
+        "labels",
+        "auto_end",
         "nlines",
         "shift",
         "typing",
@@ -158,7 +204,8 @@ class DefEntry:
         #: whole chain, and this is exactly its slice for this
         #: definition, which is what lets a redefinition *prove* that
         #: re-renaming it leaves every later definition's names
-        #: untouched (no ``rename-shift``).
+        #: untouched (no ``rename-shift``). The fresh names are also
+        #: the definition's keys in ``Program.binders``.
         self.consumed = consumed
         #: The free variables of ``bound`` (the fresh names of the
         #: definitions it uses, its own if recursive), as keys in
@@ -166,13 +213,21 @@ class DefEntry:
         self.free = free
         #: Build-edge emission counts for this definition's subtree.
         self.refs: Dict[EdgePair, int] = {}
-        #: Abstractions whose label is auto-assigned; reset before
-        #: each re-index so label allocation matches a cold parse.
+        #: ``bound`` in preorder: the nid range after the spine's.
+        self.nodes: List[Expr] = list(bound.walk())
+        lams = [node for node in self.nodes if isinstance(node, Lam)]
+        #: Abstractions whose label is auto-assigned (and reassigned
+        #: whenever the allocation before them moves).
         self.auto_lams: List[Lam] = [
-            node
-            for node in bound.walk()
-            if isinstance(node, Lam) and node.label is None
+            lam for lam in lams if lam.label is None
         ]
+        #: The labels the source writes itself.
+        self.labels: List[str] = [
+            lam.label for lam in lams if lam.label is not None
+        ]
+        #: The auto-label counter after this definition's abstractions
+        #: (``None`` until :meth:`ProjectAnalysis._relabel` runs).
+        self.auto_end: Optional[int] = None
         #: Rendered line count of ``source`` (embedded newlines count).
         self.nlines = len(source.split("\n"))
         #: Line shift currently applied to ``bound`` — 0 right after a
@@ -190,19 +245,19 @@ class ProjectAnalysis:
     """A warm, incrementally-maintained LC' analysis of one project."""
 
     def __init__(self) -> None:
-        self.defs: List[DefEntry] = []
         #: Monotonic graph version; bumps on every applied mutation.
         self.version = 0
         #: Per-reason fallback counts (all zero on the pure delta path).
         self.fallbacks: Dict[str, int] = {r: 0 for r in FALLBACK_REASONS}
         self._fresh_state()
-        self._renumber_lines()
 
     # -- state plumbing ----------------------------------------------------
 
     def _fresh_state(self) -> None:
+        self.defs: List[DefEntry] = []
         #: The shared chain terminator (the program's final ``()``).
         self.terminal = Lit(None)
+        self.terminal.line = self.terminal.column = 1
         self.program = Program(self.terminal, rename=False)
         self.engine = LCEngine(
             self.program, congruence=None, max_depth=DAEMON_MAX_DEPTH
@@ -213,80 +268,130 @@ class ProjectAnalysis:
         #: Physical build edges -> reference count across definitions
         #: (subtree emissions plus the chain's binding/body edges).
         self.ground: Dict[EdgePair, int] = {}
-        #: The chain wiring edges currently installed.
-        self.spine_pairs: Set[EdgePair] = set()
+        #: Each definition by its source name.
+        self.by_name: Dict[str, DefEntry] = {}
+        #: Every fresh name the definitions consumed: the cold
+        #: renamer's pool at the end of the chain.
+        self.names: Set[str] = set()
+        #: Fresh binder name -> how many definitions' bodies name it.
+        self.users: Dict[str, int] = {}
+        #: The explicit labels of every definition.
+        self.taken: Set[str] = set()
 
     def _snapshot(self):
-        return (
-            self.defs,
-            self.terminal,
-            self.program,
-            self.engine,
-            self.close,
-            self.ground,
-            self.spine_pairs,
-        )
+        return [getattr(self, attr) for attr in _STATE]
 
     def _restore(self, saved) -> None:
-        (
-            self.defs,
-            self.terminal,
-            self.program,
-            self.engine,
-            self.close,
-            self.ground,
-            self.spine_pairs,
-        ) = saved
+        for attr, value in zip(_STATE, saved):
+            setattr(self, attr, value)
 
-    def _find(self, name: str) -> Optional[int]:
-        for index, entry in enumerate(self.defs):
-            if entry.name == name:
-                return index
-        return None
+    def _position(self, entry: DefEntry) -> int:
+        return _first_at(self.defs, entry.spine.nid, attrgetter("spine.nid"))
 
-    def _env(self, upto: int) -> Dict[str, str]:
-        return {d.name: d.fresh for d in self.defs[:upto]}
-
-    def _pool(self, upto: int) -> Set[str]:
-        pool: Set[str] = set()
-        for entry in self.defs[:upto]:
-            pool.update(fresh for _, fresh in entry.consumed)
-        return pool
+    def _pool_before(self, index: int) -> Set[str]:
+        """The cold renamer's fresh-name pool at definition ``index``
+        (a copy): every name but those consumed from ``index`` on."""
+        return self.names.difference(
+            fresh for entry in self.defs[index:] for _, fresh in entry.consumed
+        )
 
     # -- renaming / eligibility --------------------------------------------
 
-    def _rename_def(
+    def _new_entry(
         self,
         name: str,
+        source: str,
         raw: Expr,
-        env: Dict[str, str],
-        pool: Set[str],
-    ):
-        """Alpha-rename one definition exactly as the cold chain parse
-        would at its position: bound first then binder for ``let``,
-        binder first (in scope) for ``letrec``. Returns the fresh
-        binder, the renamed body, the ``(base, fresh)`` consumption,
-        whether it is recursive and the body's free names."""
+        index: int,
+        old: Optional[DefEntry],
+    ) -> Tuple[DefEntry, Set[str]]:
+        """Rename ``raw`` as definition ``index`` exactly as the cold
+        chain parse would at that slot — bound first then binder for
+        ``let``, binder first (in scope) for ``letrec`` — and check it
+        the way ``Program`` indexing would. Returns the entry and the
+        renamer's pool after it. Raises with the project unchanged."""
         raw_free = free_base_names(raw)
+        slot = old.spine.nid if old is not None else self.terminal.nid
+        env: Dict[str, str] = {}
+        for base in raw_free:
+            entry = self.by_name.get(base)
+            if entry is not None and entry.spine.nid < slot:
+                env[base] = entry.fresh
         recursive = name in raw_free and name not in env
         if recursive and not isinstance(raw, Lam):
             raise ScopeError(
                 "letrec requires the bound expression to be an abstraction"
             )
+        # An append renames against the live pool (undone on error).
+        pool = self.names if old is None else self._pool_before(index)
         consumed: List[Tuple[str, str]] = []
-        if recursive:
-            fresh = fresh_name(name, pool, {})
-            consumed.append((name, fresh))
-            env = {**env, name: fresh}
-            bound = alpha_rename(raw, env, pool, consumed)
-        else:
-            bound = alpha_rename(raw, env, pool, consumed)
-            fresh = fresh_name(name, pool, {})
-            consumed.append((name, fresh))
-        # Renaming maps each free name through ``env`` (it raised
-        # otherwise) and binds nothing already in ``pool``.
-        free = dict.fromkeys(env[base] for base in raw_free)
-        return fresh, bound, consumed, recursive, free
+        try:
+            if recursive:
+                fresh = fresh_name(name, pool, {})
+                consumed.append((name, fresh))
+                env[name] = fresh
+                bound = alpha_rename(raw, env, pool, consumed)
+            else:
+                bound = alpha_rename(raw, env, pool, consumed)
+                fresh = fresh_name(name, pool, {})
+                consumed.append((name, fresh))
+            # Renaming maps each free name through ``env`` (it raised
+            # otherwise) and binds nothing already in ``pool``.
+            free = dict.fromkeys(env[base] for base in raw_free)
+            cls = Letrec if recursive else Let
+            entry = DefEntry(
+                name,
+                fresh,
+                source,
+                raw,
+                bound,
+                cls(fresh, bound, self.terminal),
+                recursive,
+                consumed,
+                free,
+            )
+            self._check(entry, old, slot)
+        except BaseException:
+            if pool is self.names:
+                pool.difference_update(fresh for _, fresh in consumed)
+            raise
+        return entry, pool
+
+    def _check(
+        self, entry: DefEntry, old: Optional[DefEntry], slot: int
+    ) -> None:
+        """Raise the first error a cold parse of the edited chain
+        raises in preorder, if any: a label written twice (the second
+        occurrence is the error) or a constructor (a project declares
+        no datatypes). Earlier definitions are error-free, so only a
+        clash with a later definition can come after this one's."""
+        table = self.program.label_table
+        mine = old.labels if old is not None else ()
+        seen: Set[str] = set()
+        later = None
+        for node in entry.nodes:
+            if isinstance(node, Lam):
+                label = node.label
+                if label is None:
+                    continue
+                holder = (
+                    table[label]
+                    if label in self.taken and label not in mine
+                    else None
+                )
+                if label in seen or (holder is not None and holder.nid < slot):
+                    raise ScopeError(f"duplicate label {label!r}")
+                seen.add(label)
+                if holder is not None and (
+                    later is None or holder.nid < later.nid
+                ):
+                    later = holder
+            elif isinstance(node, Con):
+                raise UnknownConstructorError(node.cname)
+            elif isinstance(node, Case) and node.branches:
+                raise UnknownConstructorError(node.branches[0].cname)
+        if later is not None:
+            raise ScopeError(f"duplicate label {later.label!r}")
 
     def _replay_matches(self, pool: Set[str], start: int) -> bool:
         """Would later definitions re-rename to the same fresh names
@@ -299,19 +404,131 @@ class ProjectAnalysis:
                     return False
         return True
 
-    def _referenced_elsewhere(self, fresh: str, skip: int) -> bool:
-        """Does any other definition's renamed body reference the
-        binder ``fresh``? (Free variables of a stored body are exactly
-        the fresh names of the globals it uses.)"""
-        for index, entry in enumerate(self.defs):
-            if index != skip and fresh in entry.free:
-                return True
-        return False
+    def _referenced_elsewhere(self, fresh: str, entry: DefEntry) -> bool:
+        """Does any definition but ``entry`` reference the binder
+        ``fresh``? (Free variables of a stored body are exactly the
+        fresh names of the globals it uses.)"""
+        return self.users.get(fresh, 0) > (fresh in entry.free)
 
-    # -- program indexing ---------------------------------------------------
+    # -- the splice ---------------------------------------------------------
 
-    def _renumber_lines(self) -> None:
-        """Stamp cold-parse line numbers onto the warm chain.
+    def _splice(
+        self, index: int, old: Optional[DefEntry], new: Optional[DefEntry]
+    ) -> None:
+        """Put ``new`` in the live tables where ``old`` was (either may
+        be ``None``: an append, an undefine), ``self.defs`` already
+        holding the edited list.
+
+        Each definition's chain node and bound subtree are one
+        contiguous preorder nid range, so the edit replaces one range
+        of the :class:`Program` tables; only the nodes after it are
+        renumbered and re-keyed in the factory (an append moves just
+        the terminal ``()``), and retired nodes leave the factory's
+        expression tables, so no lookup by nid resurrects them. The
+        auto labels and line numbers that can move are restamped to
+        a cold parse's, and the node budget follows the new size."""
+        program = self.program
+        factory = self.engine.factory
+        nodes = program.nodes
+        start = old.spine.nid if old is not None else self.terminal.nid
+        retired = [old.spine, *old.nodes] if old is not None else []
+        added = [new.spine, *new.nodes] if new is not None else []
+        end = start + len(retired)
+        lams = _first_at(program.abstractions, start)
+        lams_end = _first_at(program.abstractions, end)
+        apps = _first_at(program.applications, start)
+        apps_end = _first_at(program.applications, end)
+        table = program.label_table
+        binders = program.binders
+        if old is not None:
+            for node in retired:
+                if new is None or node is not new.spine:
+                    factory.forget_expr(node)
+                if isinstance(node, Lam) and table.get(node.label) is node:
+                    del table[node.label]
+            for _, name in old.consumed:
+                del binders[name]
+                self.names.discard(name)
+            for name in old.free:
+                self.users[name] -= 1
+            self.taken.difference_update(old.labels)
+            del self.by_name[old.name]
+        nxt = old.spine.body if old is not None else self.terminal
+        if new is not None:
+            spine = new.spine
+            spine.name, spine.bound, spine.body = new.fresh, new.bound, nxt
+            binders[new.fresh] = spine
+            for node in new.nodes:
+                if isinstance(node, Lam):
+                    binders[node.param] = node
+                    if node.label is not None:
+                        table[node.label] = node
+                elif isinstance(node, (Let, Letrec)):
+                    binders[node.name] = node
+            self.names.update(name for _, name in new.consumed)
+            for name in new.free:
+                self.users[name] = self.users.get(name, 0) + 1
+            self.taken.update(new.labels)
+            self.by_name[new.name] = new
+        if index > 0:
+            self.defs[index - 1].spine.body = (
+                new.spine if new is not None else nxt
+            )
+        program.root = self.defs[0].spine if self.defs else self.terminal
+        nodes[start:end] = added
+        for nid, node in enumerate(added, start):
+            node.nid = nid
+        program.abstractions[lams:lams_end] = [
+            node for node in added if isinstance(node, Lam)
+        ]
+        program.applications[apps:apps_end] = [
+            node for node in added if isinstance(node, App)
+        ]
+        # Renumber what follows, the far end first when it grew.
+        moved = range(start + len(added), len(nodes))
+        if len(added) > len(retired):
+            moved = reversed(moved)
+        if len(added) != len(retired):
+            for nid in moved:
+                factory.renumber_expr(nodes[nid], nid)
+        edited = set(old.labels if old is not None else ())
+        edited.symmetric_difference_update(
+            new.labels if new is not None else ()
+        )
+        self._relabel(index, any(map(_AUTO_LABEL.fullmatch, edited)))
+        self._renumber_lines(index)
+        factory.node_budget = default_node_budget(len(nodes))
+
+    def _relabel(self, index: int, everywhere: bool) -> None:
+        """Give the unlabelled abstractions a cold parse's labels:
+        ``l0``, ``l1``, ... in preorder, skipping the explicit labels.
+        Only the definitions from ``index`` on can move, up to the
+        first that ends on the counter it ended on before — unless an
+        edit changed an explicit label of that form (``everywhere``),
+        which can move any of them."""
+        start = 0 if everywhere else index
+        counter = self.defs[start - 1].auto_end if start else 0
+        taken = self.taken
+        table = self.program.label_table
+        for entry in self.defs[start:]:
+            for lam in entry.auto_lams:
+                label = f"l{counter}"
+                while label in taken:
+                    counter += 1
+                    label = f"l{counter}"
+                counter += 1
+                if lam.label != label:
+                    if table.get(lam.label) is lam:
+                        del table[lam.label]
+                    lam.label = label
+                    table[label] = lam
+            if entry.auto_end == counter and not everywhere:
+                return
+            entry.auto_end = counter
+
+    def _renumber_lines(self, index: int) -> None:
+        """Stamp cold-parse line numbers onto the warm chain from
+        definition ``index`` on.
 
         :meth:`render_source` lays each definition out as four fixed
         lines (``let NAME =`` / ``(`` / ... / ``)`` then ``in``)
@@ -320,212 +537,47 @@ class ProjectAnalysis:
         1-based positions sit ``offset_i + 2`` lines lower in the
         chain. Columns never move — snippets render at column 1.
         Re-stamping keeps warm lint findings byte-identical to a cold
-        parse of the rendered program; per-definition shifts are
-        cached so an unmoved definition costs O(1)."""
+        parse of the rendered program. Per-definition shifts are
+        cached, and the first later definition found in place ends
+        the walk: nothing after it moved either."""
         offset = 0
-        for entry in self.defs:
-            entry.spine.line, entry.spine.column = offset + 1, 1
+        if index:
+            prev = self.defs[index - 1]
+            offset = prev.spine.line + 3 + prev.nlines
+        for entry in self.defs[index:]:
             shift = offset + 2
-            if shift != entry.shift:
-                delta = shift - entry.shift
-                for node in entry.bound.walk():
-                    node.line += delta
-                entry.shift = shift
+            if shift == entry.shift:
+                return
+            entry.spine.line, entry.spine.column = offset + 1, 1
+            delta = shift - entry.shift
+            for node in entry.nodes:
+                node.line += delta
+            entry.shift = shift
             offset += 4 + entry.nlines
         self.terminal.line, self.terminal.column = offset + 1, 1
 
-    def _reindex(self) -> None:
-        """Re-run :class:`Program` indexing over the current chain and
-        re-key the factory's expression table to the new nids.
-
-        Auto labels are cleared first so allocation replays the cold
-        parse's preorder walk (same labels, same nids, same tables).
-        The node budget follows the new program's size."""
-        for entry in self.defs:
-            for lam in entry.auto_lams:
-                lam.label = None
-        root = self.defs[0].spine if self.defs else self.terminal
-        program = Program(root, rename=False)
-        self._rekey(program)
-        self.program = program
-        self.engine.program = program
-        self.engine.factory.program = program
-        self.engine.factory.node_budget = default_node_budget(program.size)
-
-    def _rekey(self, program: Program) -> None:
-        """Re-key the factory's expression table to ``program``'s nids.
-
-        Expression occurrences are keyed by nid; a re-index moves every
-        nid, and retired occurrences are dropped entirely (so a query
-        can never resurrect a replaced definition's nodes). Only the
-        expression table is walked, and it holds the live occurrences
-        alone, so this costs O(live program) however long the session;
-        variable, operator and class keys are nid-independent and
-        stay where they are."""
-        factory = self.engine.factory
-        old = factory._exprs
-        for nid, _ in old:
-            factory._occurrences.pop((EXPR, nid), None)
-        factory._exprs = {}
-        factory._bearing = {}
-        live = program.nodes
-        for (_, context), node in old.items():
-            expr = node.expr
-            if expr.nid < len(live) and live[expr.nid] is expr:
-                factory.record_expr(expr, context, node)
-
-    def _splice_same_shape(
-        self,
-        index: int,
-        old: "DefEntry",
-        name: str,
-        fresh: str,
-        source: str,
-        raw: Expr,
-        bound: Expr,
-        consumed: List[Tuple[str, str]],
-        recursive: bool,
-        free: Dict[str, None],
-    ) -> bool:
-        """Same-shape redefinition fast path: splice the new bound
-        subtree into the live :class:`Program` tables in place of the
-        old one, skipping the full re-index.
-
-        ``walk()`` is left-to-right preorder, so a bound subtree
-        occupies a contiguous nid range with its root first; when the
-        replacement has the same node count, every nid outside that
-        range — and therefore every interned node, occurrence bucket
-        and recorded closure edge elsewhere — is untouched by a cold
-        re-parse too. This path skips the :class:`Program` re-index
-        (benchmarks/bench_daemon.py); what is left is O(subtree) plus
-        one pass over the live abstraction, application, expression
-        and bearing tables.
-
-        Guards (any miss falls back to the exact slow path): no
-        let/letrec flip, no auto labels on either side (their preorder
-        allocation is global), no datatype nodes (arity validation
-        lives in ``Program._index``), equal node counts, and no label
-        collision outside the replaced range."""
-        if recursive != old.recursive or old.auto_lams:
-            return False
-        old_nodes = list(old.bound.walk())
-        new_nodes = list(bound.walk())
-        if len(new_nodes) != len(old_nodes):
-            return False
-        for node in new_nodes:
-            if isinstance(node, (Case, Con)):
-                return False
-            if isinstance(node, Lam) and node.label is None:
-                return False
-        if any(isinstance(node, (Case, Con)) for node in old_nodes):
-            return False
-        program = self.program
-        old_labels = {
-            node.label for node in old_nodes if isinstance(node, Lam)
-        }
-        for node in new_nodes:
-            if isinstance(node, Lam):
-                holder = program.label_table.get(node.label)
-                if holder is not None and node.label not in old_labels:
-                    return False
-        nid_start = old_nodes[0].nid
-        if program.nodes[nid_start] is not old_nodes[0]:
-            return False  # stale indexing — let the slow path rebuild
-        try:
-            for offset, node in enumerate(new_nodes):
-                node.nid = nid_start + offset
-            program.nodes[nid_start : nid_start + len(old_nodes)] = new_nodes
-            for node in old_nodes:
-                if isinstance(node, Lam):
-                    del program.label_table[node.label]
-                    del program.binders[node.param]
-                elif isinstance(node, (Let, Letrec)):
-                    del program.binders[node.name]
-            for node in new_nodes:
-                if isinstance(node, Lam):
-                    program.label_table[node.label] = node
-                    program.binders[node.param] = node
-                elif isinstance(node, (Let, Letrec)):
-                    program.binders[node.name] = node
-            program.abstractions = [
-                node for node in program.nodes if isinstance(node, Lam)
-            ]
-            program.applications = [
-                node for node in program.nodes if isinstance(node, App)
-            ]
-            spine = old.spine
-            if fresh != old.fresh:
-                del program.binders[old.fresh]
-                program.binders[fresh] = spine
-            spine.name = fresh
-            spine.bound = bound
-            self.defs[index] = DefEntry(
-                name, fresh, source, raw, bound, spine, recursive, consumed,
-                free,
-            )
-            self._drop_retired(old_nodes, nid_start)
-        except Exception:
-            # The splice mutates live tables; a failure mid-way is not
-            # locally recoverable — rebuild from the pre-operation
-            # specs and surface the error.
-            self._replay(self._specs_from(index, old))
-            raise
-        return True
-
-    def _specs_from(self, index: int, old: "DefEntry"):
-        specs = self._specs()
-        specs[index] = (old.name, old.source, old.raw)
-        return specs
-
-    def _drop_retired(
-        self, old_nodes: List[Expr], nid_start: int
-    ) -> None:
-        """Purge the factory's records of a retired subtree (the
-        targeted version of what :meth:`_rekey` does after a full
-        re-index): the replacement reuses the same nids, so stale
-        entries would resurrect old nodes. The expression table holds
-        live occurrences only, so every entry in the subtree's nid
-        range is a retired one."""
-        factory = self.engine.factory
-        retired = {id(node) for node in old_nodes}
-        end = nid_start + len(old_nodes)
-        for key in [k for k in factory._exprs if nid_start <= k[0] < end]:
-            del factory._exprs[key]
-        for nid in range(nid_start, end):
-            factory._occurrences.pop((EXPR, nid), None)
-        for cls, bucket in list(factory._bearing.items()):
-            kept = [
-                node
-                for node in bucket
-                if not (node.expr is not None and id(node.expr) in retired)
-            ]
-            if kept:
-                factory._bearing[cls] = kept
-            else:
-                del factory._bearing[cls]
-
     # -- ground-edge bookkeeping -------------------------------------------
 
-    def _desired_spine_pairs(self) -> Set[EdgePair]:
-        """The chain wiring a cold build would emit for the current
-        definitions: one binding edge (binder var -> bound root) and
-        one body edge (spine node -> next spine node / terminal) per
-        definition — exactly LC''s Let/Letrec build rule."""
+    def _wiring(
+        self, prev: Optional[DefEntry], entry: Optional[DefEntry], nxt: Expr
+    ) -> List[EdgePair]:
+        """The chain wiring around one slot, as a cold build emits it
+        (LC''s Let/Letrec build rule): ``prev``'s body edge into the
+        slot, then ``entry``'s binding edge (binder var -> bound root)
+        and body edge (spine node -> ``nxt``). An empty slot
+        (``entry`` ``None``) leaves ``prev`` leading to ``nxt``."""
         factory = self.engine.factory
-        pairs: Set[EdgePair] = set()
-        for index, entry in enumerate(self.defs):
-            pairs.add(
-                (
-                    factory.var_node(entry.fresh),
-                    factory.expr_node(entry.bound),
-                )
+        pairs: List[EdgePair] = []
+        if prev is not None:
+            target = entry.spine if entry is not None else nxt
+            pairs.append(
+                (factory.expr_node(prev.spine), factory.expr_node(target))
             )
-            nxt = (
-                self.defs[index + 1].spine
-                if index + 1 < len(self.defs)
-                else self.terminal
+        if entry is not None:
+            pairs.append(
+                (factory.var_node(entry.fresh), factory.expr_node(entry.bound))
             )
-            pairs.add(
+            pairs.append(
                 (factory.expr_node(entry.spine), factory.expr_node(nxt))
             )
         return pairs
@@ -688,37 +740,39 @@ class ProjectAnalysis:
         for pair, count in refs.items():
             ground[pair] = ground.get(pair, 0) + count
 
-    def _apply_delta(
-        self,
-        retracted: List[DefEntry],
-        inserted: List[DefEntry],
+    def _mutate(
+        self, index: int, old: Optional[DefEntry], new: Optional[DefEntry]
     ) -> Dict[str, int]:
-        """One semi-naive mutation: retract, over-delete, rederive,
-        build, close, drain. Returns delta-size accounting."""
+        """One semi-naive mutation: splice, retract, over-delete,
+        rederive, build, close, drain. Returns delta-size accounting."""
         engine = self.engine
-        # 1. Ground retraction: per-definition build-edge refcounts
-        #    plus the stale chain wiring, folded into one seed list.
-        seeds: List[EdgePair] = []
-        for entry in retracted:
-            seeds.extend(self._retract_counts(entry.refs))
-        desired = self._desired_spine_pairs()
-        stale = self.spine_pairs - desired
-        added_spine = desired - self.spine_pairs
+        prev = self.defs[index - 1] if index > 0 else None
+        nxt = old.spine.body if old is not None else self.terminal
+        before = self._wiring(prev, old, nxt)
+        self._splice(index, old, new)
+        after = self._wiring(prev, new, nxt)
+        # 1. Ground retraction: the old definition's build-edge
+        #    refcounts plus the stale chain wiring, in one seed list.
+        seeds = self._retract_counts(old.refs) if old is not None else []
+        kept = set(after)
         seeds.extend(
-            self._retract_counts({pair: 1 for pair in stale})
+            self._retract_counts(
+                {pair: 1 for pair in before if pair not in kept}
+            )
         )
         # 2-3. DRed over-delete + one-step rederive.
         deleted_close, undemanded = self._overdelete(seeds)
         readded = self._rederive(deleted_close, undemanded)
         # 4. New ground edges: chain wiring first, then the new
-        #    definitions' subtrees (both land on the pending worklist).
+        #    definition's subtree (both land on the pending worklist).
         ground = self.ground
-        for src, dst in added_spine:
-            ground[(src, dst)] = ground.get((src, dst), 0) + 1
-            engine._edge(src, dst)
-        self.spine_pairs = desired
-        for entry in inserted:
-            self._build_subtree(entry)
+        had = set(before)
+        for src, dst in after:
+            if (src, dst) not in had:
+                ground[(src, dst)] = ground.get((src, dst), 0) + 1
+                engine._edge(src, dst)
+        if new is not None:
+            self._build_subtree(new)
         # 5. Close to fixpoint from the delta worklist and drain the
         #    newly recorded closure edges into the warm ordered set.
         engine.close()
@@ -734,34 +788,31 @@ class ProjectAnalysis:
 
     # -- replay fallback -----------------------------------------------------
 
-    def _replay(self, specs: List[Tuple[str, str, Expr]]) -> None:
+    def _replay(self, specs: List[Spec]) -> None:
         """Rebuild the warm state from scratch by re-appending every
-        definition (fresh engine, no retired garbage). Restores the
-        previous state object-for-object on failure."""
+        definition (fresh engine, no retired garbage) — one linear
+        open. Restores the previous state object-for-object on
+        failure."""
         saved = self._snapshot()
-        self.defs = []
         self._fresh_state()
         try:
             with _span("delta.replay"):
                 for name, source, raw in specs:
-                    self._append(name, source, raw)
-            self._renumber_lines()
+                    entry, _ = self._new_entry(
+                        name, source, raw, len(self.defs), None
+                    )
+                    self.defs.append(entry)
+                    self._mutate(len(self.defs) - 1, None, entry)
         except Exception:
+            # A replay renames from ``raw``, so the restored trees
+            # share nothing with the failed one.
             self._restore(saved)
-            # The restored trees may carry nids/labels assigned by the
-            # failed replay only if they were shared — they are not
-            # (a replay renames from ``raw``), so the old program
-            # object is still internally consistent.
             raise
 
-    def _specs(self) -> List[Tuple[str, str, Expr]]:
+    def _specs(self) -> List[Spec]:
         return [(d.name, d.source, d.raw) for d in self.defs]
 
-    def _fallback(
-        self,
-        specs: List[Tuple[str, str, Expr]],
-        reason: str,
-    ) -> None:
+    def _fallback(self, specs: List[Spec], reason: str) -> None:
         self._replay(specs)
         self.fallbacks[reason] += 1
 
@@ -773,167 +824,109 @@ class ProjectAnalysis:
         Returns the operation report: whether the delta path applied,
         the fallback reason otherwise, and delta-size accounting."""
         raw = parse_expr(source)
-        index = self._find(name)
-        if index is None:
-            return self._guarded_append(name, source, raw)
-        return self._redefine(index, name, source, raw)
-
-    def undefine(self, name: str) -> Dict[str, object]:
-        """Remove the binding ``name`` (an error while referenced)."""
-        index = self._find(name)
-        if index is None:
-            raise ScopeError(f"unknown definition {name!r}")
-        entry = self.defs[index]
-        if self._referenced_elsewhere(entry.fresh, index):
-            raise ScopeError(
-                f"cannot undefine {name!r}: other definitions reference it"
+        old = self.by_name.get(name)
+        if old is None:
+            entry, _ = self._new_entry(name, source, raw, len(self.defs), None)
+            return self._apply(
+                "define", name, len(self.defs), None, entry, "append"
             )
-        pre_specs = self._specs()
-        specs = pre_specs[:index] + pre_specs[index + 1 :]
-        if not self._replay_matches(self._pool(index), index + 1):
-            self._fallback(specs, "rename-shift")
-            return self._report("undefine", name, "rename-shift", {})
-        # Delta path: splice the chain, re-index, retract.
-        self.defs.pop(index)
-        if index > 0:
-            self.defs[index - 1].spine.body = (
-                self.defs[index].spine
-                if index < len(self.defs)
-                else self.terminal
-            )
-        self._reindex()  # cannot fail: strictly fewer labels/binders
-        return self._apply_guarded(
-            "undefine", name, pre_specs, retracted=[entry], inserted=[]
-        )
-
-    # -- mutation internals ---------------------------------------------------
-
-    def _guarded_append(
-        self, name: str, source: str, raw: Expr
-    ) -> Dict[str, object]:
-        pre_specs = self._specs()
-        entry = self._splice_append(name, source, raw)
-        return self._apply_guarded(
-            "define", name, pre_specs, retracted=[], inserted=[entry],
-            mode="append",
-        )
-
-    def _splice_append(self, name: str, source: str, raw: Expr) -> DefEntry:
-        """Validate, rename and splice a new trailing definition.
-        Raises (state unchanged) on scope/label errors."""
-        env = self._env(len(self.defs))
-        pool = self._pool(len(self.defs))
-        fresh, bound, consumed, recursive, free = self._rename_def(
-            name, raw, env, pool
-        )
-        cls = Letrec if recursive else Let
-        spine = cls(fresh, bound, self.terminal)
-        entry = DefEntry(
-            name, fresh, source, raw, bound, spine, recursive, consumed, free
-        )
-        if self.defs:
-            self.defs[-1].spine.body = spine
-        self.defs.append(entry)
-        try:
-            self._reindex()
-        except Exception:
-            self.defs.pop()
-            if self.defs:
-                self.defs[-1].spine.body = self.terminal
-            self._reindex()
-            raise
-        return entry
-
-    def _append(self, name: str, source: str, raw: Expr) -> None:
-        """Unguarded append (replay path: budget errors propagate)."""
-        entry = self._splice_append(name, source, raw)
-        self._apply_delta(retracted=[], inserted=[entry])
-
-    def _redefine(
-        self, index: int, name: str, source: str, raw: Expr
-    ) -> Dict[str, object]:
-        old = self.defs[index]
-        pre_specs = self._specs()
-        specs = list(pre_specs)
-        specs[index] = (name, source, raw)
-        env = self._env(index)
-        pool = self._pool(index)
+        index = self._position(old)
         # Rename against the pool as it stands *before* this
         # definition — exactly the cold renamer's state at its slot.
-        fresh, bound, consumed, recursive, free = self._rename_def(
-            name, raw, env, pool
-        )
-        eligible = self._replay_matches(pool, index + 1)
-        if eligible and fresh != old.fresh:
+        entry, pool = self._new_entry(name, source, raw, index, old)
+        # Later definitions keep their names if this one consumes the
+        # same set, else if replaying their renaming proves it.
+        eligible = {fresh for _, fresh in entry.consumed} == {
+            fresh for _, fresh in old.consumed
+        } or self._replay_matches(pool, index + 1)
+        if eligible and entry.fresh != old.fresh:
             # The binder's own fresh name moved; stored later bodies
             # still reference the old one, so the chain only stays
             # cold-equal if nothing references it at all.
-            eligible = not self._referenced_elsewhere(old.fresh, index)
+            eligible = not self._referenced_elsewhere(old.fresh, old)
         if not eligible:
+            specs = self._specs()
+            specs[index] = (name, source, raw)
             self._fallback(specs, "rename-shift")
             return self._report("define", name, "rename-shift", {})
-        if self._splice_same_shape(
-            index, old, name, fresh, source, raw, bound, consumed,
-            recursive, free,
-        ):
-            return self._apply_guarded(
-                "define",
-                name,
-                pre_specs,
-                retracted=[old],
-                inserted=[self.defs[index]],
-                mode="splice",
+        # Same shape (equal node counts, no let/letrec flip, no auto
+        # labels on either side or taken from elsewhere): the chain
+        # node stays and the nids outside the subtree with it.
+        table = self.program.label_table
+        if (
+            entry.recursive == old.recursive
+            and not old.auto_lams
+            and not entry.auto_lams
+            and len(entry.nodes) == len(old.nodes)
+            and not any(
+                label in table and label not in old.labels
+                for label in entry.labels
             )
-        # Delta path: swap the spine node, re-index, retract + build.
-        cls = Letrec if recursive else Let
-        spine = cls(fresh, bound, old.spine.body)
-        entry = DefEntry(
-            name, fresh, source, raw, bound, spine, recursive, consumed, free
-        )
-        if index > 0:
-            self.defs[index - 1].spine.body = spine
-        self.defs[index] = entry
-        try:
-            self._reindex()
-        except Exception:
-            self.defs[index] = old
-            if index > 0:
-                self.defs[index - 1].spine.body = old.spine
-            self._reindex()
-            raise
-        return self._apply_guarded(
-            "define", name, pre_specs, retracted=[old], inserted=[entry]
-        )
+        ):
+            entry.spine = old.spine
+            return self._apply("define", name, index, old, entry, "splice")
+        return self._apply("define", name, index, old, entry, "delta")
 
-    def _apply_guarded(
+    def undefine(self, name: str) -> Dict[str, object]:
+        """Remove the binding ``name`` (an error while referenced)."""
+        old = self.by_name.get(name)
+        if old is None:
+            raise ScopeError(f"unknown definition {name!r}")
+        if self._referenced_elsewhere(old.fresh, old):
+            raise ScopeError(
+                f"cannot undefine {name!r}: other definitions reference it"
+            )
+        index = self._position(old)
+        if index + 1 < len(self.defs) and not self._replay_matches(
+            self._pool_before(index), index + 1
+        ):
+            specs = self._specs()
+            del specs[index]
+            self._fallback(specs, "rename-shift")
+            return self._report("undefine", name, "rename-shift", {})
+        return self._apply("undefine", name, index, old, None, "delta")
+
+    # -- mutation internals ---------------------------------------------------
+
+    def _apply(
         self,
         op: str,
         name: str,
-        pre_specs: List[Tuple[str, str, Expr]],
-        retracted: List[DefEntry],
-        inserted: List[DefEntry],
-        mode: str = "delta",
+        index: int,
+        old: Optional[DefEntry],
+        new: Optional[DefEntry],
+        mode: str,
     ) -> Dict[str, object]:
-        """Run the graph delta; on failure replay the (already
-        updated) definition list, and if even that fails restore the
+        """Edit the definition list and run the mutation; on failure
+        replay the edited list, and if even that fails restore the
         pre-operation program before re-raising."""
+        if old is None:
+            self.defs.append(new)
+        elif new is None:
+            del self.defs[index]
+        else:
+            self.defs[index] = new
         try:
             with _span(_MODE_LAYERS[mode]):
-                sizes = self._apply_delta(retracted, inserted)
+                sizes = self._mutate(index, old, new)
         except Exception as error:
             reason = (
                 "node-budget"
                 if isinstance(error, AnalysisBudgetExceeded)
                 else "internal-error"
             )
-            current_specs = self._specs()
+            specs = self._specs()
             try:
-                self._fallback(current_specs, reason)
+                self._fallback(specs, reason)
             except Exception:
                 # Even the replay with the new definitions failed
                 # (e.g. genuinely over budget): restore the
                 # pre-operation program cold and surface the error.
-                self._replay(pre_specs)
+                if new is not None:
+                    del specs[index]
+                if old is not None:
+                    specs.insert(index, (old.name, old.source, old.raw))
+                self._replay(specs)
                 raise error
             return self._report(op, name, reason, {})
         return self._report(op, name, None, sizes, mode=mode)
@@ -946,9 +939,6 @@ class ProjectAnalysis:
         sizes: Dict[str, int],
         mode: str = "replay",
     ) -> Dict[str, object]:
-        # Every mutation ends here: restamp chain positions so read
-        # surfaces (lint above all) agree with a cold parse.
-        self._renumber_lines()
         graph = self.engine.graph
         report = {
             "op": op,
@@ -1029,10 +1019,9 @@ class ProjectAnalysis:
 
     def query_name(self, name: str) -> Dict[str, object]:
         """The label set of a binding on the warm graph."""
-        index = self._find(name)
-        if index is None:
+        entry = self.by_name.get(name)
+        if entry is None:
             raise ScopeError(f"unknown definition {name!r}")
-        entry = self.defs[index]
         labels = self.cfa().labels_of_var(entry.fresh)
         return {"name": name, "labels": sorted(labels)}
 

@@ -85,3 +85,25 @@ def assert_label_subset(
             f"{context}: node #{node.nid} ({type(node).__name__}): "
             f"{sorted(a)} not within {sorted(b)}"
         )
+
+
+def scanned_index(cfa, kinds, project, keep=None) -> list:
+    """What :meth:`~repro.core.queries.SubtransitiveCFA._bearing_index`
+    returns, the long way: a scan of every graph row in id order,
+    optionally only the rows ``keep(node)`` accepts."""
+    entries = []
+    for idx, node in enumerate(cfa.graph._interner.values):
+        if node.kind != "expr" or (keep is not None and not keep(node)):
+            continue
+        if node.expr is not None:
+            if isinstance(node.expr, kinds):
+                entries.append((idx, (project(node.expr),)))
+        else:
+            items = tuple(
+                project(expr)
+                for expr in node.absorbed
+                if isinstance(expr, kinds)
+            )
+            if items:
+                entries.append((idx, items))
+    return entries

@@ -1,11 +1,28 @@
 """Tests for the reachability query layer (Algorithms 1-2 etc.)."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.core.queries import analyze_subtransitive
+from repro.core.datatypes import make_congruence
+from repro.core.lc import build_subtransitive_graph
+from repro.core.queries import SubtransitiveCFA, analyze_subtransitive
 from repro.cfa.standard import analyze_standard
-from repro.errors import QueryError, ScopeError
+from repro.errors import (
+    AnalysisBudgetExceeded,
+    QueryError,
+    ScopeError,
+    TypeInferenceError,
+)
 from repro.lang import parse
+from repro.lang.ast import Con, Lam, Record, Ref
+from repro.types.infer import infer_types
+
+from tests.helpers import scanned_index
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parent.parent / "examples").glob("*.lam")
+)
 
 DT = "datatype intlist = Nil | Cons of int * intlist;\n"
 
@@ -91,3 +108,38 @@ class TestErrors:
     def test_stats_exposed(self):
         prog, sub, _ = both("fn[f] x => x")
         assert sub.stats.build_nodes > 0
+
+
+class TestBearingIndexes:
+    """The label and token indexes behind ``labels_of``/``tokens_at``
+    read the factory's bearing index; on a cold graph they equal a scan
+    of every graph row."""
+
+    @pytest.mark.parametrize(
+        "congruence", [None, "exact", "type", "base-and-type"]
+    )
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+    def test_indexes_equal_a_scan_of_every_row(self, path, congruence):
+        program = parse(path.read_text())
+        try:
+            inference = infer_types(program)
+        except TypeInferenceError:
+            inference = None
+        chosen = make_congruence(congruence) if congruence else None
+        if inference is None and (
+            program.datatypes or (chosen and chosen.requires_types)
+        ):
+            pytest.skip("untypeable: no typed congruence")
+        try:
+            sub = build_subtransitive_graph(
+                program, congruence=chosen, inference=inference
+            )
+        except AnalysisBudgetExceeded:
+            pytest.skip("over budget")
+        cfa = SubtransitiveCFA(sub)
+        assert cfa._label_index() == scanned_index(
+            cfa, Lam, lambda expr: expr.label
+        )
+        assert cfa._token_index() == scanned_index(
+            cfa, (Lam, Record, Con, Ref), lambda expr: expr
+        )

@@ -19,13 +19,27 @@ from collections import Counter
 
 import pytest
 
-from repro.core.nodes import EXPR
+from repro.core.nodes import EXPR, NodeFactory
 from repro.daemon import FALLBACK_REASONS, ProjectAnalysis
-from repro.errors import ScopeError
-from repro.lang.ast import App, Lam, Let, Letrec, Lit, Var
+from repro.errors import ScopeError, UnknownConstructorError
+from repro.lang.ast import (
+    App,
+    Con,
+    Lam,
+    Let,
+    Letrec,
+    Lit,
+    Program,
+    Record,
+    Ref,
+    Var,
+)
+from repro.lang.parser import parse
 from repro.workloads.cubic import make_cubic_source
 from repro.export import result_to_dict
 from repro.serve.worker import _lint_section
+
+from tests.helpers import scanned_index
 
 
 def cold_envelope(pa):
@@ -305,3 +319,217 @@ class TestLiveContract:
             assert warm == json.dumps(cold_envelope(pa), sort_keys=True)
         # splice, DRed (define and undefine) and append, 20+ each
         assert len(paths) == 4 and min(paths.values()) >= 20, paths
+
+
+def cubic_defines(n):
+    """The cubic-``n`` project as (name, source) definitions."""
+    return [
+        tuple(line[len("let "):-len(" in")].split(" = ", 1))
+        for line in make_cubic_source(n).splitlines()[:-1]
+    ]
+
+
+def open_project(n):
+    pa = ProjectAnalysis()
+    for name, source in cubic_defines(n):
+        pa.define(name, source)
+    return pa
+
+
+def seeded_edits(pa, n, steps, seed):
+    """Drive a cubic-``n`` project through ``steps`` seeded same-shape
+    and shape-changing redefinitions, appends and undefines anywhere
+    in the chain; yields each report."""
+    rng = random.Random(seed)
+    scratch = []
+    for step in range(steps):
+        kind = rng.choice(["splice", "dred", "append", "undefine"])
+        i = rng.randint(1, n)
+        j = rng.randint(1, i)
+        if kind == "undefine" and not scratch:
+            kind = "append"
+        if kind == "splice":
+            yield pa.define(f"x{i}", f"b{j} (fs f{i})")
+        elif kind == "dred":
+            yield pa.define(f"x{i}", f"bs (b{i} (fs f{j}))")
+        elif kind == "append":
+            scratch.append(f"z{step}")
+            yield pa.define(scratch[-1], f"fs f{i}")
+        else:
+            yield pa.undefine(scratch.pop(rng.randrange(len(scratch))))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``Program`` constructions, fresh warm states (the
+    initial one plus one per replay) and occurrence-table writes."""
+    counts = Counter()
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counting(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    count(Program, "__init__")
+    count(ProjectAnalysis, "_fresh_state")
+    count(NodeFactory, "record_expr")
+    return counts
+
+
+class TestEditCost:
+    """What a mutation does to the tables is proportional to its edit:
+    no define or undefine indexes a whole ``Program``, and an open
+    writes each occurrence once plus one re-key of the terminal ``()``
+    per append. Exact counts, not timings."""
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_open_writes_each_occurrence_once(self, calls, n):
+        pa = open_project(n)
+        assert calls["__init__"] == calls["_fresh_state"] == 1
+        assert calls["record_expr"] == pa.program.size + len(pa.defs) - 1
+
+    def test_a_replay_is_one_linear_open(self, calls):
+        pa = open_project(8)
+        calls.clear()
+        # A new parameter name shifts every later ``x`` renaming.
+        report = pa.define("fs", "fn[fs] z => z")
+        assert report["delta_fallback_reason"] == "rename-shift"
+        assert calls["__init__"] == calls["_fresh_state"] == 1
+        assert calls["record_expr"] == pa.program.size + len(pa.defs) - 1
+        check_exact(pa)
+
+    def test_seeded_session_never_reindexes(self, calls):
+        pa = open_project(6)
+        paths = Counter(
+            (report["op"], report["mode"])
+            for report in seeded_edits(pa, 6, 200, seed=22)
+        )
+        replays = sum(pa.fallbacks.values())
+        assert calls["__init__"] == calls["_fresh_state"] == 1 + replays
+        assert len(paths) == 4 and min(paths.values()) >= 20, paths
+        check_live_tables(pa)
+        warm = json.dumps(pa.envelope(), sort_keys=True)
+        assert warm == json.dumps(cold_envelope(pa), sort_keys=True)
+
+
+class TestLiveIndexes:
+    def test_query_indexes_hold_live_rows_only(self):
+        # Retired rows stay in the graph, but the label and token
+        # indexes are built from the bearing index, which drops them.
+        pa = open_project(6)
+        for _ in seeded_edits(pa, 6, 120, seed=7):
+            pass
+        for i in (1, 3, 5):
+            pa.define(f"f{i}", f"fn[f{i}] x => x")
+            pa.define(f"f{i}", f"fn[f{i}] x => (fn[g{i}] w => w) x")
+        cfa = pa.cfa()
+        program = pa.program
+
+        def live(node):
+            expr = node.expr
+            return expr is None or (
+                expr.nid < program.size and program.node(expr.nid) is expr
+            )
+
+        labels = scanned_index(cfa, Lam, lambda expr: expr.label, live)
+        assert cfa._label_index() == labels
+        assert len(scanned_index(cfa, Lam, lambda e: e.label)) > len(labels)
+        assert cfa._token_index() == scanned_index(
+            cfa, (Lam, Record, Con, Ref), lambda expr: expr, live
+        )
+        cold = ProjectAnalysis.cold_cfa(pa.render_source())
+        for entry in pa.defs:
+            assert pa.query_name(entry.name)["labels"] == sorted(
+                cold.labels_of_var(entry.fresh)
+            )
+
+
+def cold_lint(pa):
+    rendered = pa.render_source()
+    return _lint_section(parse(rendered), ProjectAnalysis.cold_cfa(rendered))
+
+
+class TestChainEdits:
+    """Edits at the head and in the middle renumber what follows them;
+    labels, lines and every error stay a cold parse's."""
+
+    def test_head_and_middle_edits_keep_cold_labels_and_lines(self):
+        pa = ProjectAnalysis()
+        pa.define("compose", "fn f => fn g => fn x => f (g x)")
+        pa.define("inc", "fn[inc] n => n")
+        pa.define("grow", "compose inc\n(fn y =>\ny)")
+        pa.define("scratch1", "compose grow inc")
+        pa.define("scratch2", "fn a => fn b => a")
+        for edit in [
+            lambda: pa.define(
+                "compose", "fn f =>\nfn g => fn x => f (g (g x))"
+            ),
+            lambda: pa.undefine("scratch1"),
+            lambda: pa.define("inc", "fn[inc] n =>\ninc n"),
+            lambda: pa.define("compose", "fn f => fn g => fn x => f x"),
+            lambda: pa.undefine("scratch2"),
+        ]:
+            report = edit()
+            assert report["mode"] == "delta", report
+            check_exact(pa)
+            assert json.dumps(pa.lint(), sort_keys=True) == json.dumps(
+                cold_lint(pa), sort_keys=True
+            )
+
+    def test_giving_up_an_auto_form_label_relabels_later_definitions(self):
+        # ``l1`` is taken, so the unlabelled ``fn z`` gets ``l2``; once
+        # a same-shape redefinition drops it, a cold parse gives
+        # ``fn z`` ``l1``.
+        pa = ProjectAnalysis()
+        pa.define("b", "fn[l1] a => a")
+        pa.define("a", "(b b) (fn[l0] y => fn z => y)")
+        assert pa.program.abstraction("l2").param == "z"
+        report = pa.define("b", "fn[k1] a => a")
+        assert report["mode"] == "splice"
+        check_exact(pa)
+        assert pa.program.abstraction("l1").param == "z"
+        pa.define("b", "fn[l2] a => a")
+        check_exact(pa)
+
+    @pytest.mark.parametrize(
+        "name, source, error, match",
+        [
+            ("a", "fn[k] x => fn[k] y => y", ScopeError, "label 'k'"),
+            ("a", "fn[b0] p => p", ScopeError, "label 'b0'"),
+            ("a", "(fn[b0] p => p) (fn[a0] q => q)", ScopeError, "'b0'"),
+            ("a", "fn[m] p => Cons p", UnknownConstructorError, "'Cons'"),
+            ("a", "fn p => later", ScopeError, "unbound variable 'later'"),
+            ("a", "a", ScopeError, "letrec requires"),
+            ("c", "fn[m] x => fn[m] y => y", ScopeError, "label 'm'"),
+            ("c", "fn x => fn y => ghost", ScopeError, "'ghost'"),
+            ("c", "fn[n] x => Cons x", UnknownConstructorError, "'Cons'"),
+            ("c", "fn[n] x => fn[k] y => ghost", ScopeError, "'ghost'"),
+        ],
+    )
+    def test_a_rejected_define_leaves_the_project_as_it_was(
+        self, name, source, error, match
+    ):
+        pa = ProjectAnalysis()
+        pa.define("a", "fn[a0] p => fn[k] q => q")
+        pa.define("later", "fn[b0] q => a q")
+
+        def state():
+            return (
+                pa.render_source(),
+                json.dumps(pa.envelope(), sort_keys=True),
+                pa.version,
+            )
+
+        before = state()
+        with pytest.raises(error, match=match):
+            pa.define(name, source)
+        assert state() == before
+        check_exact(pa)
+        # The renamer's pool lost whatever the failed define consumed.
+        pa.define("c", "fn x => fn y => y")
+        pa.define("a", "fn p => fn x => x")
+        check_exact(pa)
