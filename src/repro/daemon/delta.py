@@ -63,16 +63,11 @@ analysis of the would-be program would exceed the same budget.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import (
-    AnalysisBudgetExceeded,
-    ScopeError,
-    UnknownConstructorError,
-)
+from repro.errors import AnalysisBudgetExceeded, ScopeError
 from repro.core.lc import LCEngine, SubtransitiveGraph, default_node_budget
 from repro.obs.events import emit_event, span as _span
 from repro.core.nodes import (
@@ -83,14 +78,15 @@ from repro.core.nodes import (
 from repro.core.queries import SubtransitiveCFA
 from repro.lang.ast import (
     App,
-    Case,
-    Con,
     Expr,
     Lam,
     Let,
     Letrec,
     Lit,
     Program,
+    auto_label,
+    auto_label_number,
+    check_node,
 )
 from repro.lang.parser import parse_expr
 from repro.lang.rename import alpha_rename, fresh_name
@@ -115,11 +111,6 @@ _MODE_LAYERS = {
 #: alike, so an untypeable definition trips it in milliseconds.
 DAEMON_MAX_DEPTH = 24
 
-#: The labels :class:`Program` gives unlabelled abstractions
-#: (``l0``, ``l1``, ...). Only an explicit label of this form can
-#: change where that allocation lands.
-_AUTO_LABEL = re.compile(r"l(?:0|[1-9][0-9]*)")
-
 #: What a replay rebuilds, and restores when the replay fails.
 _STATE = (
     "defs",
@@ -138,13 +129,17 @@ EdgePair = Tuple[Node, Node]
 Spec = Tuple[str, str, Expr]
 
 
-def _first_at(items, nid: int, nid_of=attrgetter("nid")) -> int:
-    """The position of the first of ``items`` (ascending by
-    ``nid_of``) whose nid is at least ``nid``."""
-    lo, hi = 0, len(items)
+def _first_at(
+    items, value: int, key=attrgetter("nid"), hi: Optional[int] = None
+) -> int:
+    """The position of the first of ``items[:hi]`` (ascending by
+    ``key``) whose key is at least ``value``, else ``hi``."""
+    lo = 0
+    if hi is None:
+        hi = len(items)
     while lo < hi:
         mid = (lo + hi) // 2
-        if nid_of(items[mid]) < nid:
+        if key(items[mid]) < value:
             lo = mid + 1
         else:
             hi = mid
@@ -165,7 +160,7 @@ class DefEntry:
         "consumed",
         "free",
         "refs",
-        "nodes",
+        "size",
         "auto_lams",
         "labels",
         "auto_end",
@@ -213,9 +208,10 @@ class DefEntry:
         self.free = free
         #: Build-edge emission counts for this definition's subtree.
         self.refs: Dict[EdgePair, int] = {}
-        #: ``bound`` in preorder: the nid range after the spine's.
-        self.nodes: List[Expr] = list(bound.walk())
-        lams = [node for node in self.nodes if isinstance(node, Lam)]
+        nodes = list(bound.walk())
+        #: The node count of ``bound``: the nid range after the spine's.
+        self.size = len(nodes)
+        lams = [node for node in nodes if isinstance(node, Lam)]
         #: Abstractions whose label is auto-assigned (and reassigned
         #: whenever the allocation before them moves).
         self.auto_lams: List[Lam] = [
@@ -361,37 +357,24 @@ class ProjectAnalysis:
         self, entry: DefEntry, old: Optional[DefEntry], slot: int
     ) -> None:
         """Raise the first error a cold parse of the edited chain
-        raises in preorder, if any: a label written twice (the second
-        occurrence is the error) or a constructor (a project declares
-        no datatypes). Earlier definitions are error-free, so only a
-        clash with a later definition can come after this one's."""
+        raises in preorder (:func:`check_node`; a project declares no
+        datatypes), if any. Earlier definitions are error-free, so
+        after this one's own nodes only a later definition's label
+        clashing with one of this one's can raise."""
         table = self.program.label_table
+        owner = self.program.constructor_owner
         mine = old.labels if old is not None else ()
-        seen: Set[str] = set()
-        later = None
-        for node in entry.nodes:
-            if isinstance(node, Lam):
-                label = node.label
-                if label is None:
-                    continue
-                holder = (
-                    table[label]
-                    if label in self.taken and label not in mine
-                    else None
-                )
-                if label in seen or (holder is not None and holder.nid < slot):
-                    raise ScopeError(f"duplicate label {label!r}")
-                seen.add(label)
-                if holder is not None and (
-                    later is None or holder.nid < later.nid
-                ):
-                    later = holder
-            elif isinstance(node, Con):
-                raise UnknownConstructorError(node.cname)
-            elif isinstance(node, Case) and node.branches:
-                raise UnknownConstructorError(node.branches[0].cname)
-        if later is not None:
-            raise ScopeError(f"duplicate label {later.label!r}")
+        held = [
+            table[label]
+            for label in entry.labels
+            if label in self.taken and label not in mine
+        ]
+        taken = {lam.label for lam in held if lam.nid < slot}
+        for node in entry.bound.walk():
+            check_node(node, owner, taken)
+        # Every holder is later: the first a cold parse meets raises.
+        for lam in sorted(held, key=attrgetter("nid")):
+            check_node(lam, owner, taken)
 
     def _replay_matches(self, pool: Set[str], start: int) -> bool:
         """Would later definitions re-rename to the same fresh names
@@ -431,9 +414,8 @@ class ProjectAnalysis:
         factory = self.engine.factory
         nodes = program.nodes
         start = old.spine.nid if old is not None else self.terminal.nid
-        retired = [old.spine, *old.nodes] if old is not None else []
-        added = [new.spine, *new.nodes] if new is not None else []
-        end = start + len(retired)
+        end = start + 1 + old.size if old is not None else start
+        added = [new.spine, *new.bound.walk()] if new is not None else []
         lams = _first_at(program.abstractions, start)
         lams_end = _first_at(program.abstractions, end)
         apps = _first_at(program.applications, start)
@@ -441,7 +423,7 @@ class ProjectAnalysis:
         table = program.label_table
         binders = program.binders
         if old is not None:
-            for node in retired:
+            for node in nodes[start:end]:
                 if new is None or node is not new.spine:
                     factory.forget_expr(node)
                 if isinstance(node, Lam) and table.get(node.label) is node:
@@ -457,8 +439,7 @@ class ProjectAnalysis:
         if new is not None:
             spine = new.spine
             spine.name, spine.bound, spine.body = new.fresh, new.bound, nxt
-            binders[new.fresh] = spine
-            for node in new.nodes:
+            for node in added:
                 if isinstance(node, Lam):
                     binders[node.param] = node
                     if node.label is not None:
@@ -486,43 +467,54 @@ class ProjectAnalysis:
         ]
         # Renumber what follows, the far end first when it grew.
         moved = range(start + len(added), len(nodes))
-        if len(added) > len(retired):
+        if len(added) > end - start:
             moved = reversed(moved)
-        if len(added) != len(retired):
+        if len(added) != end - start:
             for nid in moved:
                 factory.renumber_expr(nodes[nid], nid)
         edited = set(old.labels if old is not None else ())
         edited.symmetric_difference_update(
             new.labels if new is not None else ()
         )
-        self._relabel(index, any(map(_AUTO_LABEL.fullmatch, edited)))
+        self._relabel(
+            index,
+            [k for k in map(auto_label_number, edited) if k is not None],
+        )
         self._renumber_lines(index)
         factory.node_budget = default_node_budget(len(nodes))
 
-    def _relabel(self, index: int, everywhere: bool) -> None:
-        """Give the unlabelled abstractions a cold parse's labels:
-        ``l0``, ``l1``, ... in preorder, skipping the explicit labels.
-        Only the definitions from ``index`` on can move, up to the
-        first that ends on the counter it ended on before — unless an
-        edit changed an explicit label of that form (``everywhere``),
-        which can move any of them."""
-        start = 0 if everywhere else index
-        counter = self.defs[start - 1].auto_end if start else 0
-        taken = self.taken
+    def _relabel(self, index: int, edited: List[int]) -> None:
+        """Give the unlabelled abstractions a cold parse's labels
+        (:func:`auto_label`). Definition ``index`` is new, or the one
+        after a removed one; an explicit label ``l<k>`` the edit added
+        or dropped (``k`` in ``edited``) moves the allocation from the
+        first definition whose counter passed ``k``. The walk ends at
+        the first definition from ``index`` on that ends on the
+        counter it ended on before, once that is past every edited
+        ``k``: nothing after it moves."""
+        defs = self.defs
+        start, past = index, -1
+        if edited:
+            start = _first_at(
+                defs, min(edited) + 1, attrgetter("auto_end"), index
+            )
+            past = max(edited)
+        counter = defs[start - 1].auto_end if start else 0
         table = self.program.label_table
-        for entry in self.defs[start:]:
+        for position in range(start, len(defs)):
+            entry = defs[position]
             for lam in entry.auto_lams:
-                label = f"l{counter}"
-                while label in taken:
-                    counter += 1
-                    label = f"l{counter}"
-                counter += 1
+                label, counter = auto_label(counter, self.taken)
                 if lam.label != label:
                     if table.get(lam.label) is lam:
                         del table[lam.label]
                     lam.label = label
                     table[label] = lam
-            if entry.auto_end == counter and not everywhere:
+            if (
+                position >= index
+                and counter > past
+                and entry.auto_end == counter
+            ):
                 return
             entry.auto_end = counter
 
@@ -544,13 +536,14 @@ class ProjectAnalysis:
         if index:
             prev = self.defs[index - 1]
             offset = prev.spine.line + 3 + prev.nlines
-        for entry in self.defs[index:]:
+        for position in range(index, len(self.defs)):
+            entry = self.defs[position]
             shift = offset + 2
             if shift == entry.shift:
                 return
             entry.spine.line, entry.spine.column = offset + 1, 1
             delta = shift - entry.shift
-            for node in entry.nodes:
+            for node in entry.bound.walk():
                 node.line += delta
             entry.shift = shift
             offset += 4 + entry.nlines
@@ -834,11 +827,7 @@ class ProjectAnalysis:
         # Rename against the pool as it stands *before* this
         # definition — exactly the cold renamer's state at its slot.
         entry, pool = self._new_entry(name, source, raw, index, old)
-        # Later definitions keep their names if this one consumes the
-        # same set, else if replaying their renaming proves it.
-        eligible = {fresh for _, fresh in entry.consumed} == {
-            fresh for _, fresh in old.consumed
-        } or self._replay_matches(pool, index + 1)
+        eligible = self._replay_matches(pool, index + 1)
         if eligible and entry.fresh != old.fresh:
             # The binder's own fresh name moved; stored later bodies
             # still reference the old one, so the chain only stays
@@ -857,7 +846,7 @@ class ProjectAnalysis:
             entry.recursive == old.recursive
             and not old.auto_lams
             and not entry.auto_lams
-            and len(entry.nodes) == len(old.nodes)
+            and entry.size == old.size
             and not any(
                 label in table and label not in old.labels
                 for label in entry.labels

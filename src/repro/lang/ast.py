@@ -19,6 +19,7 @@ node belonging to a :class:`Program` carries a unique integer ``nid``.
 
 from __future__ import annotations
 
+import re
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -356,6 +357,69 @@ class DatatypeDecl:
         return f"<DatatypeDecl {self.name}>"
 
 
+#: The form of the labels :func:`auto_label` allocates.
+_AUTO_LABEL = re.compile(r"l(0|[1-9][0-9]*)")
+
+
+def auto_label(counter: int, taken: Set[str]) -> Tuple[str, int]:
+    """The label an unlabelled abstraction gets with the allocation
+    counter at ``counter`` (a program counts from 0 over its
+    abstractions in preorder): ``l<counter>``, or the first ``l<k>``
+    after it that is not one of the explicit labels ``taken``. Returns
+    the label and the counter after it."""
+    while f"l{counter}" in taken:
+        counter += 1
+    return f"l{counter}", counter + 1
+
+
+def auto_label_number(label: str) -> Optional[int]:
+    """``k`` if ``label`` has the form :func:`auto_label` allocates,
+    ``l<k>`` (so writing it moves the allocation), else ``None``."""
+    match = _AUTO_LABEL.fullmatch(label)
+    return int(match.group(1)) if match else None
+
+
+def check_node(
+    node: Expr,
+    constructor_owner: Dict[str, DatatypeDecl],
+    taken: Set[str],
+) -> None:
+    """Raise the error :class:`Program` raises at ``node``, if any: a
+    label among ``taken`` (the explicit labels met before ``node`` in
+    preorder, to which its own is added), or a constructor that
+    ``constructor_owner`` does not declare or that is applied or
+    matched with the wrong number of arguments."""
+    cls = type(node)
+    if cls is Lam:
+        label = node.label
+        if label is not None:
+            if label in taken:
+                raise ScopeError(f"duplicate label {label!r}")
+            taken.add(label)
+    elif cls is Con:
+        if node.cname not in constructor_owner:
+            raise UnknownConstructorError(node.cname)
+        decl = constructor_owner[node.cname]
+        want = len(decl.constructors[node.cname])
+        if len(node.args) != want:
+            raise ScopeError(
+                f"constructor {node.cname!r} expects {want} "
+                f"argument(s), got {len(node.args)}"
+            )
+    elif cls is Case:
+        for branch in node.branches:
+            if branch.cname not in constructor_owner:
+                raise UnknownConstructorError(branch.cname)
+            decl = constructor_owner[branch.cname]
+            want = len(decl.constructors[branch.cname])
+            if len(branch.params) != want:
+                raise ScopeError(
+                    f"constructor {branch.cname!r} has {want} "
+                    "argument(s), pattern binds "
+                    f"{len(branch.params)}"
+                )
+
+
 class Program:
     """A closed program: a root expression plus datatype declarations.
 
@@ -418,11 +482,12 @@ class Program:
         return parse(source)
 
     def _index(self) -> None:
-        """Number, check and table every node in one preorder walk,
-        then label the unlabelled abstractions ``l0``, ``l1``, ... in
-        preorder, skipping the labels the program writes itself."""
+        """Number, check (:func:`check_node`) and table every node in
+        one preorder walk, then label the unlabelled abstractions
+        (:func:`auto_label`)."""
         nodes = self.nodes
         abstractions = self.abstractions
+        owner = self.constructor_owner
         taken: Set[str] = set()
         stack: List[Expr] = [self.root]
         pop, push = stack.pop, stack.append
@@ -439,9 +504,7 @@ class Program:
                 push(node.fn)
             elif cls is Lam:
                 if node.label is not None:
-                    if node.label in taken:
-                        raise ScopeError(f"duplicate label {node.label!r}")
-                    taken.add(node.label)
+                    check_node(node, owner, taken)
                 self._bind(node.param, node)
                 abstractions.append(node)
                 push(node.body)
@@ -450,38 +513,16 @@ class Program:
                 push(node.body)
                 push(node.bound)
             else:
+                check_node(node, owner, taken)
                 if cls is Case:
                     for branch in node.branches:
-                        if branch.cname not in self.constructor_owner:
-                            raise UnknownConstructorError(branch.cname)
-                        decl = self.constructor_owner[branch.cname]
-                        want = len(decl.constructors[branch.cname])
-                        if len(branch.params) != want:
-                            raise ScopeError(
-                                f"constructor {branch.cname!r} has {want} "
-                                "argument(s), pattern binds "
-                                f"{len(branch.params)}"
-                            )
                         for p in branch.params:
                             self._bind(p, node)
-                elif cls is Con:
-                    if node.cname not in self.constructor_owner:
-                        raise UnknownConstructorError(node.cname)
-                    decl = self.constructor_owner[node.cname]
-                    want = len(decl.constructors[node.cname])
-                    if len(node.args) != want:
-                        raise ScopeError(
-                            f"constructor {node.cname!r} expects {want} "
-                            f"argument(s), got {len(node.args)}"
-                        )
                 stack.extend(reversed(node.children()))
         counter = 0
         for lam in abstractions:
             if lam.label is None:
-                while f"l{counter}" in taken:
-                    counter += 1
-                lam.label = f"l{counter}"
-                counter += 1
+                lam.label, counter = auto_label(counter, taken)
             self.label_table[lam.label] = lam
 
     def _bind(self, name: str, site: Expr) -> None:

@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.core.nodes import EXPR, NodeFactory
-from repro.daemon import FALLBACK_REASONS, ProjectAnalysis
+from repro.daemon import FALLBACK_REASONS, ProjectAnalysis, delta
 from repro.errors import ScopeError, UnknownConstructorError
 from repro.lang.ast import (
     App,
@@ -362,7 +362,8 @@ def seeded_edits(pa, n, steps, seed):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of ``Program`` constructions, fresh warm states (the
-    initial one plus one per replay) and occurrence-table writes."""
+    initial one plus one per replay), occurrence-table writes and the
+    daemon's auto-label allocations."""
     counts = Counter()
 
     def count(cls, name):
@@ -377,6 +378,13 @@ def calls(monkeypatch):
     count(Program, "__init__")
     count(ProjectAnalysis, "_fresh_state")
     count(NodeFactory, "record_expr")
+    allocate = delta.auto_label
+
+    def counting_allocate(*args):
+        counts["auto_label"] += 1
+        return allocate(*args)
+
+    monkeypatch.setattr(delta, "auto_label", counting_allocate)
     return counts
 
 
@@ -391,6 +399,24 @@ class TestEditCost:
         pa = open_project(n)
         assert calls["__init__"] == calls["_fresh_state"] == 1
         assert calls["record_expr"] == pa.program.size + len(pa.defs) - 1
+
+    def test_an_open_writing_auto_form_labels_allocates_each_once(
+        self, calls
+    ):
+        # Every other abstraction writes the ``l<k>`` label a cold
+        # parse gives it unwritten (as the analyser prints it), so each
+        # append allocates its own auto labels and no earlier ones.
+        pa = ProjectAnalysis()
+        lams = 0
+        for name, source in cubic_defines(16):
+            if source.startswith("fn["):
+                label = f"[l{lams}]" if lams % 2 else ""
+                source = "fn" + label + source[source.index("]") + 1:]
+                lams += 1
+            pa.define(name, source)
+        assert calls["auto_label"] == (lams + 1) // 2
+        assert pa.program.labels == [f"l{k}" for k in range(lams)]
+        check_exact(pa)
 
     def test_a_replay_is_one_linear_open(self, calls):
         pa = open_project(8)
@@ -494,6 +520,20 @@ class TestChainEdits:
         assert pa.program.abstraction("l1").param == "z"
         pa.define("b", "fn[l2] a => a")
         check_exact(pa)
+
+    def test_taking_an_auto_form_label_relabels_past_the_next_definition(
+        self,
+    ):
+        # ``w`` loses ``l2`` to ``b``, although ``c`` between them ends
+        # on the counter it ended on before.
+        pa = ProjectAnalysis()
+        pa.define("a", "fn x => x")
+        pa.define("b", "fn[k1] y => y")
+        pa.define("c", "fn z => z")
+        pa.define("d", "fn w => w")
+        pa.define("b", "fn[l2] y => y")
+        check_exact(pa)
+        assert pa.program.labels == ["l0", "l2", "l1", "l3"]
 
     @pytest.mark.parametrize(
         "name, source, error, match",
