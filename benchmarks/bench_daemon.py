@@ -24,7 +24,21 @@ tables and re-keys only the nodes after it (an append moves just the
 terminal ``()``), so the open is linear: the time per definition stays
 flat and each expression occurrence is written to the factory's
 occurrence table once, plus one re-key per append.
+
+A third table follows a long **edit history**: a session shaped like
+layerbench's ``daemon_edit`` one (a cubic-16 project, then rounds of
+same-shape and shape-changing redefinitions, appends and undefines,
+each round read back by ``analyze``), applied eight times to one
+project. Each mutation frees the rows it retires, so after every block
+the warm graph has exactly a cold analysis's rows, holds about the
+heap a fresh replay of the same program does, and never replays.
 """
+
+import gc
+import random
+import statistics
+import time
+import tracemalloc
 
 import pytest
 
@@ -188,6 +202,159 @@ def open_report(sizes=OPEN_SIZES):
     return table, rows
 
 
+#: The history session (the generator of layerbench's ``daemon_edit``
+#: session, so seed 0 edits the same program): cubic-16, edits by kind
+#: in a seeded order, four per round, each round closed by a read.
+HISTORY_N = 16
+HISTORY_EDITS = {"splice": 90, "dred": 60, "append": 25, "undefine": 25}
+HISTORY_ROUNDS = 50
+
+#: How many times the history table applies the session to one project.
+HISTORY_BLOCKS = 8
+
+
+def history_session(seed=0):
+    """The session's rounds of edits: ``(name, source)`` pairs, with
+    ``source`` ``None`` for an undefine."""
+    rng = random.Random(f"session-{seed}")
+    n = HISTORY_N
+    kinds = [
+        kind for kind, count in HISTORY_EDITS.items() for _ in range(count)
+    ]
+    rng.shuffle(kinds)
+    # An undefine needs a scratch binding: swap an early one with the
+    # next append.
+    scratch = 0
+    for index, kind in enumerate(kinds):
+        if kind == "undefine" and not scratch:
+            later = kinds.index("append", index)
+            kinds[index], kinds[later] = "append", "undefine"
+            kind = "append"
+        scratch += {"append": 1, "undefine": -1}.get(kind, 0)
+    per_round = len(kinds) // HISTORY_ROUNDS
+    rounds, names = [], []
+    for start in range(0, len(kinds), per_round):
+        edits = []
+        for kind in kinds[start:start + per_round]:
+            i = rng.randint(1, n)
+            j = rng.randint(1, i)
+            if kind == "splice":
+                edits.append((f"x{i}", f"b{j} (fs f{i})"))
+            elif kind == "dred":
+                shapes = [f"b{i} (fs (fs f{j}))", f"bs (b{i} (fs f{j}))"]
+                edits.append((f"x{i}", rng.choice(shapes)))
+            elif kind == "append":
+                names.append(f"z{start}_{len(edits)}")
+                edits.append((names[-1], f"fs f{i}"))
+            else:
+                edits.append((names.pop(), None))
+        rounds.append(edits)
+        # The daemon session's two query labels per round: drawn, so
+        # the next round's edits are the same as there.
+        for _ in range(2):
+            f, b = f"f{rng.randint(1, n)}", f"b{rng.randint(1, n)}"
+            rng.choice(["fs", "bs", f, b])
+    return rounds
+
+
+def _apply(pa, rounds, mutate, analyze):
+    for edits in rounds:
+        for name, source in edits:
+            start = time.perf_counter()
+            if source is None:
+                pa.undefine(name)
+            else:
+                pa.define(name, source)
+            mutate.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        pa.envelope()
+        analyze.append(time.perf_counter() - start)
+
+
+def _traced_bytes():
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def history_report(blocks=HISTORY_BLOCKS, seed=0):
+    """Apply the history session ``blocks`` times to one cubic-16
+    project. Per block: the warm graph's rows against a cold analysis
+    of the same program, replays so far, the heap the project holds
+    against a fresh replay of the same program (tracemalloc, from a
+    second, traced pass) and the block's mutation and ``analyze``
+    medians (from the untraced pass)."""
+    table = Table(
+        [
+            "block",
+            "rows",
+            "cold nodes",
+            "replays",
+            "held KiB",
+            "replay KiB",
+            "mutate p50",
+            "analyze p50",
+        ],
+        title="E19 — daemon: one project through a long edit history",
+    )
+    rounds = history_session(seed)
+    rows = []
+    pa = warm_project(HISTORY_N)
+    for block in range(1, blocks + 1):
+        mutate, analyze = [], []
+        _apply(pa, rounds, mutate, analyze)
+        cold = ProjectAnalysis.cold_cfa(pa.render_source())
+        rows.append(
+            {
+                "block": block,
+                "rows": pa.engine.graph.node_count,
+                "row_arrays": len(pa.engine.graph._succ),
+                "cold_nodes": cold.graph.node_count,
+                "replays": sum(pa.fallbacks.values()),
+                "mutate_p50": statistics.median(mutate),
+                "analyze_p50": statistics.median(analyze),
+            }
+        )
+    tracemalloc.start()
+    try:
+        base = _traced_bytes()
+        pa = warm_project(HISTORY_N)
+        for row in rows:
+            _apply(pa, rounds, [], [])
+            row["held_bytes"] = _traced_bytes() - base
+            before = _traced_bytes()
+            fresh = ProjectAnalysis()
+            for entry in pa.defs:
+                fresh.define(entry.name, entry.source)
+            row["replay_bytes"] = _traced_bytes() - before
+            del fresh
+    finally:
+        tracemalloc.stop()
+    for row in rows:
+        table.add_row(
+            row["block"],
+            row["rows"],
+            row["cold_nodes"],
+            row["replays"],
+            row["held_bytes"] // 1024,
+            row["replay_bytes"] // 1024,
+            row["mutate_p50"],
+            row["analyze_p50"],
+        )
+    return table, rows
+
+
+def history_counts(rows):
+    """The history table's exact counts, for the CI count gate."""
+    return {
+        "daemon.history.rows": rows[-1]["rows"],
+        "daemon.history.peak_rows": max(row["rows"] for row in rows),
+        "daemon.history.peak_row_arrays": max(
+            row["row_arrays"] for row in rows
+        ),
+        "daemon.history.replays": rows[-1]["replays"],
+    }
+
+
 @pytest.mark.parametrize("n", [5, 20])
 def test_warm_redefine(benchmark, n):
     pa = warm_project(n)
@@ -225,10 +392,24 @@ def test_open_shape():
         assert row["occurrence_writes"] == row["size"] + row["defs"] - 1
 
 
+def test_history_shape():
+    _, rows = history_report(blocks=2)
+    for row in rows:
+        # Every block ends on the same program: the graph has a cold
+        # analysis's rows, holds no more heap than about twice a fresh
+        # replay's, and never replays.
+        assert row["rows"] == row["cold_nodes"], row
+        assert row["row_arrays"] <= 2 * row["cold_nodes"], row
+        assert row["held_bytes"] <= 2 * row["replay_bytes"], row
+        assert row["replays"] == 0, row
+
+
 if __name__ == "__main__":
     table, rows = run_report()
     print(table.render())
     table, _ = open_report()
+    print(table.render())
+    table, _ = history_report()
     print(table.render())
     last = rows[-1]
     print(

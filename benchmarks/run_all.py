@@ -67,13 +67,14 @@ def _jsonable(value):
     return str(value)
 
 
-def engine_metrics_document(quick: bool = False, cyclic_garbage: int = 0):
+def engine_metrics_document(quick: bool = False, counts=None):
     """An instrumented LC' run over the cubic family, including the
     Table 1 query sweep and a full lint pass (so ``lint.pass.*``
     timers land next to build/close cost), as a validated
-    ``repro.metrics/1`` document. E22's cyclic-garbage total rides
-    along as the counter ``gc.cyclic_garbage``, so the count gate
-    pins it."""
+    ``repro.metrics/1`` document. The experiments' exact ``counts``
+    (E22's cyclic-garbage total as ``gc.cyclic_garbage``, E19's
+    history rows and replays) ride along as counters, so the count
+    gate pins them."""
     from repro.core.queries import analyze_subtransitive
     from repro.lint import run_lints
     from repro.obs import collect_metrics, validate_metrics
@@ -87,7 +88,8 @@ def engine_metrics_document(quick: bool = False, cyclic_garbage: int = 0):
     for site in program.nontrivial_applications():
         cfa.may_call(site)
     run_lints(program, cfa)
-    cfa.sub.stats.registry.counter("gc.cyclic_garbage").inc(cyclic_garbage)
+    for name, value in (counts or {}).items():
+        cfa.sub.stats.registry.counter(name).inc(value)
     return validate_metrics(collect_metrics(cfa))
 
 
@@ -104,7 +106,14 @@ def write_metrics(path, experiments, quick: bool) -> None:
         "environment": environment_provenance(),
         "engine_metrics": engine_metrics_document(
             quick,
-            bench_gc.total_cyclic_garbage(experiments["E22"]["rows"]),
+            {
+                "gc.cyclic_garbage": bench_gc.total_cyclic_garbage(
+                    experiments["E22"]["rows"]
+                ),
+                **bench_daemon.history_counts(
+                    experiments["E19"]["rows"]["history"]
+                ),
+            },
         ),
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -293,11 +302,6 @@ def main(quick: bool = False, metrics_path=None) -> None:
         f"retracted, {last['fallbacks']} fallbacks"
     )
     table, open_rows = bench_daemon.open_report()
-    record(
-        "E19",
-        "incremental daemon: warm delta vs cold",
-        {"redefine": rows, "open": open_rows},
-    )
     print(table.render())
     ns = [row["defs"] for row in open_rows]
     times = [row["open_time"] for row in open_rows]
@@ -307,6 +311,20 @@ def main(quick: bool = False, metrics_path=None) -> None:
         f"at n={open_rows[-1]['n']}; time exponent "
         f"{fit_exponent(ns, times):.2f}, occurrence-write exponent "
         f"{fit_exponent(ns, writes):.2f}"
+    )
+    table, history_rows = bench_daemon.history_report()
+    record(
+        "E19",
+        "incremental daemon: warm delta vs cold",
+        {"redefine": rows, "open": open_rows, "history": history_rows},
+    )
+    print(table.render())
+    last = history_rows[-1]
+    print(
+        f"history: {last['rows']} rows against {last['cold_nodes']} cold "
+        f"nodes after {last['block']} sessions, {last['replays']} "
+        f"replays; {last['held_bytes'] // 1024} KiB held against "
+        f"{last['replay_bytes'] // 1024} KiB for a fresh replay"
     )
 
     print("\n" + "=" * 72)

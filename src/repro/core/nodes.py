@@ -31,7 +31,17 @@ Section 7 to instantiate a binding's graph fragment per use.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import AnalysisBudgetExceeded
 from repro.lang.ast import Con, Expr, Lam, Program, Record, Ref
@@ -172,7 +182,7 @@ class NodeFactory:
     ``congruence`` (see :mod:`repro.core.datatypes`) may merge node
     terms into class representatives; ``inference`` supplies the types
     the congruences key on (and is required by them). ``node_budget``
-    bounds total node creation — exceeded only by programs outside the
+    bounds the nodes made — exceeded only by programs outside the
     bounded-type classes (the hybrid driver catches the exception).
     """
 
@@ -220,10 +230,6 @@ class NodeFactory:
         #: one entry). Seed scans (flow analyses, lint, the query
         #: indexes) read this instead of filtering the full node list.
         self._bearing: Dict[type, Dict[int, Node]] = {}
-        #: Every ``var``-kind node, in creation order (class nodes a
-        #: congruence substitutes for a variable are *not* here — they
-        #: are ``expr`` kind, exactly as when filtering :attr:`nodes`).
-        self.var_nodes: List[Node] = []
         self.nodes: List[Node] = []
         #: ``inner uid -> {opkey: node}``: the operator node formed over
         #: each node, per opkey (under a congruence, the class node the
@@ -244,24 +250,39 @@ class NodeFactory:
             self.node_budget is not None
             and len(self.nodes) >= self.node_budget
         ):
-            if self.events is not None:
-                self.events.emit(
-                    "budget",
-                    resource="node",
-                    used=len(self.nodes),
-                    budget=self.node_budget,
-                    action="exhausted",
-                )
-            raise AnalysisBudgetExceeded(
-                "node", len(self.nodes) + 1, self.node_budget
-            )
+            self._exhausted()
         node = Node(len(self.nodes), kind)
         self.nodes.append(node)
         return node
 
+    def _exhausted(self) -> None:
+        """Raise the node budget's ``AnalysisBudgetExceeded``."""
+        if self.events is not None:
+            self.events.emit(
+                "budget",
+                resource="node",
+                used=len(self.nodes),
+                budget=self.node_budget,
+                action="exhausted",
+            )
+        raise AnalysisBudgetExceeded(
+            "node", len(self.nodes) + 1, self.node_budget
+        )
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+    @property
+    def var_nodes(self) -> List[Node]:
+        """Every ``var``-kind node, in creation order (class nodes a
+        congruence substitutes for a variable are *not* here — they
+        are ``expr`` kind, exactly as when filtering :attr:`nodes`)."""
+        return [
+            node
+            for key, node in self._intern.items()
+            if key[0] == VAR and node.kind == VAR
+        ]
 
     def type_of_expr(self, expr: Expr) -> Optional[Type]:
         if self.inference is None:
@@ -321,7 +342,6 @@ class NodeFactory:
         node.name = name
         node.ty = ty
         node.context = context
-        self.var_nodes.append(node)
         self._record_occurrence(VAR, name, node)
         return node
 
@@ -345,18 +365,20 @@ class NodeFactory:
         else:
             bucket[node.uid] = node
 
-    def forget_expr(self, expr: Expr) -> None:
+    def forget_expr(self, expr: Expr) -> List[Node]:
         """Drop every occurrence of ``expr`` from the expression table,
         its occurrence bucket and the bearing index, so a lookup by its
         nid can never resurrect it (the daemon retires a replaced
-        definition's subtree this way). The nodes stay interned. Only
-        for a factory without a congruence, where an occurrence's node
-        is its own and carries its context."""
+        definition's subtree this way), and return their nodes, which
+        stay made until :meth:`WarmNodeFactory.release` drops them.
+        Only for a factory without a congruence, where an occurrence's
+        node is its own and carries its context."""
         nodes = self._occurrences.pop((EXPR, expr.nid), _NO_NODES)
         bucket = self._bearing.get(type(expr), {})
         for node in nodes:
             del self._exprs[(expr.nid, node.context)]
             bucket.pop(node.uid, None)
+        return nodes
 
     def renumber_expr(self, expr: Expr, nid: int) -> None:
         """Move ``expr`` to ``nid``, re-keying its occurrences (one
@@ -526,3 +548,77 @@ class NodeFactory:
         if opkey[0] == "cell" and isinstance(ty, TRef):
             return prune(ty.content)
         return None
+
+
+class WarmNodeFactory(NodeFactory):
+    """A :class:`NodeFactory` that can drop nodes: the daemon's warm
+    graph frees what each edit retires, so it holds only the live
+    program's nodes, as a cold analysis does.
+
+    Its nodes are kept by uid, so a release is O(1) and :attr:`nodes`
+    (a view) stays in creation order with no holes; ``node_budget``
+    bounds the live nodes. A new node's uid counts the released ones
+    too, so uids are never reused. No congruence (like
+    :meth:`forget_expr`).
+    """
+
+    def __init__(self, program: Program, max_depth: Optional[int] = None):
+        super().__init__(program, max_depth=max_depth)
+        #: Every live node by uid; :attr:`nodes` is a view of it.
+        self._live: Dict[int, Node] = {}
+        self.nodes = self._live.values()
+        #: How many nodes :meth:`release` dropped.
+        self.released = 0
+
+    def _new_node(self, kind: str) -> Node:
+        live = self._live
+        if self.node_budget is not None and len(live) >= self.node_budget:
+            self._exhausted()
+        uid = len(live) + self.released
+        node = live[uid] = Node(uid, kind)
+        return node
+
+    def release(
+        self, nodes: Iterable[Node], detach: Callable[[Node], bool]
+    ) -> None:
+        """Drop each of ``nodes`` and the operator nodes formed over
+        it, towers first, if no table resolves to it (an expression
+        occurrence goes only once :meth:`forget_expr` dropped it) and
+        ``detach`` takes it out of the graph, which it does only for a
+        node without edges. A node already dropped is skipped. Same
+        precondition as :meth:`forget_expr`."""
+        live = self._live
+        drop = self._release
+        for node in nodes:
+            if live.get(node.uid) is node:
+                drop(node, detach)
+
+    def _release(self, node: Node, detach: Callable[[Node], bool]) -> None:
+        uid = node.uid
+        all_ops = self._ops
+        ops = all_ops.get(uid)
+        if ops:
+            for op in list(ops.values()):
+                self._release(op, detach)
+            if uid in all_ops:
+                return
+        kind = node.kind
+        if (
+            kind == EXPR
+            and self._exprs.get((node.expr.nid, node.context)) is node
+        ) or not detach(node):
+            return
+        if kind == OP:
+            ops = all_ops[node.inner.uid]
+            del ops[node.opkey]
+            if not ops:
+                del all_ops[node.inner.uid]
+        elif kind == VAR:
+            del self._intern[(VAR, node.name, node.context)]
+            key = (VAR, node.name)
+            bucket = self._occurrences[key]
+            bucket.remove(node)
+            if not bucket:
+                del self._occurrences[key]
+        del self._live[uid]
+        self.released += 1

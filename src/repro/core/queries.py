@@ -290,7 +290,7 @@ class SubtransitiveCFA(CFAResult):
                     own[idx] = own.get(idx, 0) | mask
         seen, region = graph._reached_ids(list(own), reverse=True)
         rows = graph._succ
-        bits_of = [0] * graph.node_count
+        bits_of = [0] * len(rows)
         for component in scc_ids(rows, region, seen):
             bits = 0
             for v in component:

@@ -27,7 +27,10 @@ redefinition
    is re-added (the one-step rederivation), and the engine's ordinary
    ``close()`` fixpoint propagates from there — the delta worklist,
    not the whole graph;
-4. builds the new definition's subtree through the same recorder and
+4. **frees** every node the edit left without edges, with the
+   operator towers over it: the warm graph holds a cold analysis's
+   rows;
+5. builds the new definition's subtree through the same recorder and
    closes again.
 
 Over-deletion is required for exactness: demand support can be
@@ -45,20 +48,17 @@ a full replay of the definition history, tagging the reason
     The edit changes how alpha-renaming would allocate fresh names for
     *later* definitions (the warm graph's node identities would no
     longer match a cold parse of the rendered program).
-``node-budget``
-    The delta application exceeded the node budget (LC''s default
-    budget for the live program's size, so garbage from retired
-    definitions can trip it); a replay starts from a fresh factory
-    without retired garbage.
 ``internal-error``
     Any unexpected failure while mutating the warm graph; replay
     re-establishes a consistent state.
 
 Either way the result is **byte-identical** to a cold analysis of
 :meth:`render_source` — the equivalence suite enforces this per
-operation. A definition that takes even the replay over budget is
-rejected: the project keeps its previous program, exactly as a cold
-analysis of the would-be program would exceed the same budget.
+operation. The node budget (LC''s default for the live program's
+size) counts live nodes only, and a mutation never holds more than
+the edited program's, so an edit is rejected exactly when a cold
+analysis of the edited program exceeds the budget: the project then
+keeps its previous program.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from repro.core.nodes import (
     CONTRAVARIANT_HEADS,
     COVARIANT_HEADS,
     Node,
+    WarmNodeFactory,
 )
 from repro.core.queries import SubtransitiveCFA
 from repro.lang.ast import (
@@ -93,7 +94,7 @@ from repro.lang.rename import alpha_rename, fresh_name
 from repro.lang.rename import free_variables as free_base_names
 
 #: The delta engine's fallback taxonomy (see module docstring).
-FALLBACK_REASONS = ("rename-shift", "node-budget", "internal-error")
+FALLBACK_REASONS = ("rename-shift", "internal-error")
 
 #: A guarded mutation's report ``mode`` -> its span's layer
 #: (:data:`repro.obs.profile.LAYERS`); ``replay`` is ``delta.replay``.
@@ -241,7 +242,8 @@ class ProjectAnalysis:
     """A warm, incrementally-maintained LC' analysis of one project."""
 
     def __init__(self) -> None:
-        #: Monotonic graph version; bumps on every applied mutation.
+        #: Monotonic graph version; bumps once per applied mutation (a
+        #: replay included), never for a rejected one.
         self.version = 0
         #: Per-reason fallback counts (all zero on the pure delta path).
         self.fallbacks: Dict[str, int] = {r: 0 for r in FALLBACK_REASONS}
@@ -258,6 +260,8 @@ class ProjectAnalysis:
         self.engine = LCEngine(
             self.program, congruence=None, max_depth=DAEMON_MAX_DEPTH
         )
+        # A factory that frees what each edit retires (:meth:`_mutate`).
+        self.engine.factory = WarmNodeFactory(self.program, DAEMON_MAX_DEPTH)
         #: Insertion-ordered recorded closure edges (the warm twin of
         #: a cold run's ``close_edge_set``).
         self.close: Dict[EdgePair, None] = {}
@@ -273,13 +277,6 @@ class ProjectAnalysis:
         self.users: Dict[str, int] = {}
         #: The explicit labels of every definition.
         self.taken: Set[str] = set()
-
-    def _snapshot(self):
-        return [getattr(self, attr) for attr in _STATE]
-
-    def _restore(self, saved) -> None:
-        for attr, value in zip(_STATE, saved):
-            setattr(self, attr, value)
 
     def _position(self, entry: DefEntry) -> int:
         return _first_at(self.defs, entry.spine.nid, attrgetter("spine.nid"))
@@ -397,7 +394,7 @@ class ProjectAnalysis:
 
     def _splice(
         self, index: int, old: Optional[DefEntry], new: Optional[DefEntry]
-    ) -> None:
+    ) -> List[Node]:
         """Put ``new`` in the live tables where ``old`` was (either may
         be ``None``: an append, an undefine), ``self.defs`` already
         holding the edited list.
@@ -407,9 +404,10 @@ class ProjectAnalysis:
         of the :class:`Program` tables; only the nodes after it are
         renumbered and re-keyed in the factory (an append moves just
         the terminal ``()``), and retired nodes leave the factory's
-        expression tables, so no lookup by nid resurrects them. The
-        auto labels and line numbers that can move are restamped to
-        a cold parse's, and the node budget follows the new size."""
+        expression tables, so no lookup by nid resurrects them; they
+        are returned, to be freed. The auto labels and line numbers
+        that can move are restamped to a cold parse's, and the node
+        budget follows the new size."""
         program = self.program
         factory = self.engine.factory
         nodes = program.nodes
@@ -422,10 +420,11 @@ class ProjectAnalysis:
         apps_end = _first_at(program.applications, end)
         table = program.label_table
         binders = program.binders
+        retired: List[Node] = []
         if old is not None:
             for node in nodes[start:end]:
                 if new is None or node is not new.spine:
-                    factory.forget_expr(node)
+                    retired += factory.forget_expr(node)
                 if isinstance(node, Lam) and table.get(node.label) is node:
                     del table[node.label]
             for _, name in old.consumed:
@@ -435,6 +434,8 @@ class ProjectAnalysis:
                 self.users[name] -= 1
             self.taken.difference_update(old.labels)
             del self.by_name[old.name]
+            if not self.defs:  # a lone ``()`` has no node, cold
+                retired += factory.forget_expr(self.terminal)
         nxt = old.spine.body if old is not None else self.terminal
         if new is not None:
             spine = new.spine
@@ -482,6 +483,7 @@ class ProjectAnalysis:
         )
         self._renumber_lines(index)
         factory.node_budget = default_node_budget(len(nodes))
+        return retired
 
     def _relabel(self, index: int, edited: List[int]) -> None:
         """Give the unlabelled abstractions a cold parse's labels
@@ -552,16 +554,22 @@ class ProjectAnalysis:
     # -- ground-edge bookkeeping -------------------------------------------
 
     def _wiring(
-        self, prev: Optional[DefEntry], entry: Optional[DefEntry], nxt: Expr
+        self,
+        prev: Optional[DefEntry],
+        entry: Optional[DefEntry],
+        nxt: Expr,
+        kept: bool,
     ) -> List[EdgePair]:
         """The chain wiring around one slot, as a cold build emits it
         (LC''s Let/Letrec build rule): ``prev``'s body edge into the
         slot, then ``entry``'s binding edge (binder var -> bound root)
         and body edge (spine node -> ``nxt``). An empty slot
-        (``entry`` ``None``) leaves ``prev`` leading to ``nxt``."""
+        (``entry`` ``None``) leaves ``prev`` leading to ``nxt``. A
+        ``kept`` chain node (a same-shape splice) keeps its two chain
+        edges, so only the binding edge is listed."""
         factory = self.engine.factory
         pairs: List[EdgePair] = []
-        if prev is not None:
+        if prev is not None and not kept:
             target = entry.spine if entry is not None else nxt
             pairs.append(
                 (factory.expr_node(prev.spine), factory.expr_node(target))
@@ -570,9 +578,10 @@ class ProjectAnalysis:
             pairs.append(
                 (factory.var_node(entry.fresh), factory.expr_node(entry.bound))
             )
-            pairs.append(
-                (factory.expr_node(entry.spine), factory.expr_node(nxt))
-            )
+            if not kept:
+                pairs.append(
+                    (factory.expr_node(entry.spine), factory.expr_node(nxt))
+                )
         return pairs
 
     def _retract_counts(self, counts: Dict[EdgePair, int]) -> List[EdgePair]:
@@ -591,34 +600,12 @@ class ProjectAnalysis:
 
     # -- DRed over-delete + rederive ----------------------------------------
 
-    def _dec_close_counter(self, src: Node) -> None:
-        """Retracting one recorded closure edge: decrement the CLOSE-*
-        counter it was attributed to. Attribution follows the firing
-        rule the head implies; ``cell`` participates in both rules, so
-        when the implied counter is already drained the other one is
-        decremented (the sanitizer checks the *sum* against the
-        recorded closure-edge count, which this preserves exactly)."""
-        engine = self.engine
-        primary = (
-            engine._c_close_contra
-            if src.opkey[0] == "dom"
-            else engine._c_close_cov
-        )
-        secondary = (
-            engine._c_close_cov
-            if primary is engine._c_close_contra
-            else engine._c_close_contra
-        )
-        if primary.value > 0:
-            primary.value -= 1
-        else:
-            secondary.value -= 1
-
     def _overdelete(
-        self, seeds: List[EdgePair]
+        self, seeds: List[EdgePair], emptied: List[Node]
     ) -> Tuple[List[EdgePair], List[Node]]:
         """DRed phase one: delete ``seeds`` and, transitively, every
-        closure conclusion any deleted edge was a premise of.
+        closure conclusion any deleted edge was a premise of; each
+        node a deletion leaves without edges goes to ``emptied``.
 
         Any incoming edge supports an operator's demand independently,
         so demand is only invalidated when the *last* incoming edge
@@ -628,10 +615,11 @@ class ProjectAnalysis:
         in benchmarks/bench_daemon.py). An operator whose support
         vanishes mid-wave is caught when its final in-edge is
         processed; survivors are re-demanded in phase two."""
-        graph = self.engine.graph
-        stats = self.engine.stats
-        find_op = self.engine.factory.find_op
-        ops_over = self.engine.factory.ops_over
+        engine = self.engine
+        graph = engine.graph
+        close = self.close
+        ops_of = engine.factory._ops.get
+        cov, contra = engine._c_close_cov, engine._c_close_contra
         work = deque(seeds)
         scan = deque()
         deleted_close: List[EdgePair] = []
@@ -640,12 +628,17 @@ class ProjectAnalysis:
             if work:
                 pair = work.popleft()
                 src, dst = pair
-                if not graph.remove_edge(src, dst):
+                if not graph.remove_edge(src, dst, emptied):
                     continue  # already deleted via another premise
-                if pair in self.close:
-                    del self.close[pair]
-                    self._dec_close_counter(src)
+                if pair in close:
+                    del close[pair]
                     deleted_close.append(pair)
+                    # Un-count the rule its head implies; ``cell`` fires
+                    # both, and the sanitizer checks only their sum.
+                    counter = contra if src.opkey[0] == "dom" else cov
+                    if not counter.value:
+                        counter = cov if counter is contra else contra
+                    counter.value -= 1
                 scan.append(pair)
                 if (
                     dst.kind == "op"
@@ -653,10 +646,10 @@ class ProjectAnalysis:
                     and graph.in_degree(dst) == 0
                 ):
                     dst.demanded = False
-                    stats.demanded_nodes -= 1
+                    engine.stats.demanded_nodes -= 1
                     undemanded.append(dst)
                     for succ in list(graph.successors(dst)):
-                        if (dst, succ) in self.close:
+                        if (dst, succ) in close:
                             work.append((dst, succ))
                 continue
             src, dst = scan.popleft()
@@ -664,16 +657,19 @@ class ProjectAnalysis:
             # closure rule, mirroring the close loop's premise scans
             # (demand flags are ignored: the conclusion may have been
             # derived under demand support that is itself being
-            # retracted).
-            for opkey, opnode in ops_over(src).items():
+            # retracted). Both need operators over both endpoints.
+            src_ops, dst_ops = ops_of(src.uid), ops_of(dst.uid)
+            if not (src_ops and dst_ops):
+                continue
+            for opkey, opnode in src_ops.items():
                 if opkey[0] in COVARIANT_HEADS:
-                    other = find_op(opkey, dst)
-                    if other is not None and (opnode, other) in self.close:
+                    other = dst_ops.get(opkey)
+                    if other is not None and (opnode, other) in close:
                         work.append((opnode, other))
-            for opkey, opnode in ops_over(dst).items():
+            for opkey, opnode in dst_ops.items():
                 if opkey[0] in CONTRAVARIANT_HEADS:
-                    other = find_op(opkey, src)
-                    if other is not None and (opnode, other) in self.close:
+                    other = src_ops.get(opkey)
+                    if other is not None and (opnode, other) in close:
                         work.append((opnode, other))
         return deleted_close, undemanded
 
@@ -737,42 +733,48 @@ class ProjectAnalysis:
         self, index: int, old: Optional[DefEntry], new: Optional[DefEntry]
     ) -> Dict[str, int]:
         """One semi-naive mutation: splice, retract, over-delete,
-        rederive, build, close, drain. Returns delta-size accounting."""
+        rederive, free, build, close, drain. Returns delta-size
+        accounting. Raises ``AnalysisBudgetExceeded`` exactly when a
+        cold analysis of the edited program would."""
         engine = self.engine
+        factory = engine.factory
         prev = self.defs[index - 1] if index > 0 else None
         nxt = old.spine.body if old is not None else self.terminal
-        before = self._wiring(prev, old, nxt)
-        self._splice(index, old, new)
-        after = self._wiring(prev, new, nxt)
+        kept = old is not None and new is not None and new.spine is old.spine
+        before = self._wiring(prev, old, nxt, kept)
+        candidates = self._splice(index, old, new)
         # 1. Ground retraction: the old definition's build-edge
         #    refcounts plus the stale chain wiring, in one seed list.
         seeds = self._retract_counts(old.refs) if old is not None else []
-        kept = set(after)
-        seeds.extend(
-            self._retract_counts(
-                {pair: 1 for pair in before if pair not in kept}
-            )
-        )
+        seeds.extend(self._retract_counts(dict.fromkeys(before, 1)))
         # 2-3. DRed over-delete + one-step rederive.
-        deleted_close, undemanded = self._overdelete(seeds)
+        deleted_close, undemanded = self._overdelete(seeds, candidates)
         readded = self._rederive(deleted_close, undemanded)
-        # 4. New ground edges: chain wiring first, then the new
+        # 4. Free the nodes left without edges, with the operator towers
+        #    over them: only the retired occurrences and what the
+        #    over-delete emptied (the old binder variables among them)
+        #    can be. The survivors are a subset of the edited program's
+        #    graph, and build and close only add to it, so this is the
+        #    one budget test that creating a node does not already make.
+        factory.release(candidates, engine.graph.remove_isolated)
+        if factory.node_count > factory.node_budget:
+            raise AnalysisBudgetExceeded(
+                "node", factory.node_count, factory.node_budget
+            )
+        # 5. New ground edges: chain wiring first, then the new
         #    definition's subtree (both land on the pending worklist).
         ground = self.ground
-        had = set(before)
-        for src, dst in after:
-            if (src, dst) not in had:
-                ground[(src, dst)] = ground.get((src, dst), 0) + 1
-                engine._edge(src, dst)
+        for pair in self._wiring(prev, new, nxt, kept):
+            ground[pair] = ground.get(pair, 0) + 1
+            engine._edge(*pair)
         if new is not None:
             self._build_subtree(new)
-        # 5. Close to fixpoint from the delta worklist and drain the
+        # 6. Close to fixpoint from the delta worklist and drain the
         #    newly recorded closure edges into the warm ordered set.
         engine.close()
         for pair in engine.close_edge_set:
             self.close[pair] = None
         engine.close_edge_set.clear()
-        self.version += 1
         return {
             "retracted_edges": len(seeds) + len(deleted_close),
             "retracted_close_edges": len(deleted_close),
@@ -783,10 +785,9 @@ class ProjectAnalysis:
 
     def _replay(self, specs: List[Spec]) -> None:
         """Rebuild the warm state from scratch by re-appending every
-        definition (fresh engine, no retired garbage) — one linear
-        open. Restores the previous state object-for-object on
-        failure."""
-        saved = self._snapshot()
+        definition (fresh engine) — one linear open. Restores the
+        previous state object-for-object on failure."""
+        saved = [getattr(self, attr) for attr in _STATE]
         self._fresh_state()
         try:
             with _span("delta.replay"):
@@ -799,7 +800,8 @@ class ProjectAnalysis:
         except Exception:
             # A replay renames from ``raw``, so the restored trees
             # share nothing with the failed one.
-            self._restore(saved)
+            for attr, value in zip(_STATE, saved):
+                setattr(self, attr, value)
             raise
 
     def _specs(self) -> List[Spec]:
@@ -808,6 +810,7 @@ class ProjectAnalysis:
     def _fallback(self, specs: List[Spec], reason: str) -> None:
         self._replay(specs)
         self.fallbacks[reason] += 1
+        self.version += 1
 
     # -- mutations ------------------------------------------------------------
 
@@ -827,7 +830,8 @@ class ProjectAnalysis:
         # Rename against the pool as it stands *before* this
         # definition — exactly the cold renamer's state at its slot.
         entry, pool = self._new_entry(name, source, raw, index, old)
-        eligible = self._replay_matches(pool, index + 1)
+        same = entry.consumed == old.consumed  # no later name can shift
+        eligible = same or self._replay_matches(pool, index + 1)
         if eligible and entry.fresh != old.fresh:
             # The binder's own fresh name moved; stored later bodies
             # still reference the old one, so the chain only stays
@@ -886,9 +890,10 @@ class ProjectAnalysis:
         new: Optional[DefEntry],
         mode: str,
     ) -> Dict[str, object]:
-        """Edit the definition list and run the mutation; on failure
-        replay the edited list, and if even that fails restore the
-        pre-operation program before re-raising."""
+        """Edit the definition list and run the mutation. Over budget,
+        restore the pre-operation program and re-raise; on any other
+        failure replay the edited list (``internal-error``), and if
+        even that fails restore and re-raise."""
         if old is None:
             self.defs.append(new)
         elif new is None:
@@ -899,25 +904,20 @@ class ProjectAnalysis:
             with _span(_MODE_LAYERS[mode]):
                 sizes = self._mutate(index, old, new)
         except Exception as error:
-            reason = (
-                "node-budget"
-                if isinstance(error, AnalysisBudgetExceeded)
-                else "internal-error"
-            )
             specs = self._specs()
-            try:
-                self._fallback(specs, reason)
-            except Exception:
-                # Even the replay with the new definitions failed
-                # (e.g. genuinely over budget): restore the
-                # pre-operation program cold and surface the error.
-                if new is not None:
-                    del specs[index]
-                if old is not None:
-                    specs.insert(index, (old.name, old.source, old.raw))
-                self._replay(specs)
-                raise error
-            return self._report(op, name, reason, {})
+            if not isinstance(error, AnalysisBudgetExceeded):
+                try:
+                    self._fallback(specs, "internal-error")
+                    return self._report(op, name, "internal-error", {})
+                except Exception:
+                    pass
+            if new is not None:
+                del specs[index]
+            if old is not None:
+                specs.insert(index, (old.name, old.source, old.raw))
+            self._replay(specs)
+            raise error
+        self.version += 1
         return self._report(op, name, None, sizes, mode=mode)
 
     def _report(

@@ -4,7 +4,9 @@ Every LC' engine builds this graph, and the query layer, the flow
 framework and the incremental daemon read it. It keeps the flat,
 id-indexed adjacency the paper's linear-time bound assumes is cheap:
 
-* an :class:`Interner` maps hashable nodes to dense integer ids;
+* an :class:`Interner` maps hashable nodes to integer ids, reusing
+  the ids of removed nodes, so the rows stay as many as the most nodes
+  the graph has held at once;
 * adjacency is one list of int ids per node and direction (the row of
   id ``v`` is ``_succ[v]``/``_pred[v]``), with edge dedup through a
   set of packed ``(src << 32) | dst`` ints — no per-edge tuple
@@ -47,27 +49,36 @@ _SHIFT = 32
 
 
 class Interner:
-    """A bijection between hashable values and dense integer ids.
+    """A bijection between hashable values and integer ids.
 
-    Ids are allocated in first-seen order and never reused, so they
-    double as indexes into :attr:`values` and into every per-node
-    row a :class:`CSRDigraph` maintains.
+    Ids are allocated in first-seen order, reusing the :attr:`free`
+    ones first (:meth:`CSRDigraph.remove_isolated` frees them), so they
+    double as indexes into :attr:`values` and into every per-node row
+    a :class:`CSRDigraph` maintains. ``len`` counts the interned
+    values; iteration yields them in interning order.
     """
 
-    __slots__ = ("_ids", "values")
+    __slots__ = ("_ids", "values", "free")
 
     def __init__(self) -> None:
         self._ids: Dict[Node, int] = {}
-        #: ``values[i]`` is the node interned as id ``i``.
+        #: ``values[i]`` is the node interned as id ``i`` (``None`` for
+        #: a freed id not yet reused).
         self.values: List[Node] = []
+        #: Freed ids; the last one freed is reused first.
+        self.free: List[int] = []
 
     def intern(self, value: Node) -> int:
         """The id of ``value``, allocating one on first sight."""
         idx = self._ids.get(value)
         if idx is None:
-            idx = len(self.values)
+            if self.free:
+                idx = self.free.pop()
+                self.values[idx] = value
+            else:
+                idx = len(self.values)
+                self.values.append(value)
             self._ids[value] = idx
-            self.values.append(value)
         return idx
 
     def id_of(self, value: Node) -> Optional[int]:
@@ -75,13 +86,16 @@ class Interner:
         return self._ids.get(value)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self._ids)
 
     def __contains__(self, value: Node) -> bool:
         return value in self._ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Interner size={len(self.values)}>"
+        return f"<Interner size={len(self._ids)}>"
 
 
 class _NeighborView(AbstractSet):
@@ -127,7 +141,9 @@ class CSRDigraph:
 
     def __init__(self) -> None:
         self._interner = Interner()
-        #: Per-id adjacency rows (dedup via ``_edges``).
+        #: Per-id adjacency rows (dedup via ``_edges``); a freed id's
+        #: rows are empty. Size id-indexed arrays by ``len`` of
+        #: these, not by :attr:`node_count`.
         self._succ: List[List[int]] = []
         self._pred: List[List[int]] = []
         #: Packed ``(src << _SHIFT) | dst`` ints, one per edge.
@@ -150,24 +166,35 @@ class CSRDigraph:
     def add_edge(self, src: Node, dst: Node) -> bool:
         """Insert edge ``src -> dst``; returns True if it was new."""
         # Interning is inlined: this is the engine's hottest call.
-        ids = self._interner._ids
+        interner = self._interner
+        ids = interner._ids
         succ = self._succ
         s = ids.get(src)
         if s is None:
-            values = self._interner.values
-            s = len(values)
+            free = interner.free
+            if free:
+                s = free.pop()
+                interner.values[s] = src
+            else:
+                values = interner.values
+                s = len(values)
+                values.append(src)
+                succ.append([])
+                self._pred.append([])
             ids[src] = s
-            values.append(src)
-            succ.append([])
-            self._pred.append([])
         d = ids.get(dst)
         if d is None:
-            values = self._interner.values
-            d = len(values)
+            free = interner.free
+            if free:
+                d = free.pop()
+                interner.values[d] = dst
+            else:
+                values = interner.values
+                d = len(values)
+                values.append(dst)
+                succ.append([])
+                self._pred.append([])
             ids[dst] = d
-            values.append(dst)
-            succ.append([])
-            self._pred.append([])
         packed = (s << _SHIFT) | d
         edges = self._edges
         if packed in edges:
@@ -182,15 +209,18 @@ class CSRDigraph:
         for src, dst in edges:
             self.add_edge(src, dst)
 
-    def remove_edge(self, src: Node, dst: Node) -> bool:
+    def remove_edge(
+        self, src: Node, dst: Node, emptied: Optional[List[Node]] = None
+    ) -> bool:
         """Remove edge ``src -> dst``; returns True if it was present.
 
         The adjacency rows are append-only lists, so removal is an
         O(degree) scan; the incremental daemon only retracts edges
         justified by a retracted definition, so the scans stay
         proportional to the delta's neighbourhood, not the graph.
-        Interned node ids are never reclaimed (isolated ids cannot be
-        reached, so they never change a query answer).
+        Both endpoints stay interned; each one the removal leaves
+        without edges is appended to ``emptied``, when given (the
+        daemon's candidates for :meth:`remove_isolated`).
         """
         ids = self._interner._ids
         s = ids.get(src)
@@ -203,9 +233,31 @@ class CSRDigraph:
         if packed not in self._edges:
             return False
         self._edges.discard(packed)
-        self._succ[s].remove(d)
-        self._pred[d].remove(s)
+        succ, pred = self._succ, self._pred
+        succ[s].remove(d)
+        pred[d].remove(s)
         self._edge_count -= 1
+        if emptied is not None:
+            if not (succ[s] or pred[s]):
+                emptied.append(src)
+            if not (succ[d] or pred[d]):
+                emptied.append(dst)
+        return True
+
+    def remove_isolated(self, node: Node) -> bool:
+        """Remove ``node`` if it has no edge; return whether the graph
+        is now without it (also when it never had it). Its id, with
+        its empty rows, goes to the next new node."""
+        interner = self._interner
+        ids = interner._ids
+        idx = ids.get(node)
+        if idx is None:
+            return True
+        if self._succ[idx] or self._pred[idx]:
+            return False
+        del ids[node]
+        interner.values[idx] = None
+        interner.free.append(idx)
         return True
 
     def freeze(self) -> "CSRDigraph":
@@ -231,7 +283,7 @@ class CSRDigraph:
         return self._edge_count
 
     def nodes(self) -> Iterator[Node]:
-        return iter(self._interner.values)
+        return iter(self._interner)
 
     def edges(self) -> Iterator[Tuple[Node, Node]]:
         values = self._interner.values
@@ -243,13 +295,13 @@ class CSRDigraph:
     def successors(self, node: Node) -> AbstractSet:
         """Successor set of ``node`` (empty for unknown nodes); an
         immutable view over the live adjacency row."""
-        idx = self._interner.id_of(node)
+        idx = self._interner._ids.get(node)
         row = _EMPTY_ROW if idx is None else self._succ[idx]
         return _NeighborView(row, self._interner.values)
 
     def predecessors(self, node: Node) -> AbstractSet:
         """Predecessor set of ``node`` (empty for unknown nodes)."""
-        idx = self._interner.id_of(node)
+        idx = self._interner._ids.get(node)
         row = _EMPTY_ROW if idx is None else self._pred[idx]
         return _NeighborView(row, self._interner.values)
 
@@ -264,11 +316,11 @@ class CSRDigraph:
         return ((s << _SHIFT) | d) in self._edges
 
     def out_degree(self, node: Node) -> int:
-        idx = self._interner.id_of(node)
+        idx = self._interner._ids.get(node)
         return 0 if idx is None else len(self._succ[idx])
 
     def in_degree(self, node: Node) -> int:
-        idx = self._interner.id_of(node)
+        idx = self._interner._ids.get(node)
         return 0 if idx is None else len(self._pred[idx])
 
     def reverse(self) -> "CSRDigraph":

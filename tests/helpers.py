@@ -89,11 +89,14 @@ def assert_label_subset(
 
 def scanned_index(cfa, kinds, project, keep=None) -> list:
     """What :meth:`~repro.core.queries.SubtransitiveCFA._bearing_index`
-    returns, the long way: a scan of every graph row in id order,
-    optionally only the rows ``keep(node)`` accepts."""
+    returns, the long way: a scan of every graph row in id order
+    (released ids hold ``None``), optionally only the rows
+    ``keep(node)`` accepts."""
     entries = []
     for idx, node in enumerate(cfa.graph._interner.values):
-        if node.kind != "expr" or (keep is not None and not keep(node)):
+        if node is None or node.kind != "expr":
+            continue
+        if keep is not None and not keep(node):
             continue
         if node.expr is not None:
             if isinstance(node.expr, kinds):

@@ -21,7 +21,11 @@ import pytest
 
 from repro.core.nodes import EXPR, NodeFactory
 from repro.daemon import FALLBACK_REASONS, ProjectAnalysis, delta
-from repro.errors import ScopeError, UnknownConstructorError
+from repro.errors import (
+    AnalysisBudgetExceeded,
+    ScopeError,
+    UnknownConstructorError,
+)
 from repro.lang.ast import (
     App,
     Con,
@@ -222,12 +226,10 @@ class TestFallbacks:
         assert pa.fallbacks["rename-shift"] == 1
         check_exact(pa)
 
-    def test_node_budget_fallback_reason_is_known(self):
-        assert set(FALLBACK_REASONS) == {
-            "rename-shift",
-            "node-budget",
-            "internal-error",
-        }
+    def test_fallback_reasons_are_known(self):
+        # Over budget is a rejection, not a fallback: live node counts
+        # make the warm test the cold one (TestWarmMatchesCold).
+        assert set(FALLBACK_REASONS) == {"rename-shift", "internal-error"}
 
     def test_fallback_counters_start_zeroed(self, backend):
         pa = ProjectAnalysis()
@@ -444,8 +446,8 @@ class TestEditCost:
 
 class TestLiveIndexes:
     def test_query_indexes_hold_live_rows_only(self):
-        # Retired rows stay in the graph, but the label and token
-        # indexes are built from the bearing index, which drops them.
+        # The label and token indexes are built from the bearing
+        # index, which drops retired rows; the graph frees them too.
         pa = open_project(6)
         for _ in seeded_edits(pa, 6, 120, seed=7):
             pass
@@ -463,7 +465,7 @@ class TestLiveIndexes:
 
         labels = scanned_index(cfa, Lam, lambda expr: expr.label, live)
         assert cfa._label_index() == labels
-        assert len(scanned_index(cfa, Lam, lambda e: e.label)) > len(labels)
+        assert scanned_index(cfa, Lam, lambda e: e.label) == labels
         assert cfa._token_index() == scanned_index(
             cfa, (Lam, Record, Con, Ref), lambda expr: expr, live
         )
@@ -572,4 +574,147 @@ class TestChainEdits:
         # The renamer's pool lost whatever the failed define consumed.
         pa.define("c", "fn x => fn y => y")
         pa.define("a", "fn p => fn x => x")
+        check_exact(pa)
+
+
+def rendered(pairs):
+    """``render_source`` of a project holding ``pairs`` (none of them
+    recursive)."""
+    lines = []
+    for name, source in pairs:
+        lines += [f"let {name} =", "(", source, ")", "in"]
+    return "\n".join(lines + ["()"]) + "\n"
+
+
+def check_size(pa, report):
+    """The warm graph holds exactly a cold analysis's rows and edges."""
+    cold = ProjectAnalysis.cold_cfa(pa.render_source())
+    assert report["graph"] == {
+        "nodes": cold.graph.node_count,
+        "edges": cold.graph.edge_count,
+    }
+    assert pa.engine.factory.node_count == cold.sub.factory.node_count
+
+
+#: Definitions for the size fuzz: explicit labels (``l<k>`` ones move
+#: the auto labels), an untypeable self-application, and uses of other
+#: definitions (the last four). Each binder is named after its step,
+#: so no edit shifts a later definition's fresh names.
+FUZZ_SOURCES = (
+    "fn a{k} => a{k}",
+    "fn[m{k}] a{k} => fn b{k} => b{k}",
+    "fn a{k} => a{k} a{k}",
+    "fn[l{j}] a{k} => {ref} a{k}",
+    "{ref} {ref}",
+    "{ref} ({ref} {ref})",
+    "fn a{k} => {ref} ({ref} a{k})",
+)
+
+#: A program near its budget: ``d = w (w w)`` is untypeable and holds
+#: 2,331 nodes, within 64 per syntax node only while the 24-literal
+#: ``p`` pads the program. Minimised from a seeded search over
+#: untypeable definitions and padding sizes.
+PADDED = [
+    ("p", "(" + ", ".join(map(str, range(24))) + ")"),
+    ("w", "fn x => x x"),
+    ("d", "w (w w)"),
+]
+
+
+class TestWarmMatchesCold:
+    """The warm graph frees what each edit retires: after every
+    mutation it has exactly the rows and edges of a cold analysis, and
+    its node budget rejects an edit exactly when a cold analysis of the
+    edited program exceeds it."""
+
+    def test_seeded_session_matches_cold_in_size(self):
+        pa = open_project(6)
+        for report in seeded_edits(pa, 6, 200, seed=22):
+            assert report["mode"] != "replay", report
+            check_size(pa, report)
+            check_exact(pa)
+
+    def test_seeded_fuzz_matches_cold_in_size(self):
+        rng = random.Random(24)
+        pa = ProjectAnalysis()
+        rejected = Counter()
+        for k in range(80):
+            names = [entry.name for entry in pa.defs]
+            verb = rng.choice(["define", "redefine", "undefine", "define"])
+            name = rng.choice(names) if names and verb != "define" else f"d{k}"
+            edited = {entry.name: entry.source for entry in pa.defs}
+            if verb == "undefine" and names:
+                source = None
+                del edited[name]
+            else:
+                refs = [other for other in names if other != name]
+                source = rng.choice(FUZZ_SOURCES[: None if refs else 3])
+                source = source.format(k=k, j=rng.randrange(6), ref="{ref}")
+                while "{ref}" in source:
+                    source = source.replace("{ref}", rng.choice(refs), 1)
+                edited[name] = source
+            before = (pa.render_source(), pa.version)
+            try:
+                if source is None:
+                    report = pa.undefine(name)
+                else:
+                    report = pa.define(name, source)
+            except (ScopeError, AnalysisBudgetExceeded) as error:
+                rejected[type(error).__name__] += 1
+                assert (pa.render_source(), pa.version) == before
+                if isinstance(error, AnalysisBudgetExceeded):
+                    with pytest.raises(AnalysisBudgetExceeded):
+                        ProjectAnalysis.cold_cfa(rendered(edited.items()))
+                continue
+            assert report["mode"] != "replay", report
+            check_size(pa, report)
+            check_exact(pa)
+        assert rejected["AnalysisBudgetExceeded"] and rejected["ScopeError"]
+
+    def test_sessions_in_one_project_stay_the_size_of_the_program(
+        self, calls
+    ):
+        pa = open_project(6)
+        for seed in range(8):
+            for report in seeded_edits(pa, 6, 40, seed=seed):
+                cold = ProjectAnalysis.cold_cfa(pa.render_source())
+                rows = len(pa.engine.graph._succ)
+                assert rows <= 2 * cold.graph.node_count, (seed, report)
+                nodes = pa.engine.factory.node_count
+                assert nodes == cold.sub.factory.node_count
+        assert calls["_fresh_state"] == 1
+        assert sum(pa.fallbacks.values()) == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda pa: pa.undefine("p"),
+            lambda pa: pa.define("p", "(0, 1)"),
+        ],
+        ids=["undefine", "shrinking-redefine"],
+    )
+    def test_a_shrinking_edit_is_checked_against_the_budget_it_lowers(
+        self, edit
+    ):
+        pa = ProjectAnalysis()
+        for name, source in PADDED:
+            pa.define(name, source)
+        before = (pa.render_source(), pa.envelope(), pa.version)
+        with pytest.raises(AnalysisBudgetExceeded):
+            edit(pa)
+        assert (pa.render_source(), pa.envelope(), pa.version) == before
+        with pytest.raises(AnalysisBudgetExceeded):
+            ProjectAnalysis.cold_cfa(rendered(PADDED[1:]))
+        check_exact(pa)
+
+    def test_a_define_over_budget_leaves_the_project_as_it_was(self):
+        pa = ProjectAnalysis()
+        for name, source in PADDED[1:2]:
+            pa.define(name, source)
+        before = (pa.render_source(), pa.envelope(), pa.version)
+        with pytest.raises(AnalysisBudgetExceeded):
+            pa.define(*PADDED[2])
+        assert (pa.render_source(), pa.envelope(), pa.version) == before
+        with pytest.raises(AnalysisBudgetExceeded):
+            ProjectAnalysis.cold_cfa(rendered(PADDED[1:]))
         check_exact(pa)

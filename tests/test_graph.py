@@ -546,3 +546,59 @@ class TestRemoveEdge:
                 assert reachable_from(g, [node]) >= reachable_from(
                     fresh, [node]
                 )
+
+
+class TestRemoveIsolated:
+    """Freeing the rows an edit emptied (the daemon's warm graph): a
+    node leaves only once it has no edge, and the next new node takes
+    its id, so the rows never outgrow the most nodes held at once."""
+
+    def test_only_an_isolated_node_is_removed(self):
+        g = CSRDigraph()
+        g.add_edge(1, 2)
+        assert g.remove_isolated(1) is False
+        assert g.remove_isolated(99) is True
+        emptied = []
+        g.remove_edge(1, 2, emptied)
+        assert emptied == [1, 2]
+        assert g.remove_isolated(1) is True
+        assert 1 not in g and g.node_count == 1
+        assert list(g.nodes()) == [2]
+
+    def test_a_new_node_reuses_a_freed_id(self):
+        g = CSRDigraph()
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        emptied = []
+        g.remove_edge("a", "b", emptied)
+        assert emptied == ["a"]
+        g.remove_isolated("a")
+        assert g._interner.values == [None, "b", "c"]
+        g.add_edge("c", "d")
+        assert g._interner.id_of("d") == 0
+        assert len(g._succ) == 3 and g.node_count == 3
+        assert set(g.edges()) == {("b", "c"), ("c", "d")}
+        assert g.reachable_set(["b"]) == {"b", "c", "d"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(edges=edge_lists, removals=edge_lists, added=edge_lists)
+    def test_matches_rebuild_after_freeing(self, edges, removals, added):
+        g = CSRDigraph()
+        g.add_edges(edges)
+        held = g.node_count
+        emptied = []
+        for src, dst in removals:
+            g.remove_edge(src, dst, emptied)
+        for node in emptied:
+            assert g.remove_isolated(node)
+        survivors = set(g.edges())
+        assert set(g.nodes()) == {n for edge in survivors for n in edge}
+        g.add_edges((src + 100, dst) for src, dst in added)
+        fresh = CSRDigraph()
+        fresh.add_edges(survivors)
+        fresh.add_edges((src + 100, dst) for src, dst in added)
+        assert set(g.edges()) == set(fresh.edges())
+        assert set(g.nodes()) == set(fresh.nodes())
+        assert len(g._succ) == max(held, g.node_count)
+        for node in fresh.nodes():
+            assert g.reachable_set([node]) == fresh.reachable_set([node])
