@@ -25,20 +25,22 @@ terminal ``()``), so the open is linear: the time per definition stays
 flat and each expression occurrence is written to the factory's
 occurrence table once, plus one re-key per append.
 
-A third table follows a long **edit history**: a session shaped like
-layerbench's ``daemon_edit`` one (a cubic-16 project, then rounds of
-same-shape and shape-changing redefinitions, appends and undefines,
-each round read back by ``analyze``), applied eight times to one
-project. Each mutation frees the rows it retires, so after every block
-the warm graph has exactly a cold analysis's rows, holds about the
-heap a fresh replay of the same program does, and never replays.
+A third table follows a long **edit history**: layerbench's seeded
+``daemon_edit`` session (``layerbench/inputs.py``: a cubic-16 project,
+then rounds of same-shape and shape-changing redefinitions, appends
+and undefines, each round read back by ``analyze``), applied eight
+times to one project. Each mutation frees the rows it retires, so
+after every block the warm graph has exactly a cold analysis's rows,
+holds about the heap a fresh replay of the same program does, and
+never replays.
 """
 
 import gc
-import random
+import importlib.util
 import statistics
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -202,73 +204,44 @@ def open_report(sizes=OPEN_SIZES):
     return table, rows
 
 
-#: The history session (the generator of layerbench's ``daemon_edit``
-#: session, so seed 0 edits the same program): cubic-16, edits by kind
-#: in a seeded order, four per round, each round closed by a read.
-HISTORY_N = 16
-HISTORY_EDITS = {"splice": 90, "dred": 60, "append": 25, "undefine": 25}
-HISTORY_ROUNDS = 50
-
 #: How many times the history table applies the session to one project.
 HISTORY_BLOCKS = 8
 
 
-def history_session(seed=0):
-    """The session's rounds of edits: ``(name, source)`` pairs, with
-    ``source`` ``None`` for an undefine."""
-    rng = random.Random(f"session-{seed}")
-    n = HISTORY_N
-    kinds = [
-        kind for kind, count in HISTORY_EDITS.items() for _ in range(count)
-    ]
-    rng.shuffle(kinds)
-    # An undefine needs a scratch binding: swap an early one with the
-    # next append.
-    scratch = 0
-    for index, kind in enumerate(kinds):
-        if kind == "undefine" and not scratch:
-            later = kinds.index("append", index)
-            kinds[index], kinds[later] = "append", "undefine"
-            kind = "append"
-        scratch += {"append": 1, "undefine": -1}.get(kind, 0)
-    per_round = len(kinds) // HISTORY_ROUNDS
-    rounds, names = [], []
-    for start in range(0, len(kinds), per_round):
-        edits = []
-        for kind in kinds[start:start + per_round]:
-            i = rng.randint(1, n)
-            j = rng.randint(1, i)
-            if kind == "splice":
-                edits.append((f"x{i}", f"b{j} (fs f{i})"))
-            elif kind == "dred":
-                shapes = [f"b{i} (fs (fs f{j}))", f"bs (b{i} (fs f{j}))"]
-                edits.append((f"x{i}", rng.choice(shapes)))
-            elif kind == "append":
-                names.append(f"z{start}_{len(edits)}")
-                edits.append((names[-1], f"fs f{i}"))
-            else:
-                edits.append((names.pop(), None))
-        rounds.append(edits)
-        # The daemon session's two query labels per round: drawn, so
-        # the next round's edits are the same as there.
-        for _ in range(2):
-            f, b = f"f{rng.randint(1, n)}", f"b{rng.randint(1, n)}"
-            rng.choice(["fs", "bs", f, b])
-    return rounds
+def daemon_session(seed=0):
+    """layerbench's seeded ``daemon_edit`` session: its ``load`` (the
+    cubic-16 bindings) and its ``ops``."""
+    path = Path(__file__).resolve().parents[1] / "layerbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("layerbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.session(seed)
 
 
-def _apply(pa, rounds, mutate, analyze):
-    for edits in rounds:
-        for name, source in edits:
-            start = time.perf_counter()
-            if source is None:
-                pa.undefine(name)
-            else:
-                pa.define(name, source)
-            mutate.append(time.perf_counter() - start)
+def _open(session):
+    pa = ProjectAnalysis()
+    for name, source in session["load"]:
+        pa.define(name, source)
+    return pa
+
+
+def _apply(pa, ops, mutate, analyze):
+    """The session's edits, timed into ``mutate``, and an ``envelope``
+    per ``analyze`` read, timed into ``analyze`` (lint and query reads
+    are skipped)."""
+    for op in ops:
+        verb = op["verb"]
         start = time.perf_counter()
-        pa.envelope()
-        analyze.append(time.perf_counter() - start)
+        if verb == "define":
+            pa.define(op["name"], op["source"])
+        elif verb == "undefine":
+            pa.undefine(op["name"])
+        elif verb == "analyze":
+            pa.envelope()
+        else:
+            continue
+        times = analyze if verb == "analyze" else mutate
+        times.append(time.perf_counter() - start)
 
 
 def _traced_bytes():
@@ -277,12 +250,12 @@ def _traced_bytes():
 
 
 def history_report(blocks=HISTORY_BLOCKS, seed=0):
-    """Apply the history session ``blocks`` times to one cubic-16
-    project. Per block: the warm graph's rows against a cold analysis
-    of the same program, replays so far, the heap the project holds
-    against a fresh replay of the same program (tracemalloc, from a
-    second, traced pass) and the block's mutation and ``analyze``
-    medians (from the untraced pass)."""
+    """Apply the ``daemon_edit`` session's ops ``blocks`` times to one
+    project opened with its load. Per block: the warm graph's rows
+    against a cold analysis of the same program, replays so far, the
+    heap the project holds against a fresh replay of the same program
+    (tracemalloc, from a second, traced pass) and the block's mutation
+    and ``analyze`` medians (from the untraced pass)."""
     table = Table(
         [
             "block",
@@ -296,12 +269,12 @@ def history_report(blocks=HISTORY_BLOCKS, seed=0):
         ],
         title="E19 — daemon: one project through a long edit history",
     )
-    rounds = history_session(seed)
+    session = daemon_session(seed)
     rows = []
-    pa = warm_project(HISTORY_N)
+    pa = _open(session)
     for block in range(1, blocks + 1):
         mutate, analyze = [], []
-        _apply(pa, rounds, mutate, analyze)
+        _apply(pa, session["ops"], mutate, analyze)
         cold = ProjectAnalysis.cold_cfa(pa.render_source())
         rows.append(
             {
@@ -317,9 +290,9 @@ def history_report(blocks=HISTORY_BLOCKS, seed=0):
     tracemalloc.start()
     try:
         base = _traced_bytes()
-        pa = warm_project(HISTORY_N)
+        pa = _open(session)
         for row in rows:
-            _apply(pa, rounds, [], [])
+            _apply(pa, session["ops"], [], [])
             row["held_bytes"] = _traced_bytes() - base
             before = _traced_bytes()
             fresh = ProjectAnalysis()

@@ -242,8 +242,7 @@ class ProjectAnalysis:
     """A warm, incrementally-maintained LC' analysis of one project."""
 
     def __init__(self) -> None:
-        #: Monotonic graph version; bumps once per applied mutation (a
-        #: replay included), never for a rejected one.
+        #: Monotonic graph version: +1 per applied mutation or replay.
         self.version = 0
         #: Per-reason fallback counts (all zero on the pure delta path).
         self.fallbacks: Dict[str, int] = {r: 0 for r in FALLBACK_REASONS}
@@ -406,8 +405,7 @@ class ProjectAnalysis:
         the terminal ``()``), and retired nodes leave the factory's
         expression tables, so no lookup by nid resurrects them; they
         are returned, to be freed. The auto labels and line numbers
-        that can move are restamped to a cold parse's, and the node
-        budget follows the new size."""
+        that can move are restamped to a cold parse's."""
         program = self.program
         factory = self.engine.factory
         nodes = program.nodes
@@ -482,7 +480,6 @@ class ProjectAnalysis:
             [k for k in map(auto_label_number, edited) if k is not None],
         )
         self._renumber_lines(index)
-        factory.node_budget = default_node_budget(len(nodes))
         return retired
 
     def _relabel(self, index: int, edited: List[int]) -> None:
@@ -733,9 +730,8 @@ class ProjectAnalysis:
         self, index: int, old: Optional[DefEntry], new: Optional[DefEntry]
     ) -> Dict[str, int]:
         """One semi-naive mutation: splice, retract, over-delete,
-        rederive, free, build, close, drain. Returns delta-size
-        accounting. Raises ``AnalysisBudgetExceeded`` exactly when a
-        cold analysis of the edited program would."""
+        rederive, free, build, close, drain, under the node budget the
+        caller set. Returns delta-size accounting."""
         engine = self.engine
         factory = engine.factory
         prev = self.defs[index - 1] if index > 0 else None
@@ -750,12 +746,9 @@ class ProjectAnalysis:
         # 2-3. DRed over-delete + one-step rederive.
         deleted_close, undemanded = self._overdelete(seeds, candidates)
         readded = self._rederive(deleted_close, undemanded)
-        # 4. Free the nodes left without edges, with the operator towers
-        #    over them: only the retired occurrences and what the
-        #    over-delete emptied (the old binder variables among them)
-        #    can be. The survivors are a subset of the edited program's
-        #    graph, and build and close only add to it, so this is the
-        #    one budget test that creating a node does not already make.
+        # 4. Free what the edit left without edges (retired occurrences,
+        #    what over-delete emptied) with the towers over it. Build and
+        #    close only add to the rest, so test it against the budget.
         factory.release(candidates, engine.graph.remove_isolated)
         if factory.node_count > factory.node_budget:
             raise AnalysisBudgetExceeded(
@@ -785,10 +778,14 @@ class ProjectAnalysis:
 
     def _replay(self, specs: List[Spec]) -> None:
         """Rebuild the warm state from scratch by re-appending every
-        definition (fresh engine) — one linear open. Restores the
-        previous state object-for-object on failure."""
+        definition (fresh engine) — one linear open — under the whole
+        program's node budget: a prefix's graph is a subset of the
+        program's, so the replay fails exactly when a cold analysis
+        does. Restores the previous state object-for-object on failure."""
         saved = [getattr(self, attr) for attr in _STATE]
+        size = 1 + sum(1 + sum(1 for _ in raw.walk()) for *_, raw in specs)
         self._fresh_state()
+        self.engine.factory.node_budget = default_node_budget(size)
         try:
             with _span("delta.replay"):
                 for name, source, raw in specs:
@@ -830,8 +827,7 @@ class ProjectAnalysis:
         # Rename against the pool as it stands *before* this
         # definition — exactly the cold renamer's state at its slot.
         entry, pool = self._new_entry(name, source, raw, index, old)
-        same = entry.consumed == old.consumed  # no later name can shift
-        eligible = same or self._replay_matches(pool, index + 1)
+        eligible = self._replay_matches(pool, index + 1)
         if eligible and entry.fresh != old.fresh:
             # The binder's own fresh name moved; stored later bodies
             # still reference the old one, so the chain only stays
@@ -890,16 +886,20 @@ class ProjectAnalysis:
         new: Optional[DefEntry],
         mode: str,
     ) -> Dict[str, object]:
-        """Edit the definition list and run the mutation. Over budget,
-        restore the pre-operation program and re-raise; on any other
-        failure replay the edited list (``internal-error``), and if
-        even that fails restore and re-raise."""
+        """Edit the definition list and run the mutation under the
+        edited program's node budget. Over budget, restore the
+        pre-operation program and re-raise; on any other failure replay
+        the edited list (``internal-error``), and if even that fails
+        restore and re-raise."""
         if old is None:
             self.defs.append(new)
         elif new is None:
             del self.defs[index]
         else:
             self.defs[index] = new
+        grown = (new.size + 1 if new else 0) - (old.size + 1 if old else 0)
+        budget = default_node_budget(len(self.program.nodes) + grown)
+        self.engine.factory.node_budget = budget
         try:
             with _span(_MODE_LAYERS[mode]):
                 sizes = self._mutate(index, old, new)

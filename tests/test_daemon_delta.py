@@ -621,6 +621,17 @@ PADDED = [
 ]
 
 
+#: A program whose first definition alone is over the budget of a
+#: program that ends after it (``p`` holds 2,573 of the 4,992 nodes the
+#: whole program may): defining it in this order fails at ``p``, so the
+#: project reaches it by redefining ``p`` last.
+HEAVY_FIRST = [
+    ("p", "(fn w => w (w w)) (fn x => x x)"),
+    ("pad", "(" + ", ".join(map(str, range(60))) + ")"),
+    ("q", "fn y => y"),
+]
+
+
 class TestWarmMatchesCold:
     """The warm graph frees what each edit retires: after every
     mutation it has exactly the rows and edges of a cold analysis, and
@@ -718,3 +729,27 @@ class TestWarmMatchesCold:
         with pytest.raises(AnalysisBudgetExceeded):
             ProjectAnalysis.cold_cfa(rendered(PADDED[1:]))
         check_exact(pa)
+
+    def test_a_replay_holds_the_whole_program_budget(self):
+        pa = ProjectAnalysis()
+        for name, source in [("p", "fn x => x"), *HEAVY_FIRST[1:]]:
+            pa.define(name, source)
+        assert pa.define(*HEAVY_FIRST[0])["mode"] == "delta"
+        with pytest.raises(AnalysisBudgetExceeded):
+            ProjectAnalysis.cold_cfa(rendered(HEAVY_FIRST[:1]))
+        # Rejected: the restoring replay rebuilds ``p`` first.
+        before = (pa.render_source(), pa.envelope(), pa.version)
+        with pytest.raises(AnalysisBudgetExceeded):
+            pa.define(
+                "q",
+                "((fn w => w (w w)) (fn x => x x),"
+                " (fn v => v (v v)) (fn y => y y))",
+            )
+        assert (pa.render_source(), pa.envelope(), pa.version) == before
+        # Accepted: a rename-shift replay of a program that fits.
+        report = pa.define("p", "(fn w => w (w w)) (fn y => y y)")
+        assert report["delta_fallback_reason"] == "rename-shift"
+        assert pa.version == before[2] + 1
+        check_size(pa, report)
+        assert pa.envelope() == cold_envelope(pa)
+        assert pa.sanitize()["ok"]
