@@ -177,12 +177,20 @@ class Node:
 
 
 class NodeFactory:
-    """Creates and interns subtransitive nodes.
+    """Creates and interns subtransitive nodes, and is the one
+    allocator of their ids.
+
+    A node's ``uid`` is its id everywhere, the graph's rows included
+    (:class:`~repro.graph.csr.CSRDigraph`). Live nodes are kept by
+    uid, so :meth:`release` is O(1) and :attr:`nodes` (a view) stays
+    in creation order with no holes; a new node takes the last
+    released uid first, so uids stay dense. A cold run never
+    releases: its uids are 0..n-1 in creation order.
 
     ``congruence`` (see :mod:`repro.core.datatypes`) may merge node
     terms into class representatives; ``inference`` supplies the types
     the congruences key on (and is required by them). ``node_budget``
-    bounds the nodes made — exceeded only by programs outside the
+    bounds the live nodes — exceeded only by programs outside the
     bounded-type classes (the hybrid driver catches the exception).
     """
 
@@ -230,7 +238,11 @@ class NodeFactory:
         #: one entry). Seed scans (flow analyses, lint, the query
         #: indexes) read this instead of filtering the full node list.
         self._bearing: Dict[type, Dict[int, Node]] = {}
-        self.nodes: List[Node] = []
+        #: Every live node by uid; :attr:`nodes` is a view of it.
+        self._live: Dict[int, Node] = {}
+        self.nodes = self._live.values()
+        #: Released uids; the last one released is handed out first.
+        self._free: List[int] = []
         #: ``inner uid -> {opkey: node}``: the operator node formed over
         #: each node, per opkey (under a congruence, the class node the
         #: term resolved to). Owned here rather than by ``inner`` so
@@ -246,13 +258,12 @@ class NodeFactory:
     # -- creation ----------------------------------------------------------
 
     def _new_node(self, kind: str) -> Node:
-        if (
-            self.node_budget is not None
-            and len(self.nodes) >= self.node_budget
-        ):
+        live = self._live
+        if self.node_budget is not None and len(live) >= self.node_budget:
             self._exhausted()
-        node = Node(len(self.nodes), kind)
-        self.nodes.append(node)
+        free = self._free
+        uid = free.pop() if free else len(live)
+        node = live[uid] = Node(uid, kind)
         return node
 
     def _exhausted(self) -> None:
@@ -271,7 +282,12 @@ class NodeFactory:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self._live)
+
+    def holds(self, node: Node) -> bool:
+        """Is ``node`` the live node at its uid? (A released node is
+        not, even once its uid is handed out again.)"""
+        return self._live.get(node.uid) is node
 
     @property
     def var_nodes(self) -> List[Node]:
@@ -370,9 +386,9 @@ class NodeFactory:
         its occurrence bucket and the bearing index, so a lookup by its
         nid can never resurrect it (the daemon retires a replaced
         definition's subtree this way), and return their nodes, which
-        stay made until :meth:`WarmNodeFactory.release` drops them.
-        Only for a factory without a congruence, where an occurrence's
-        node is its own and carries its context."""
+        stay live until :meth:`release` drops them. Only for a factory
+        without a congruence, where an occurrence's node is its own and
+        carries its context."""
         nodes = self._occurrences.pop((EXPR, expr.nid), _NO_NODES)
         bucket = self._bearing.get(type(expr), {})
         for node in nodes:
@@ -395,8 +411,8 @@ class NodeFactory:
     def nodes_bearing(self, expr_type) -> List[Node]:
         """Nodes whose expression — their own or a congruence-absorbed
         one — is an instance of ``expr_type`` (a class or tuple of
-        classes), deduplicated, in node-creation order. Equivalent to
-        filtering :attr:`nodes` but touches only the matching buckets.
+        classes), deduplicated, in uid order: creation order only
+        while nothing was released. Touches only the matching buckets.
         Do not mutate the returned list."""
         merged: Dict[int, Node] = {}
         for cls, bucket in self._bearing.items():
@@ -549,34 +565,7 @@ class NodeFactory:
             return prune(ty.content)
         return None
 
-
-class WarmNodeFactory(NodeFactory):
-    """A :class:`NodeFactory` that can drop nodes: the daemon's warm
-    graph frees what each edit retires, so it holds only the live
-    program's nodes, as a cold analysis does.
-
-    Its nodes are kept by uid, so a release is O(1) and :attr:`nodes`
-    (a view) stays in creation order with no holes; ``node_budget``
-    bounds the live nodes. A new node's uid counts the released ones
-    too, so uids are never reused. No congruence (like
-    :meth:`forget_expr`).
-    """
-
-    def __init__(self, program: Program, max_depth: Optional[int] = None):
-        super().__init__(program, max_depth=max_depth)
-        #: Every live node by uid; :attr:`nodes` is a view of it.
-        self._live: Dict[int, Node] = {}
-        self.nodes = self._live.values()
-        #: How many nodes :meth:`release` dropped.
-        self.released = 0
-
-    def _new_node(self, kind: str) -> Node:
-        live = self._live
-        if self.node_budget is not None and len(live) >= self.node_budget:
-            self._exhausted()
-        uid = len(live) + self.released
-        node = live[uid] = Node(uid, kind)
-        return node
+    # -- release -----------------------------------------------------------
 
     def release(
         self, nodes: Iterable[Node], detach: Callable[[Node], bool]
@@ -587,11 +576,9 @@ class WarmNodeFactory(NodeFactory):
         ``detach`` takes it out of the graph, which it does only for a
         node without edges. A node already dropped is skipped. Same
         precondition as :meth:`forget_expr`."""
-        live = self._live
-        drop = self._release
         for node in nodes:
-            if live.get(node.uid) is node:
-                drop(node, detach)
+            if self.holds(node):
+                self._release(node, detach)
 
     def _release(self, node: Node, detach: Callable[[Node], bool]) -> None:
         uid = node.uid
@@ -621,4 +608,4 @@ class WarmNodeFactory(NodeFactory):
             if not bucket:
                 del self._occurrences[key]
         del self._live[uid]
-        self.released += 1
+        self._free.append(uid)

@@ -125,9 +125,10 @@ class SubtransitiveCFA(CFAResult):
         return tokens
 
     def _token_index(self) -> List:
-        """``(id, (token, ...))`` for every token-bearing node the
-        graph contains, in id order. Rebuilt whenever the graph grew
-        (an incremental update may intern new value nodes)."""
+        """``(uid, (token, ...))`` for every token-bearing node the
+        graph contains, in uid order. Rebuilt whenever the graph's
+        node count moved (an incremental update may add value
+        nodes)."""
         if (
             self._token_entries is None
             or self._token_entries_nodes != self.graph.node_count
@@ -153,19 +154,18 @@ class SubtransitiveCFA(CFAResult):
         return self._label_entries
 
     def _bearing_index(self, kinds, project) -> List:
-        """``(id, (project(expr), ...))`` for every graph node bearing
+        """``(uid, (project(expr), ...))`` for every graph node bearing
         an expression of ``kinds`` (its own, or those a congruence
-        class node absorbed), in id order. It reads the factory's
-        bearing index, not every graph row: a warm graph's retired
-        rows never enter it, and the cost is the bearing nodes'."""
-        id_of = self.graph._interner.id_of
+        class node absorbed), in uid order. It reads the factory's
+        bearing index, not every graph row, so the cost is the bearing
+        nodes'."""
+        graph = self.graph
         entries = []
         for node in self.factory.nodes_bearing(kinds):
-            idx = id_of(node)
-            if idx is None:
+            if node not in graph:
                 continue
             if node.expr is not None:
-                entries.append((idx, (project(node.expr),)))
+                entries.append((node.uid, (project(node.expr),)))
             else:
                 items = tuple(
                     project(expr)
@@ -173,8 +173,7 @@ class SubtransitiveCFA(CFAResult):
                     if isinstance(expr, kinds)
                 )
                 if items:
-                    entries.append((idx, items))
-        entries.sort(key=lambda entry: entry[0])
+                    entries.append((node.uid, items))
         return entries
 
     def _labels_at(self, starts: List[Node]) -> FrozenSet[str]:
@@ -275,19 +274,17 @@ class SubtransitiveCFA(CFAResult):
         program = self.program
         occurrences = self.factory.occurrences
         graph = self.graph
-        ids = graph._interner._ids
-        # Abstraction bits per graph id, and per node the graph never
-        # saw (such a node reaches only itself).
+        # Abstraction bits per uid, and per node the graph does not
+        # hold (such a node reaches only itself).
         own: Dict[int, int] = {}
         stray: Dict[Node, int] = {}
         for bit, lam in enumerate(program.abstractions):
             mask = 1 << bit
             for node in occurrences(EXPR, lam.nid):
-                idx = ids.get(node)
-                if idx is None:
-                    stray[node] = stray.get(node, 0) | mask
+                if node in graph:
+                    own[node.uid] = own.get(node.uid, 0) | mask
                 else:
-                    own[idx] = own.get(idx, 0) | mask
+                    stray[node] = stray.get(node, 0) | mask
         seen, region = graph._reached_ids(list(own), reverse=True)
         rows = graph._succ
         bits_of = [0] * len(rows)
@@ -308,8 +305,10 @@ class SubtransitiveCFA(CFAResult):
         for expr in program.nodes:
             bits = 0
             for node in occurrences(EXPR, expr.nid):
-                idx = ids.get(node)
-                bits |= stray.get(node, 0) if idx is None else bits_of[idx]
+                if node in graph:
+                    bits |= bits_of[node.uid]
+                else:
+                    bits |= stray.get(node, 0)
             found = decoded.get(bits)
             if found is None:
                 found = decoded[bits] = _labels_in(bits, labels)

@@ -70,12 +70,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import AnalysisBudgetExceeded, ScopeError
 from repro.core.lc import LCEngine, SubtransitiveGraph, default_node_budget
 from repro.obs.events import emit_event, span as _span
-from repro.core.nodes import (
-    CONTRAVARIANT_HEADS,
-    COVARIANT_HEADS,
-    Node,
-    WarmNodeFactory,
-)
+from repro.core.nodes import CONTRAVARIANT_HEADS, COVARIANT_HEADS, Node
 from repro.core.queries import SubtransitiveCFA
 from repro.lang.ast import (
     App,
@@ -259,8 +254,6 @@ class ProjectAnalysis:
         self.engine = LCEngine(
             self.program, congruence=None, max_depth=DAEMON_MAX_DEPTH
         )
-        # A factory that frees what each edit retires (:meth:`_mutate`).
-        self.engine.factory = WarmNodeFactory(self.program, DAEMON_MAX_DEPTH)
         #: Insertion-ordered recorded closure edges (the warm twin of
         #: a cold run's ``close_edge_set``).
         self.close: Dict[EdgePair, None] = {}
@@ -807,6 +800,12 @@ class ProjectAnalysis:
     def _fallback(self, specs: List[Spec], reason: str) -> None:
         self._replay(specs)
         self.fallbacks[reason] += 1
+        self.version += 1
+
+    def rehydrate(self, history: List[Tuple[str, str]]) -> None:
+        """Open the ``(name, source)`` definitions of an evicted
+        project in one replay, under the whole program's budget."""
+        self._replay([(name, src, parse_expr(src)) for name, src in history])
         self.version += 1
 
     # -- mutations ------------------------------------------------------------

@@ -81,14 +81,15 @@ class ProjectRegistry:
             return state
         hits["cold"] += 1
         state = ProjectState(name)
-        history = self._cold.pop(name, None)
+        history = self._cold.get(name)
         if history is not None:
+            # A failed replay leaves the history for the next touch.
+            state.analysis.rehydrate(history)
+            del self._cold[name]
             self._c_rehydrated.inc()
             emit_event("registry", component="registry",
                        action="rehydrate", project=name,
                        definitions=len(history))
-            for def_name, source in history:
-                state.analysis.define(def_name, source)
         else:
             self._c_created.inc()
             emit_event("registry", component="registry",

@@ -376,9 +376,7 @@ def _flat_mark_sweep(graph, seed_map, direction):
     _, order = graph._reached_ids(start_ids, reverse=reverse)
     rows = graph._pred if reverse else graph._succ
     steps = sum(map(len, map(rows.__getitem__, order)))
-    marked = dict.fromkeys(
-        map(graph._interner.values.__getitem__, order), True
-    )
+    marked = dict.fromkeys(map(graph._nodes.__getitem__, order), True)
     for extra in extras:
         marked[extra] = True
     return marked, steps, len(marked) - len(seed_map)

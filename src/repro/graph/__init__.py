@@ -12,7 +12,7 @@ equality-based CFA baseline).
 """
 
 from repro.graph.closure import transitive_closure
-from repro.graph.csr import CSRDigraph, Interner
+from repro.graph.csr import CSRDigraph
 from repro.graph.digraph import Digraph
 from repro.graph.reachability import (
     reachable_from,
@@ -25,7 +25,6 @@ from repro.graph.unionfind import UnionFind
 __all__ = [
     "CSRDigraph",
     "Digraph",
-    "Interner",
     "UnionFind",
     "condensation",
     "reachable_from",

@@ -1,14 +1,16 @@
-"""The analysis graph: interned ids + int adjacency rows.
+"""The analysis graph: int adjacency rows indexed by node uid.
 
 Every LC' engine builds this graph, and the query layer, the flow
 framework and the incremental daemon read it. It keeps the flat,
 id-indexed adjacency the paper's linear-time bound assumes is cheap:
 
-* an :class:`Interner` maps hashable nodes to integer ids, reusing
-  the ids of removed nodes, so the rows stay as many as the most nodes
-  the graph has held at once;
+* a node's id is its ``uid``: every node of one graph comes from one
+  :class:`~repro.core.nodes.NodeFactory`, which hands uids out densely
+  and reuses released ones first, so the rows stay as many as the
+  most nodes the factory has held at once, and the graph hashes no
+  node object;
 * adjacency is one list of int ids per node and direction (the row of
-  id ``v`` is ``_succ[v]``/``_pred[v]``), with edge dedup through a
+  uid ``v`` is ``_succ[v]``/``_pred[v]``), with edge dedup through a
   set of packed ``(src << 32) | dst`` ints — no per-edge tuple
   allocation;
 * the reachability primitives walk those live rows with byte-per-node
@@ -21,19 +23,18 @@ region it traverses, not for rebuilding the whole adjacency.
 :meth:`CSRDigraph.freeze` is a no-op kept for API parity with
 :class:`~repro.graph.digraph.Digraph`.
 
-Nodes stay arbitrary hashables and ``successors``/``predecessors``
-return immutable set-like views, the read API it shares with the
-generic :class:`~repro.graph.digraph.Digraph`, so node-level
-consumers (the closure rules, the lint passes, the sanitizer) and the
-generic graph algorithms run on it unchanged.
+``successors``/``predecessors`` return immutable set-like views, the
+read API it shares with the generic
+:class:`~repro.graph.digraph.Digraph`, so node-level consumers (the
+closure rules, the lint passes, the sanitizer) and the generic graph
+algorithms run on it unchanged.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from typing import (
-    Dict,
-    Hashable,
+    TYPE_CHECKING,
     Iterable,
     Iterator,
     List,
@@ -41,61 +42,12 @@ from typing import (
     Tuple,
 )
 
-Node = Hashable
+if TYPE_CHECKING:
+    from repro.core.nodes import Node
 
-#: Id packing shift for the edge-dedup set. Dense ids are indexes into
-#: the interner's value list, so 2**32 nodes is unreachable in practice.
+#: Id packing shift for the edge-dedup set. Uids are dense, so 2**32
+#: nodes is unreachable in practice.
 _SHIFT = 32
-
-
-class Interner:
-    """A bijection between hashable values and integer ids.
-
-    Ids are allocated in first-seen order, reusing the :attr:`free`
-    ones first (:meth:`CSRDigraph.remove_isolated` frees them), so they
-    double as indexes into :attr:`values` and into every per-node row
-    a :class:`CSRDigraph` maintains. ``len`` counts the interned
-    values; iteration yields them in interning order.
-    """
-
-    __slots__ = ("_ids", "values", "free")
-
-    def __init__(self) -> None:
-        self._ids: Dict[Node, int] = {}
-        #: ``values[i]`` is the node interned as id ``i`` (``None`` for
-        #: a freed id not yet reused).
-        self.values: List[Node] = []
-        #: Freed ids; the last one freed is reused first.
-        self.free: List[int] = []
-
-    def intern(self, value: Node) -> int:
-        """The id of ``value``, allocating one on first sight."""
-        idx = self._ids.get(value)
-        if idx is None:
-            if self.free:
-                idx = self.free.pop()
-                self.values[idx] = value
-            else:
-                idx = len(self.values)
-                self.values.append(value)
-            self._ids[value] = idx
-        return idx
-
-    def id_of(self, value: Node) -> Optional[int]:
-        """The id of ``value`` if it was interned, else ``None``."""
-        return self._ids.get(value)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self._ids)
-
-    def __contains__(self, value: Node) -> bool:
-        return value in self._ids
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Interner size={len(self._ids)}>"
 
 
 class _NeighborView(AbstractSet):
@@ -134,74 +86,66 @@ _EMPTY_ROW: List[int] = []
 
 
 class CSRDigraph:
-    """A directed graph over hashable nodes with a flat-array core.
+    """A directed graph over one factory's nodes with a flat-array
+    core.
 
-    See the module docstring for the id-indexed adjacency rows.
+    See the module docstring for the uid-indexed adjacency rows.
     """
 
     def __init__(self) -> None:
-        self._interner = Interner()
-        #: Per-id adjacency rows (dedup via ``_edges``); a freed id's
-        #: rows are empty. Size id-indexed arrays by ``len`` of
-        #: these, not by :attr:`node_count`.
+        #: ``_nodes[uid]`` is the node the graph holds at that uid
+        #: (``None`` where it holds none).
+        self._nodes: List[Optional[Node]] = []
+        #: Per-uid adjacency rows (dedup via ``_edges``); a uid the
+        #: graph does not hold has empty rows. Size uid-indexed arrays
+        #: by ``len`` of these, not by :attr:`node_count`.
         self._succ: List[List[int]] = []
         self._pred: List[List[int]] = []
         #: Packed ``(src << _SHIFT) | dst`` ints, one per edge.
         self._edges: set = set()
+        self._node_count = 0
         self._edge_count = 0
 
     # -- construction -----------------------------------------------------
 
-    def _id(self, node: Node) -> int:
-        idx = self._interner.intern(node)
-        if idx == len(self._succ):
-            self._succ.append([])
-            self._pred.append([])
-        return idx
-
     def add_node(self, node: Node) -> None:
         """Ensure ``node`` exists (possibly with no edges)."""
-        self._id(node)
+        uid = node.uid
+        nodes = self._nodes
+        while len(nodes) <= uid:
+            nodes.append(None)
+            self._succ.append([])
+            self._pred.append([])
+        if nodes[uid] is None:
+            nodes[uid] = node
+            self._node_count += 1
 
     def add_edge(self, src: Node, dst: Node) -> bool:
         """Insert edge ``src -> dst``; returns True if it was new."""
-        # Interning is inlined: this is the engine's hottest call.
-        interner = self._interner
-        ids = interner._ids
-        succ = self._succ
-        s = ids.get(src)
-        if s is None:
-            free = interner.free
-            if free:
-                s = free.pop()
-                interner.values[s] = src
-            else:
-                values = interner.values
-                s = len(values)
-                values.append(src)
-                succ.append([])
-                self._pred.append([])
-            ids[src] = s
-        d = ids.get(dst)
-        if d is None:
-            free = interner.free
-            if free:
-                d = free.pop()
-                interner.values[d] = dst
-            else:
-                values = interner.values
-                d = len(values)
-                values.append(dst)
-                succ.append([])
-                self._pred.append([])
-            ids[dst] = d
+        # The engine's hottest call, so :meth:`add_node` is inlined.
+        s = src.uid
+        d = dst.uid
         packed = (s << _SHIFT) | d
         edges = self._edges
         if packed in edges:
             return False
         edges.add(packed)
+        nodes = self._nodes
+        succ = self._succ
+        pred = self._pred
+        top = s if s > d else d
+        while len(nodes) <= top:
+            nodes.append(None)
+            succ.append([])
+            pred.append([])
+        if nodes[s] is None:
+            nodes[s] = src
+            self._node_count += 1
+        if nodes[d] is None:
+            nodes[d] = dst
+            self._node_count += 1
         succ[s].append(d)
-        self._pred[d].append(s)
+        pred[d].append(s)
         self._edge_count += 1
         return True
 
@@ -218,17 +162,12 @@ class CSRDigraph:
         O(degree) scan; the incremental daemon only retracts edges
         justified by a retracted definition, so the scans stay
         proportional to the delta's neighbourhood, not the graph.
-        Both endpoints stay interned; each one the removal leaves
+        Both endpoints stay in the graph; each one the removal leaves
         without edges is appended to ``emptied``, when given (the
         daemon's candidates for :meth:`remove_isolated`).
         """
-        ids = self._interner._ids
-        s = ids.get(src)
-        if s is None:
-            return False
-        d = ids.get(dst)
-        if d is None:
-            return False
+        s = src.uid
+        d = dst.uid
         packed = (s << _SHIFT) | d
         if packed not in self._edges:
             return False
@@ -246,18 +185,15 @@ class CSRDigraph:
 
     def remove_isolated(self, node: Node) -> bool:
         """Remove ``node`` if it has no edge; return whether the graph
-        is now without it (also when it never had it). Its id, with
-        its empty rows, goes to the next new node."""
-        interner = self._interner
-        ids = interner._ids
-        idx = ids.get(node)
-        if idx is None:
+        is now without it (also when it never had it). Its empty rows
+        stay, for the node the factory gives its uid next."""
+        if node not in self:
             return True
-        if self._succ[idx] or self._pred[idx]:
+        uid = node.uid
+        if self._succ[uid] or self._pred[uid]:
             return False
-        del ids[node]
-        interner.values[idx] = None
-        interner.free.append(idx)
+        self._nodes[uid] = None
+        self._node_count -= 1
         return True
 
     def freeze(self) -> "CSRDigraph":
@@ -269,59 +205,53 @@ class CSRDigraph:
     # -- inspection --------------------------------------------------------
 
     def __contains__(self, node: Node) -> bool:
-        return node in self._interner
+        uid = node.uid
+        nodes = self._nodes
+        return uid < len(nodes) and nodes[uid] is node
 
     def __len__(self) -> int:
-        return len(self._interner)
+        return self._node_count
 
     @property
     def node_count(self) -> int:
-        return len(self._interner)
+        return self._node_count
 
     @property
     def edge_count(self) -> int:
         return self._edge_count
 
     def nodes(self) -> Iterator[Node]:
-        return iter(self._interner)
+        """The nodes, in uid order."""
+        return (node for node in self._nodes if node is not None)
 
     def edges(self) -> Iterator[Tuple[Node, Node]]:
-        values = self._interner.values
+        nodes = self._nodes
         for s, row in enumerate(self._succ):
-            src = values[s]
+            src = nodes[s]
             for d in row:
-                yield src, values[d]
+                yield src, nodes[d]
+
+    def _row(self, rows: List[List[int]], node: Node) -> List[int]:
+        uid = node.uid
+        return rows[uid] if uid < len(rows) else _EMPTY_ROW
 
     def successors(self, node: Node) -> AbstractSet:
         """Successor set of ``node`` (empty for unknown nodes); an
         immutable view over the live adjacency row."""
-        idx = self._interner._ids.get(node)
-        row = _EMPTY_ROW if idx is None else self._succ[idx]
-        return _NeighborView(row, self._interner.values)
+        return _NeighborView(self._row(self._succ, node), self._nodes)
 
     def predecessors(self, node: Node) -> AbstractSet:
         """Predecessor set of ``node`` (empty for unknown nodes)."""
-        idx = self._interner._ids.get(node)
-        row = _EMPTY_ROW if idx is None else self._pred[idx]
-        return _NeighborView(row, self._interner.values)
+        return _NeighborView(self._row(self._pred, node), self._nodes)
 
     def has_edge(self, src: Node, dst: Node) -> bool:
-        ids = self._interner._ids
-        s = ids.get(src)
-        if s is None:
-            return False
-        d = ids.get(dst)
-        if d is None:
-            return False
-        return ((s << _SHIFT) | d) in self._edges
+        return ((src.uid << _SHIFT) | dst.uid) in self._edges
 
     def out_degree(self, node: Node) -> int:
-        idx = self._interner._ids.get(node)
-        return 0 if idx is None else len(self._succ[idx])
+        return len(self._row(self._succ, node))
 
     def in_degree(self, node: Node) -> int:
-        idx = self._interner._ids.get(node)
-        return 0 if idx is None else len(self._pred[idx])
+        return len(self._row(self._pred, node))
 
     def reverse(self) -> "CSRDigraph":
         """A new graph with every edge flipped."""
@@ -345,19 +275,20 @@ class CSRDigraph:
     def _start_ids(
         self, sources: Iterable[Node]
     ) -> Tuple[List[int], List[Node]]:
-        """Split ``sources`` into interned ids and *extras* — source
-        nodes the graph has never seen. Reachability includes its
-        sources by contract, so extras are reached (trivially, by
-        themselves) even though no adjacency row exists for them."""
-        ids = self._interner._ids
+        """Split ``sources`` into uids and *extras* — source nodes the
+        graph does not hold (no edge touched them). Reachability
+        includes its sources by contract, so extras are reached
+        (trivially, by themselves) even though they have no row."""
+        nodes = self._nodes
+        held = len(nodes)
         start_ids: List[int] = []
         extras: List[Node] = []
         for source in sources:
-            idx = ids.get(source)
-            if idx is None:
-                extras.append(source)
+            uid = source.uid
+            if uid < held and nodes[uid] is source:
+                start_ids.append(uid)
             else:
-                start_ids.append(idx)
+                extras.append(source)
         return start_ids, extras
 
     def _reached_ids(
@@ -392,22 +323,20 @@ class CSRDigraph:
         predecessors instead of successors when ``reverse``."""
         start_ids, extras = self._start_ids(sources)
         _, order = self._reached_ids(start_ids, reverse=reverse)
-        out = set(map(self._interner.values.__getitem__, order))
+        out = set(map(self._nodes.__getitem__, order))
         out.update(extras)
         return out
 
     def reaches_node(self, src: Node, dst: Node) -> bool:
         """Early-exit reachability ``src ->* dst`` (strict: one step
         or more unless ``src is dst`` and present)."""
-        ids = self._interner._ids
-        s = ids.get(src)
-        if s is None:
+        if src not in self:
             return False
         if src == dst:
             return True
-        d = ids.get(dst)
-        if d is None:
+        if dst not in self:
             return False
+        s, d = src.uid, dst.uid
         rows = self._succ
         seen = bytearray(len(rows))
         seen[s] = 1
@@ -428,16 +357,13 @@ class CSRDigraph:
         """Does any source reach any target? Returns ``(answer,
         visited)`` with ``visited`` the number of nodes the early-exit
         search marked (query accounting)."""
-        target_list = list(targets)
         target_ids = set()
         stray_targets = []
-        ids = self._interner._ids
-        for target in target_list:
-            idx = ids.get(target)
-            if idx is None:
-                stray_targets.append(target)
+        for target in targets:
+            if target in self:
+                target_ids.add(target.uid)
             else:
-                target_ids.add(idx)
+                stray_targets.append(target)
         start_ids, extras = self._start_ids(sources)
         if stray_targets and extras:
             strays = set(stray_targets)

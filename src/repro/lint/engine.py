@@ -18,7 +18,7 @@ Per-pass wall-clock and finding counts land on the metrics registry
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.hybrid import HybridResult, subtransitive_graph_of
 from repro.lint.findings import Finding, LintResult
@@ -45,7 +45,6 @@ def run_lints(
     result=None,
     passes: Optional[Iterable] = None,
     registry=None,
-    scope: Optional[Set[int]] = None,
     events=None,
     explain: bool = False,
     audit=None,
@@ -55,8 +54,7 @@ def run_lints(
     ``result`` is an existing analysis to reuse (see module docstring);
     the T-series reads ``audit`` (a :class:`~repro.flow.audit.
     LinearityAudit`) if given, else one made from the type inference
-    the analysis already ran; ``scope`` restricts incremental passes
-    to a set of nids;
+    the analysis already ran;
     ``registry``/``events`` instrument the run (defaulting to the
     graph's own registry so one metrics document covers everything).
     A bound profiler records the run as the ``lint`` span with one
@@ -71,12 +69,12 @@ def run_lints(
     with span("lint"):
         return _run_lints(
             program, result, _normalise_passes(passes), registry,
-            scope, events, explain, audit,
+            events, explain, audit,
         )
 
 
 def _run_lints(
-    program, result, lint_passes, registry, scope, events, explain, audit
+    program, result, lint_passes, registry, events, explain, audit
 ) -> LintResult:
     if isinstance(result, HybridResult) and result.engine == "standard":
         return _fallback_lints(
@@ -84,7 +82,6 @@ def _run_lints(
             result,
             lint_passes,
             registry=registry,
-            scope=scope,
             audit=audit,
         )
     sub = subtransitive_graph_of(result)
@@ -108,10 +105,9 @@ def _run_lints(
     findings: List[Finding] = []
     pass_seconds: Dict[str, float] = {}
     for lint_pass in lint_passes:
-        pass_scope = scope if lint_pass.incremental else None
         timer = registry.timer(f"lint.pass.{lint_pass.code}")
         with span(lint_pass.code), timer:
-            found = lint_pass.run(ctx, pass_scope)
+            found = lint_pass.run(ctx)
         pass_seconds[lint_pass.code] = timer.last_seconds
         registry.counter(f"lint.findings.{lint_pass.code}").inc(
             len(found)
@@ -148,7 +144,7 @@ def _fb_dead_and_once(program, cfa):
 
 
 def _fallback_lints(
-    program, hybrid, lint_passes, registry=None, scope=None, audit=None
+    program, hybrid, lint_passes, registry=None, audit=None
 ) -> LintResult:
     from repro.obs.metrics import MetricsRegistry
 

@@ -55,21 +55,18 @@ class TaintedSinkPass(LintPass):
     out of a cell; ``tainted_sink(S)`` joins the marks with the
     primitive-argument sinks, which hand such a value to the outside
     world.
-
-    Not incremental: a new dereference anywhere can taint an old sink.
     """
 
     code = "F001"
     name = "tainted-sink"
     severity = "warning"
-    incremental = False
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         tainted = ctx.extent("tainted_sink")
         findings = []
         seen = set()
         for arg, _node in ctx.flow.sink_arg_nodes:
-            if arg.nid in seen or not self._in_scope(arg, scope):
+            if arg.nid in seen:
                 continue
             if arg.nid not in tainted:
                 continue
@@ -92,16 +89,13 @@ class EscapingRefPass(LintPass):
     to ref-bearing nodes; a ``ref`` expression they carry can be
     aliased by the outside world, so no assignment through it is
     locally accountable. Findings land in nid order.
-
-    Not incremental, for the same reason as L004.
     """
 
     code = "F002"
     name = "escaping-ref"
     severity = "warning"
-    incremental = False
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         by_nid = {}
         for node in ctx.extent("escaping_ref"):
             if getattr(node, "kind", None) != "expr":
@@ -112,8 +106,6 @@ class EscapingRefPass(LintPass):
         findings = []
         for nid in sorted(by_nid):
             expr, node = by_nid[nid]
-            if not self._in_scope(expr, scope):
-                continue
             finding = self.finding(
                 expr,
                 "reference cell flows into a primitive sink and "
@@ -142,13 +134,11 @@ class UnneededParamPass(LintPass):
     name = "unneeded-param"
     severity = "info"
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         unneeded = ctx.extent("unneeded_param")
         peek_var = ctx.factory.peek_var
         findings = []
         for lam in ctx.program.abstractions:
-            if not self._in_scope(lam, scope):
-                continue
             if lam.param.startswith("_"):
                 continue
             var_node = peek_var(lam.param)
@@ -181,25 +171,19 @@ class UnreachableBranchPass(LintPass):
     outside a scrutinee's exact, non-empty set can never match;
     bottom (no annotation) and MANY give no verdict — conservative,
     never a false positive.
-
-    Not incremental: a removed construction elsewhere can newly kill
-    an old branch.
     """
 
     code = "F004"
     name = "unreachable-branch"
     severity = "warning"
-    incremental = False
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         from repro.rules.lattice import MANY
 
         values = ctx.extent("con_val")
         findings = []
         for node in ctx.program.nodes:
             if not isinstance(node, Case):
-                continue
-            if not self._in_scope(node, scope):
                 continue
             scrut_node = ctx.peek(node.scrutinee)
             annotation = values.get(scrut_node)
@@ -273,16 +257,14 @@ def audit_verdicts(audit) -> List[Tuple[str, str]]:
 
 class _AuditPass(LintPass):
     """Base for the T-series: one whole-program verdict, anchored at
-    the root expression. Incremental in the scope sense: any
-    redefinition re-audits (the session always scopes the root in when
-    types may have changed), an empty scope skips. T verdicts are pure
-    type inference: they never read the graph or the rule programs."""
+    the root expression. T verdicts are pure type inference: they
+    never read the graph or the rule programs."""
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         # Session-grown programs have no root expression (and no
         # whole-program type): nothing to audit.
         root = getattr(ctx.program, "root", None)
-        if root is None or not self._in_scope(root, scope):
+        if root is None:
             return []
         return [
             self.finding(root, message)

@@ -16,17 +16,11 @@ provenance and each L/F finding carries its derivation chain — which
 rules fired on which ground facts — rendered by
 :meth:`repro.rules.engine.RuleEvaluation.derivation` and surfaced by
 ``repro lint --explain``.
-
-``scope`` (a set of nids, or ``None`` for everything) restricts a pass
-to the constructs an incremental session actually needs re-examined;
-passes whose findings can *appear* on untouched old constructs declare
-``incremental = False`` and ignore the scope (see
-:meth:`repro.session.AnalysisSession.lint`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Sequence
 
 from repro.lang.ast import Prim
 
@@ -148,17 +142,9 @@ class LintPass:
     code: str = ""
     name: str = ""
     severity: str = "warning"
-    #: False when a finding may newly appear on a construct outside
-    #: the redefinition scope (the session then always runs it fully).
-    incremental: bool = True
 
-    def run(
-        self, ctx: LintContext, scope: Optional[Set[int]] = None
-    ) -> List[Finding]:
+    def run(self, ctx: LintContext) -> List[Finding]:
         raise NotImplementedError
-
-    def _in_scope(self, expr, scope: Optional[Set[int]]) -> bool:
-        return scope is None or expr.nid in scope
 
     def finding(self, expr, message: str, label=None) -> Finding:
         return Finding(
@@ -187,12 +173,10 @@ class DeadLambdaPass(LintPass):
     name = "dead-lambda"
     severity = "warning"
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         dead = ctx.extent("dead_fun")
         findings = []
         for lam in ctx.program.abstractions:
-            if not self._in_scope(lam, scope):
-                continue
             node = ctx.peek(lam)
             if node is not None and (node, lam.label) not in dead:
                 continue
@@ -223,11 +207,11 @@ class StuckApplicationPass(LintPass):
     name = "stuck-application"
     severity = "error"
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         stuck = ctx.extent("stuck")
         findings = []
         for site in ctx.program.applications:
-            if site.nid not in stuck or not self._in_scope(site, scope):
+            if site.nid not in stuck:
                 continue
             finding = self.finding(
                 site,
@@ -250,7 +234,7 @@ class CalledOncePass(LintPass):
     name = "called-once-inline-candidate"
     severity = "info"
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         from repro.rules.lattice import MANY
 
         calls = ctx.extent("calls")
@@ -265,8 +249,6 @@ class CalledOncePass(LintPass):
         findings = []
         for label in sorted(once):
             lam = ctx.program.abstraction(label)
-            if not self._in_scope(lam, scope):
-                continue
             site_nid, node = once[label]
             finding = self.finding(
                 lam,
@@ -287,25 +269,20 @@ class EscapingFunctionPass(LintPass):
 
     ``lint-l004``: ``escaping_fun(N, L)`` joins the forward escape
     marks (one sweep from every primitive-argument node) with the
-    lambda-bearing index. Not incremental: a new definition can make
-    an *old* lambda escape, so sessions always run this pass over the
-    whole program.
+    lambda-bearing index.
     """
 
     code = "L004"
     name = "escaping-function"
     severity = "warning"
-    incremental = False
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         escaping = {
             label: node for node, label in ctx.extent("escaping_fun")
         }
         findings = []
         for label in sorted(escaping):
             lam = ctx.program.abstraction(label)
-            if not self._in_scope(lam, scope):
-                continue
             finding = self.finding(
                 lam,
                 f"function '{label}' flows into a primitive sink "
@@ -341,13 +318,11 @@ class UnusedBindingPass(LintPass):
     name = "unused-binding"
     severity = "warning"
 
-    def run(self, ctx, scope=None):
+    def run(self, ctx):
         unused = ctx.extent("unused_bind")
         peek_var = ctx.factory.peek_var
         findings = []
         for node in ctx.flow.binders:
-            if not self._in_scope(node, scope):
-                continue
             if node.name.startswith("_"):
                 continue
             var_node = peek_var(node.name)

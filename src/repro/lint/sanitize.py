@@ -24,7 +24,8 @@ than by a wrong label set three consumers later. The checks:
 ``budget-accounting``
     ``dom``/``ran`` (and all other operator) node counts respect the
     hybrid budget: total nodes within the node budget, no operator
-    tower deeper than the factory's depth cap.
+    tower deeper than the factory's depth cap, and every graph node is
+    the factory's live node at its uid.
 
 ``phase-accounting``
     (Batch runs only.) The build/close phase statistics sum to the
@@ -211,12 +212,16 @@ def _check_budget(sub, report: SanitizeReport) -> None:
                 f"operator {node.describe()} has depth {node.depth} "
                 f"past the cap {factory.max_depth}",
             )
-    if sub.graph.node_count > factory.node_count:
-        report.add(
-            "budget-accounting",
-            f"graph holds {sub.graph.node_count} nodes but the "
-            f"factory only created {factory.node_count}",
-        )
+    # The graph keys its rows on uids, not node identity, so a node
+    # from elsewhere (or one released and still held) would alias the
+    # factory's node at its uid.
+    for node in sub.graph.nodes():
+        if not factory.holds(node):
+            report.add(
+                "budget-accounting",
+                f"graph node {node.describe()} is not the factory's "
+                f"live node at uid {node.uid}",
+            )
 
 
 def _check_phases(sub, report: SanitizeReport) -> None:

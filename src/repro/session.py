@@ -229,13 +229,9 @@ class AnalysisSession:
         #: derived results (the daemon's project registry, external
         #: tooling) key on it.
         self.graph_version = 0
-        #: Last :meth:`lint` outcome plus the session shape it was
-        #: computed at, for incremental re-linting.
-        self._lint_cache: Dict[str, object] = {
-            "result": None,
-            "ops": 0,
-            "size": 0,
-        }
+        #: Last :meth:`lint` outcome and the :attr:`history` length it
+        #: was computed at.
+        self._lint_cache: Dict[str, object] = {"result": None, "ops": 0}
 
     def _record_delta(
         self, op: str, name: Optional[str], fn
@@ -319,9 +315,8 @@ class AnalysisSession:
         unbound: :meth:`labels_of` raises, new definitions cannot
         reference it, and a later :meth:`define` of the same name
         behaves like a first definition (no stale evaluation binding
-        to restore). The graph version is bumped and the incremental
-        lint cache is invalidated (its grow-only scope reasoning does
-        not cover a shrinking binding surface).
+        to restore). The graph version is bumped and :meth:`lint`
+        runs afresh.
         """
         if name not in self._globals:
             raise ScopeError(f"undefined session name {name!r}")
@@ -331,7 +326,6 @@ class AnalysisSession:
             self._env.pop(name, None)
 
         self._record_delta("undefine", name, retract)
-        self._lint_cache = {"result": None, "ops": 0, "size": 0}
 
     # -- querying ------------------------------------------------------------
 
@@ -426,19 +420,11 @@ class AnalysisSession:
         )
 
     def lint(self, passes=None):
-        """Lint the session program, re-examining only what changed.
+        """Lint the whole session program. With no intervening
+        operations the cached result is returned as-is
+        (``lint.session.cache_hits`` counts those).
 
-        Flows in a session only ever *grow* (redefinition unions), so
-        a finding can never newly appear on an untouched construct —
-        except for escape findings, whose pass declares itself
-        non-incremental and always runs in full. The re-lint scope is
-        therefore the nids added since the last lint plus the nids of
-        the previous findings (which are the only places a verdict can
-        change). With no intervening operations the cached result is
-        returned as-is (``lint.session.cache_hits`` counts those).
-
-        Passing ``passes`` explicitly bypasses the cache and runs them
-        over the whole program.
+        Passing ``passes`` explicitly bypasses the cache.
         """
         from repro.lint.engine import run_lints
 
@@ -452,19 +438,11 @@ class AnalysisSession:
         if cache["result"] is not None and cache["ops"] == ops:
             registry.counter("lint.session.cache_hits").inc()
             return cache["result"]
-        scope = None
-        if cache["result"] is not None:
-            scope = set(range(cache["size"], self.program.size))
-            scope.update(f.nid for f in cache["result"].findings)
-            registry.counter("lint.session.incremental").inc()
         timer = registry.timer("session.lint")
         with timer:
-            result = run_lints(
-                self.program, self._graph_view(), scope=scope
-            )
+            result = run_lints(self.program, self._graph_view())
         cache["result"] = result
-        cache["ops"] = len(self.history)
-        cache["size"] = self.program.size
+        cache["ops"] = ops
         return result
 
     def sanitize(self):

@@ -89,11 +89,11 @@ def assert_label_subset(
 
 def scanned_index(cfa, kinds, project, keep=None) -> list:
     """What :meth:`~repro.core.queries.SubtransitiveCFA._bearing_index`
-    returns, the long way: a scan of every graph row in id order
-    (released ids hold ``None``), optionally only the rows
-    ``keep(node)`` accepts."""
+    returns, the long way: a scan of every graph row in uid order
+    (a uid the graph does not hold has ``None``), optionally only the
+    rows ``keep(node)`` accepts."""
     entries = []
-    for idx, node in enumerate(cfa.graph._interner.values):
+    for idx, node in enumerate(cfa.graph._nodes):
         if node is None or node.kind != "expr":
             continue
         if keep is not None and not keep(node):

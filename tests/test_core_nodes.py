@@ -99,6 +99,35 @@ class TestInterning:
         assert dict(fac.ops_over(dom)) == {}
 
 
+class TestUids:
+    """The factory is the one allocator of node ids: a graph indexes
+    its rows by ``uid``."""
+
+    def test_cold_uids_count_up_in_creation_order(self, factory):
+        program, fac = factory
+        made = [fac.expr_node(program.root), fac.var_node("x")]
+        made.append(fac.op_node(("dom",), made[0]))
+        made.append(fac.var_node("y"))
+        assert [node.uid for node in made] == [0, 1, 2, 3]
+        assert list(fac.nodes) == made and fac.node_count == 4
+        assert all(fac.holds(node) for node in made)
+
+    def test_release_frees_towers_first_and_reuses_their_uids(self, factory):
+        _, fac = factory
+        x = fac.var_node("x")
+        dom = fac.op_node(("dom",), x)
+        ran = fac.op_node(("ran",), dom)
+        kept = fac.var_node("y")
+        # ``detach`` refuses a node the graph still connects.
+        fac.release([x, kept], lambda node: node is not kept)
+        assert not any(map(fac.holds, (x, dom, ran)))
+        assert list(fac.nodes) == [kept] and not fac.ops_over(x)
+        # The last uid released is handed out first.
+        again = [fac.var_node(name) for name in "abc"]
+        assert [node.uid for node in again] == [x.uid, dom.uid, ran.uid]
+        assert fac.var_node("x") not in (x, *again)
+
+
 class TestDepthAndBudget:
     def test_depth_increments(self, factory):
         program, fac = factory

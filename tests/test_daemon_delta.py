@@ -20,7 +20,12 @@ from collections import Counter
 import pytest
 
 from repro.core.nodes import EXPR, NodeFactory
-from repro.daemon import FALLBACK_REASONS, ProjectAnalysis, delta
+from repro.daemon import (
+    FALLBACK_REASONS,
+    ProjectAnalysis,
+    ProjectRegistry,
+    delta,
+)
 from repro.errors import (
     AnalysisBudgetExceeded,
     ScopeError,
@@ -753,3 +758,19 @@ class TestWarmMatchesCold:
         check_size(pa, report)
         assert pa.envelope() == cold_envelope(pa)
         assert pa.sanitize()["ok"]
+
+    def test_an_evicted_project_rehydrates_in_one_replay(self):
+        # Defining ``HEAVY_FIRST`` in order fails at ``p``, so the
+        # rehydration must replay under the whole program's budget.
+        registry = ProjectRegistry(capacity=1)
+        pa = registry.get("a").analysis
+        for name, source in [("p", "fn x => x"), *HEAVY_FIRST[1:]]:
+            pa.define(name, source)
+        pa.define(*HEAVY_FIRST[0])
+        before = (pa.render_source(), pa.envelope(), pa.lint())
+        registry.get("b")
+        back = registry.get("a").analysis
+        assert back is not pa and back.version == 1
+        assert (back.render_source(), back.envelope(), back.lint()) == before
+        assert registry.project_names() == ["a", "b"]
+        assert back.sanitize()["ok"]

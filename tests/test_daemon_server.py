@@ -3,6 +3,7 @@
 import asyncio
 import json
 import os
+import socket
 import threading
 
 import pytest
@@ -155,9 +156,15 @@ class TestSocketEndToEnd:
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
+        # ``bind`` creates the socket file before the server listens,
+        # so wait for a connection to succeed, not for the file.
         for _ in range(200):
-            if os.path.exists(path):
-                break
+            with socket.socket(socket.AF_UNIX) as probe:
+                try:
+                    probe.connect(path)
+                    break
+                except OSError:
+                    pass
             threading.Event().wait(0.01)
         yield path
         if not box["server"]._shutdown.is_set():

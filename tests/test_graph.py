@@ -257,14 +257,33 @@ class TestUnionFind:
 
 # -- the two graph classes --------------------------------------------------
 
-from repro.graph import CSRDigraph, Interner
+from functools import cache
+
+from repro.core.nodes import VAR, Node, NodeFactory
+from repro.graph import CSRDigraph
+from repro.lang import parse
 
 BACKENDS = [Digraph, CSRDigraph]
 
 
+@cache
+def node(label: int) -> Node:
+    """The uid-``label`` node every test below shares: the CSR graph
+    indexes its rows by ``uid``, and node equality is identity."""
+    return Node(label, VAR)
+
+
+def nodes(*labels):
+    return {node(label) for label in labels}
+
+
+def pairs(edges):
+    return [(node(src), node(dst)) for src, dst in edges]
+
+
 def build_backend(make, edges):
     g = make()
-    g.add_edges(edges)
+    g.add_edges(pairs(edges))
     return g
 
 
@@ -275,36 +294,39 @@ class TestBackendContract:
     @pytest.mark.parametrize("make", BACKENDS)
     def test_neighbour_views_equal_sets(self, make):
         g = build_backend(make, [(1, 2), (1, 3), (4, 2)])
-        assert g.successors(1) == {2, 3}
-        assert g.predecessors(2) == {1, 4}
-        assert set(g.successors(1) | g.predecessors(2)) == {1, 2, 3, 4}
+        assert g.successors(node(1)) == nodes(2, 3)
+        assert g.predecessors(node(2)) == nodes(1, 4)
+        assert set(
+            g.successors(node(1)) | g.predecessors(node(2))
+        ) == nodes(1, 2, 3, 4)
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_neighbour_views_refuse_mutation(self, make):
         g = build_backend(make, [(1, 2)])
-        for view in (g.successors(1), g.predecessors(2)):
+        for view in (g.successors(node(1)), g.predecessors(node(2))):
             with pytest.raises(AttributeError):
-                view.add(99)
+                view.add(node(99))
             with pytest.raises(AttributeError):
-                view.discard(2)
+                view.discard(node(2))
         # The attempted mutations changed nothing.
-        assert g.successors(1) == {2}
-        assert g.predecessors(2) == {1}
+        assert g.successors(node(1)) == nodes(2)
+        assert g.predecessors(node(2)) == nodes(1)
         assert g.edge_count == 1
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_ghost_neighbourhoods_empty(self, make):
         g = make()
-        assert set(g.successors("ghost")) == set()
-        assert set(g.predecessors("ghost")) == set()
-        assert g.out_degree("ghost") == 0
-        assert g.in_degree("ghost") == 0
+        ghost = node(99)
+        assert set(g.successors(ghost)) == set()
+        assert set(g.predecessors(ghost)) == set()
+        assert g.out_degree(ghost) == 0
+        assert g.in_degree(ghost) == 0
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_add_edge_dedup_flag(self, make):
         g = make()
-        assert g.add_edge("a", "b") is True
-        assert g.add_edge("a", "b") is False
+        assert g.add_edge(node(0), node(1)) is True
+        assert g.add_edge(node(0), node(1)) is False
         assert g.edge_count == 1
         assert g.node_count == 2
 
@@ -312,10 +334,10 @@ class TestBackendContract:
     def test_reverse_and_copy(self, make):
         g = build_backend(make, [(1, 2), (2, 3)])
         r = g.reverse()
-        assert r.has_edge(2, 1) and r.has_edge(3, 2)
+        assert r.has_edge(node(2), node(1)) and r.has_edge(node(3), node(2))
         c = g.copy()
-        c.add_edge(3, 4)
-        assert not g.has_edge(3, 4)
+        c.add_edge(node(3), node(4))
+        assert not g.has_edge(node(3), node(4))
 
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists)
@@ -326,9 +348,9 @@ class TestBackendContract:
         assert csr.edge_count == obj.edge_count
         assert set(csr.nodes()) == set(obj.nodes())
         assert set(csr.edges()) == set(obj.edges())
-        for node in obj.nodes():
-            assert csr.successors(node) == obj.successors(node)
-            assert csr.predecessors(node) == obj.predecessors(node)
+        for each in obj.nodes():
+            assert csr.successors(each) == obj.successors(each)
+            assert csr.predecessors(each) == obj.predecessors(each)
 
 
 class TestReachesGhostNodes:
@@ -339,24 +361,25 @@ class TestReachesGhostNodes:
     @pytest.mark.parametrize("make", BACKENDS)
     def test_absent_src_never_reaches(self, make):
         g = build_backend(make, [(1, 2)])
-        assert not reaches(g, 99, 99)
-        assert not reaches(g, 99, 1)
+        assert not reaches(g, node(99), node(99))
+        assert not reaches(g, node(99), node(1))
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_present_node_reaches_itself(self, make):
         g = build_backend(make, [(1, 2)])
-        assert reaches(g, 1, 1)
-        assert reaches(g, 2, 2)  # present via an incoming edge only
+        assert reaches(g, node(1), node(1))
+        # Present via an incoming edge only.
+        assert reaches(g, node(2), node(2))
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_present_src_absent_dst(self, make):
         g = build_backend(make, [(1, 2)])
-        assert not reaches(g, 1, 99)
+        assert not reaches(g, node(1), node(99))
 
     @pytest.mark.parametrize("make", BACKENDS)
     def test_empty_graph(self, make):
         g = make()
-        assert not reaches(g, 0, 0)
+        assert not reaches(g, node(0), node(0))
 
 
 class TestCSRDigraph:
@@ -369,7 +392,11 @@ class TestCSRDigraph:
 
         def answers():
             edges = list(g.edges())
-            return reachable_from(g, [1]), reachable_to(g, [4]), edges
+            return (
+                reachable_from(g, [node(1)]),
+                reachable_to(g, [node(4)]),
+                edges,
+            )
 
         before = answers()
         assert g.freeze() is g
@@ -379,56 +406,51 @@ class TestCSRDigraph:
     def test_mutation_invalidates_frozen_form(self):
         g = build_backend(CSRDigraph, [(1, 2)])
         g.freeze()
-        assert reachable_from(g, [1]) == {1, 2}
-        g.add_edge(2, 3)
-        assert reachable_from(g, [1]) == {1, 2, 3}
-        assert reaches(g, 1, 3)
-        g.remove_edge(1, 2)
-        assert reachable_from(g, [1]) == {1}
-        assert reachable_to(g, [3]) == {2, 3}
-        assert not reaches(g, 1, 3)
+        assert reachable_from(g, [node(1)]) == nodes(1, 2)
+        g.add_edge(node(2), node(3))
+        assert reachable_from(g, [node(1)]) == nodes(1, 2, 3)
+        assert reaches(g, node(1), node(3))
+        g.remove_edge(node(1), node(2))
+        assert reachable_from(g, [node(1)]) == nodes(1)
+        assert reachable_to(g, [node(3)]) == nodes(2, 3)
+        assert not reaches(g, node(1), node(3))
 
     def test_duplicate_edge_keeps_frozen_form(self):
         g = build_backend(CSRDigraph, [(1, 2)])
         g.freeze()
-        assert g.add_edge(1, 2) is False
+        assert g.add_edge(node(1), node(2)) is False
         assert g.edge_count == 1
-        assert list(g.edges()) == [(1, 2)]
+        assert list(g.edges()) == pairs([(1, 2)])
 
     def test_add_node_after_freeze(self):
         g = build_backend(CSRDigraph, [(1, 2)])
         g.freeze()
-        g.add_node(99)
-        assert reachable_from(g, [99]) == {99}
+        g.add_node(node(99))
+        assert reachable_from(g, [node(99)]) == nodes(99)
 
     def test_views_read_live_adjacency(self):
         g = build_backend(CSRDigraph, [(1, 2)])
-        view = g.successors(1)
-        g.add_edge(1, 3)
-        assert view == {2, 3}
-
-    def test_interner_bijection(self):
-        interner = Interner()
-        ids = [interner.intern(v) for v in ("a", "b", "a", "c")]
-        assert ids == [0, 1, 0, 2]
-        assert interner.values == ["a", "b", "c"]
-        assert interner.id_of("b") == 1
-        assert interner.id_of("zzz") is None
-        assert "c" in interner and len(interner) == 3
+        view = g.successors(node(1))
+        g.add_edge(node(1), node(3))
+        assert view == nodes(2, 3)
 
     def test_reaches_any_accounting(self):
         g = build_backend(CSRDigraph, [(1, 2), (2, 3)])
-        hit, visited = g.reaches_any([1], [3])
+        hit, visited = g.reaches_any([node(1)], [node(3)])
         assert hit and visited >= 1
-        miss, visited = g.reaches_any([3], [1])
+        miss, visited = g.reaches_any([node(3)], [node(1)])
         assert not miss and visited >= 1
 
     def test_reaches_any_stray_endpoints(self):
         g = build_backend(CSRDigraph, [(1, 2)])
-        hit, _ = g.reaches_any([99], [99])
-        assert hit  # a stray source trivially reaches itself
-        miss, _ = g.reaches_any([99], [1])
+        # A stray source trivially reaches itself.
+        hit, _ = g.reaches_any([node(99)], [node(99)])
+        assert hit
+        miss, _ = g.reaches_any([node(99)], [node(1)])
         assert not miss
+
+
+sources_lists = st.lists(st.integers(0, 16), max_size=4)
 
 
 class TestBackendReachabilityAgreement:
@@ -436,18 +458,20 @@ class TestBackendReachabilityAgreement:
     BFS computes on the object graph."""
 
     @settings(max_examples=60, deadline=None)
-    @given(edges=edge_lists, sources=st.lists(st.integers(0, 16), max_size=4))
+    @given(edges=edge_lists, sources=sources_lists)
     def test_reachable_from_agrees(self, edges, sources):
         obj = build_backend(Digraph, edges)
         csr = build_backend(CSRDigraph, edges)
-        assert reachable_from(csr, sources) == reachable_from(obj, sources)
+        starts = [node(label) for label in sources]
+        assert reachable_from(csr, starts) == reachable_from(obj, starts)
 
     @settings(max_examples=60, deadline=None)
-    @given(edges=edge_lists, targets=st.lists(st.integers(0, 16), max_size=4))
+    @given(edges=edge_lists, targets=sources_lists)
     def test_reachable_to_agrees(self, edges, targets):
         obj = build_backend(Digraph, edges)
         csr = build_backend(CSRDigraph, edges)
-        assert reachable_to(csr, targets) == reachable_to(obj, targets)
+        ends = [node(label) for label in targets]
+        assert reachable_to(csr, ends) == reachable_to(obj, ends)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -458,17 +482,20 @@ class TestBackendReachabilityAgreement:
     def test_reaches_agrees(self, edges, src, dst):
         obj = build_backend(Digraph, edges)
         csr = build_backend(CSRDigraph, edges)
-        assert reaches(csr, src, dst) == reaches(obj, src, dst)
+        assert reaches(csr, node(src), node(dst)) == reaches(
+            obj, node(src), node(dst)
+        )
 
     @settings(max_examples=40, deadline=None)
-    @given(edges=edge_lists, sources=st.lists(st.integers(0, 16), max_size=4))
+    @given(edges=edge_lists, sources=sources_lists)
     def test_custom_follow_agrees(self, edges, sources):
         obj = build_backend(Digraph, edges)
         csr = build_backend(CSRDigraph, edges)
+        starts = [node(label) for label in sources]
         # A custom follow forces the generic BFS on both backends.
         assert reachable_from(
-            csr, sources, follow=csr.predecessors
-        ) == reachable_from(obj, sources, follow=obj.predecessors)
+            csr, starts, follow=csr.predecessors
+        ) == reachable_from(obj, starts, follow=obj.predecessors)
 
     @settings(max_examples=40, deadline=None)
     @given(edges=edge_lists)
@@ -485,120 +512,123 @@ class TestRemoveEdge:
     backends: presence flag, count bookkeeping, surviving endpoints,
     and reachability answers matching a from-scratch rebuild."""
 
-    def backends(self):
-        from repro.graph import CSRDigraph
-
-        return [Digraph, CSRDigraph]
-
     def test_remove_present_edge(self):
-        for factory in self.backends():
-            g = factory()
-            g.add_edge(1, 2)
-            assert g.remove_edge(1, 2) is True
-            assert not g.has_edge(1, 2)
+        for make in BACKENDS:
+            g = build_backend(make, [(1, 2)])
+            assert g.remove_edge(node(1), node(2)) is True
+            assert not g.has_edge(node(1), node(2))
             assert g.edge_count == 0
 
     def test_remove_absent_edge_is_a_noop(self):
-        for factory in self.backends():
-            g = factory()
-            g.add_edge(1, 2)
-            assert g.remove_edge(2, 1) is False
-            assert g.remove_edge(3, 4) is False
+        for make in BACKENDS:
+            g = build_backend(make, [(1, 2)])
+            assert g.remove_edge(node(2), node(1)) is False
+            assert g.remove_edge(node(3), node(4)) is False
             assert g.edge_count == 1
 
     def test_endpoints_survive_isolation(self):
-        for factory in self.backends():
-            g = factory()
-            g.add_edge(1, 2)
-            g.remove_edge(1, 2)
-            assert 1 in g and 2 in g
-            assert list(g.successors(1)) == []
-            assert list(g.predecessors(2)) == []
+        for make in BACKENDS:
+            g = build_backend(make, [(1, 2)])
+            g.remove_edge(node(1), node(2))
+            assert node(1) in g and node(2) in g
+            assert list(g.successors(node(1))) == []
+            assert list(g.predecessors(node(2))) == []
 
     def test_degrees_and_readd(self):
-        for factory in self.backends():
-            g = factory()
-            g.add_edge(1, 2)
-            g.add_edge(3, 2)
-            g.remove_edge(1, 2)
-            assert g.in_degree(2) == 1
-            assert g.out_degree(1) == 0
+        for make in BACKENDS:
+            g = build_backend(make, [(1, 2), (3, 2)])
+            g.remove_edge(node(1), node(2))
+            assert g.in_degree(node(2)) == 1
+            assert g.out_degree(node(1)) == 0
             # Re-adding a removed edge is a fresh insertion.
-            assert g.add_edge(1, 2) is True
+            assert g.add_edge(node(1), node(2)) is True
             assert g.edge_count == 2
 
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists, removals=edge_lists)
     def test_matches_rebuild_from_surviving_edges(self, edges, removals):
-        for factory in self.backends():
-            g = factory()
-            g.add_edges(edges)
+        for make in BACKENDS:
+            g = build_backend(make, edges)
             removed = set()
-            for src, dst in removals:
+            for src, dst in pairs(removals):
                 if g.remove_edge(src, dst):
                     removed.add((src, dst))
-            survivors = set(edges) - removed
+            survivors = set(pairs(edges)) - removed
             assert set(g.edges()) == survivors
             assert g.edge_count == len(survivors)
-            fresh = factory()
+            fresh = make()
             fresh.add_edges(survivors)
-            for node in list(g.nodes()):
-                assert reachable_from(g, [node]) >= reachable_from(
-                    fresh, [node]
+            for each in list(g.nodes()):
+                assert reachable_from(g, [each]) >= reachable_from(
+                    fresh, [each]
                 )
 
 
 class TestRemoveIsolated:
     """Freeing the rows an edit emptied (the daemon's warm graph): a
-    node leaves only once it has no edge, and the next new node takes
-    its id, so the rows never outgrow the most nodes held at once."""
+    node leaves only once it has no edge, and the factory gives its
+    uid to the next new node, so the rows never outgrow the most nodes
+    the factory held at once."""
 
     def test_only_an_isolated_node_is_removed(self):
-        g = CSRDigraph()
-        g.add_edge(1, 2)
-        assert g.remove_isolated(1) is False
-        assert g.remove_isolated(99) is True
+        g = build_backend(CSRDigraph, [(1, 2)])
+        assert g.remove_isolated(node(1)) is False
+        assert g.remove_isolated(node(99)) is True
         emptied = []
-        g.remove_edge(1, 2, emptied)
-        assert emptied == [1, 2]
-        assert g.remove_isolated(1) is True
-        assert 1 not in g and g.node_count == 1
-        assert list(g.nodes()) == [2]
+        g.remove_edge(node(1), node(2), emptied)
+        assert emptied == [node(1), node(2)]
+        assert g.remove_isolated(node(1)) is True
+        assert node(1) not in g and g.node_count == 1
+        assert list(g.nodes()) == [node(2)]
 
     def test_a_new_node_reuses_a_freed_id(self):
+        factory = NodeFactory(parse("()"))
+        a, b, c = map(factory.var_node, "abc")
         g = CSRDigraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
+        g.add_edge(a, b)
+        g.add_edge(b, c)
         emptied = []
-        g.remove_edge("a", "b", emptied)
-        assert emptied == ["a"]
-        g.remove_isolated("a")
-        assert g._interner.values == [None, "b", "c"]
-        g.add_edge("c", "d")
-        assert g._interner.id_of("d") == 0
+        g.remove_edge(a, b, emptied)
+        assert emptied == [a]
+        factory.release(emptied, g.remove_isolated)
+        assert not factory.holds(a) and g._nodes == [None, b, c]
+        d = factory.var_node("d")
+        # The released uid comes back first, with empty rows.
+        assert d.uid == a.uid == 0
+        assert not g.successors(d) and not g.predecessors(d)
+        g.add_edge(c, d)
+        assert d in g and a not in g
         assert len(g._succ) == 3 and g.node_count == 3
-        assert set(g.edges()) == {("b", "c"), ("c", "d")}
-        assert g.reachable_set(["b"]) == {"b", "c", "d"}
+        assert set(g.edges()) == {(b, c), (c, d)}
+        assert g.reachable_set([b]) == {b, c, d}
 
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists, removals=edge_lists, added=edge_lists)
     def test_matches_rebuild_after_freeing(self, edges, removals, added):
+        factory = NodeFactory(parse("()"))
+
+        def var(label):
+            return factory.var_node(str(label))
+
         g = CSRDigraph()
-        g.add_edges(edges)
-        held = g.node_count
+        g.add_edges((var(src), var(dst)) for src, dst in edges)
+        held = factory.node_count
         emptied = []
         for src, dst in removals:
-            g.remove_edge(src, dst, emptied)
-        for node in emptied:
-            assert g.remove_isolated(node)
+            made = factory.peek_var(str(src)), factory.peek_var(str(dst))
+            if None not in made:
+                g.remove_edge(*made, emptied)
+        factory.release(emptied, g.remove_isolated)
         survivors = set(g.edges())
         assert set(g.nodes()) == {n for edge in survivors for n in edge}
-        g.add_edges((src + 100, dst) for src, dst in added)
+        assert set(factory.nodes) == set(g.nodes())
+        new = [(var(src + 100), var(dst)) for src, dst in added]
+        g.add_edges(new)
         fresh = CSRDigraph()
         fresh.add_edges(survivors)
-        fresh.add_edges((src + 100, dst) for src, dst in added)
+        fresh.add_edges(new)
         assert set(g.edges()) == set(fresh.edges())
         assert set(g.nodes()) == set(fresh.nodes())
-        assert len(g._succ) == max(held, g.node_count)
-        for node in fresh.nodes():
-            assert g.reachable_set([node]) == fresh.reachable_set([node])
+        assert len(g._succ) == max(held, factory.node_count)
+        for each in fresh.nodes():
+            assert g.reachable_set([each]) == fresh.reachable_set([each])

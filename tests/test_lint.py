@@ -144,14 +144,6 @@ class TestDriver:
         )
         assert set(result.rules_fired()) == {"L001", "L005"}
 
-    def test_scope_restricts_incremental_passes(self):
-        program = parse(SHOWCASE)
-        sub = build_subtransitive_graph(program)
-        scoped = run_lints(program, sub, scope=set())
-        # Incremental passes see an empty scope; the non-incremental
-        # escape pass still runs over the whole program.
-        assert set(scoped.rules_fired()) == {"L004"}
-
     def test_pass_seconds_recorded(self):
         _, result = lint_source(SHOWCASE)
         assert set(result.pass_seconds) == {

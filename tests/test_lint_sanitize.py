@@ -129,6 +129,28 @@ class TestCorruptedGraphs:
             for v in report.violations
         )
 
+    def test_released_node_left_in_graph_detected(self):
+        # The graph keys its rows on uids: a node its factory released
+        # must not stay in it, even once the uid is handed out again.
+        sub = build_subtransitive_graph(parse(self.SRC))
+        factory = sub.factory
+        victim = next(
+            node
+            for node in factory.nodes
+            if node.kind == "op"
+            and node in sub.graph
+            and not factory.ops_over(node)
+        )
+        factory.release([victim], lambda node: True)
+        assert factory.var_node("fresh").uid == victim.uid
+        report = sanitize(sub)
+        assert any(
+            v["check"] == "budget-accounting"
+            and f"{victim.describe()} is not the factory's live node"
+            in v["message"]
+            for v in report.violations
+        )
+
     def test_violations_land_on_registry(self):
         registry = MetricsRegistry()
         sub = build_subtransitive_graph(parse(self.SRC))
